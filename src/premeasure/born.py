@@ -2,22 +2,20 @@
 
 Outcome events name a device and a 1-based outcome index; the corresponding
 projector is the pointer projector |k><k| on that device's factor.  All such
-projectors are diagonal in the computational basis and commute, so joint
-probabilities reduce to index masks over the chain state; the dense embedded
-projector is still available through :func:`pointer_projection` and agrees
-with the masked path.
+projectors are diagonal in the computational basis and commute, so a joint
+probability is the squared norm of the chain's state vector restricted to the
+events' pointer indices.  A mixed start's ancilla factor is never masked, so
+it is summed over like any unobserved factor.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainState
-from .linalg import embed_operator, partial_trace
 from .model import DensityState
 
 # Probabilities may stray this far outside [0, 1] before being an error,
@@ -124,31 +122,12 @@ def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
 
 
 def _masked_probability(chain: ChainState, events) -> float:
-    positions = _event_positions(chain, events)
     dims = chain.space.dims
-    n = len(dims)
-    if chain.is_pure:
-        idx: list = [slice(None)] * n
-        for pos, k in positions:
-            idx[pos] = k
-        block = chain.state.reshape(dims)[tuple(idx)]
-        return clamp_probability(float(np.sum(np.abs(block) ** 2)))
-    idx = [slice(None)] * (2 * n)
-    for pos, k in positions:
+    idx: list = [slice(None)] * len(dims)
+    for pos, k in _event_positions(chain, events):
         idx[pos] = k
-        idx[n + pos] = k
-    block = chain.state.reshape(dims + dims)[tuple(idx)]
-    d_rest = int(round(math.sqrt(block.size)))
-    return clamp_probability(float(np.trace(block.reshape(d_rest, d_rest)).real))
-
-
-def pointer_projection(chain: ChainState, ev: OutcomeEvent) -> np.ndarray:
-    """Embedded projector |k><k| on the event's device factor."""
-    (pos, k), = _event_positions(chain, [ev])
-    d = chain.space.dims[pos]
-    p = np.zeros((d, d), dtype=np.complex128)
-    p[k, k] = 1.0
-    return embed_operator(p, (ev.device_label,), chain.space)
+    block = chain.state.reshape(dims)[tuple(idx)]
+    return clamp_probability(float(np.sum(np.abs(block) ** 2)))
 
 
 def joint_probability(chain: ChainState, events) -> float:
@@ -210,10 +189,6 @@ def total_probability(chain: ChainState, target_device: str) -> Distribution:
 
 
 def reduced_system_state(chain: ChainState) -> DensityState:
-    """System marginal: all device factors traced out."""
-    if chain.is_pure:
-        m = chain.state.reshape(chain.system_dim, -1)
-        rho = m @ m.conj().T
-    else:
-        rho = partial_trace(chain.state, chain.space, [chain.system_label])
-    return DensityState(chain.system_label, rho)
+    """System marginal: all device factors (and any ancilla) traced out."""
+    m = chain.state.reshape(chain.system_dim, -1)
+    return DensityState(chain.system_label, m @ m.conj().T)

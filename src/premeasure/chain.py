@@ -14,6 +14,18 @@ unitary built from the measured observable:
 * reader: an ideal interaction whose "system" is the pointer factor of an
   earlier device, copying that device's record into a fresh pointer.
 
+Every new pointer starts in its ready state |0>, so only the ready column
+``U[:, :, :, 0]`` of an interaction (reshaped to measured x pointer x
+measured x pointer) ever acts: attaching a device costs one contraction of
+that column into the measured factor, O(D*d*p) for composite dimension D,
+measured dimension d and pointer dimension p.
+
+A mixed initial state rho = sum_i w_i |e_i><e_i| is simulated by its
+purification sum_i sqrt(w_i) |e_i>|i> on the system and an ancilla factor
+placed right after it.  No device or evolution touches the ancilla, so every
+Born probability and the system marginal equal those of the density-matrix
+route, while the chain only ever holds a state vector.
+
 No state is ever collapsed; chains only grow and evolve unitarily.  ChainState
 values are immutable, every operation returns a new one.
 """
@@ -37,6 +49,10 @@ from .linalg import (
 from .model import DensityState, DeviceSpec, Observable, make_device, make_observable
 
 SYSTEM_TARGET = "system"
+
+# Factor label of the purifying ancilla of a mixed initial state.  Scenario
+# names cannot contain "~", so no device can claim it.
+ANCILLA_LABEL = "~ancilla"
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +91,11 @@ class AttachedDevice:
 class ChainState:
     """Immutable snapshot of system + devices.
 
-    ``state`` is a vector for pure chains, a square matrix for mixed ones.
+    ``state`` is always a state vector over ``space``.  A chain started from
+    a mixed state carries the purifying ancilla as its second factor.
     ``initial_system_state`` keeps the system state the chain was started
-    from, which downstream checks replay against the projection postulate.
+    from (a vector, or the density matrix of a mixed start), which
+    downstream checks replay against the projection postulate.
     """
 
     space: CompositeSpace
@@ -88,18 +106,12 @@ class ChainState:
 
     def __post_init__(self):
         state = np.asarray(self.state, dtype=np.complex128)
-        if state.ndim == 1:
-            if state.size != self.space.dim:
-                raise ValueError(
-                    f"state size {state.size} does not match space dimension {self.space.dim}"
-                )
-        elif state.ndim == 2:
-            if state.shape != (self.space.dim, self.space.dim):
-                raise ValueError(
-                    f"state shape {state.shape} does not match space dimension {self.space.dim}"
-                )
-        else:
-            raise ValueError("state must be a vector or a square matrix")
+        if state.ndim != 1:
+            raise ValueError(f"state must be a vector, got shape {state.shape}")
+        if state.size != self.space.dim:
+            raise ValueError(
+                f"state size {state.size} does not match space dimension {self.space.dim}"
+            )
         if self.space.labels[0] != self.system_label:
             raise ValueError("first factor must be the system")
         for ad in self.devices:
@@ -110,7 +122,8 @@ class ChainState:
 
     @property
     def is_pure(self) -> bool:
-        return self.state.ndim == 1
+        """True unless the chain started from a mixed state."""
+        return ANCILLA_LABEL not in self.space.labels
 
     @property
     def system_dim(self) -> int:
@@ -125,9 +138,6 @@ class ChainState:
             if ad.spec.label == label:
                 return ad
         raise ValueError(f"no device labelled {label!r} in this chain")
-
-    def has_device(self, label: str) -> bool:
-        return any(ad.spec.label == label for ad in self.devices)
 
     def outcome_count(self, label: str) -> int:
         return self.device(label).spec.observable.outcome_count
@@ -198,28 +208,31 @@ def make_reader_device(label: str, target_spec: DeviceSpec) -> DeviceSpec:
 def init_chain(state, system_label: str | None = None) -> ChainState:
     """Chain holding only the system, no devices attached yet.
 
-    ``state`` may be a vector, a density matrix, or a DensityState.
+    ``state`` may be a vector, a density matrix, or a DensityState.  A
+    density matrix is purified onto (system, ancilla), keeping one ancilla
+    state per positive eigenvalue.
     """
     if isinstance(state, DensityState):
         label = system_label if system_label is not None else state.space_label
-        mat = state.matrix
-        space = CompositeSpace(((label, mat.shape[0]),))
-        return ChainState(space, mat, (), mat, label)
+        return _purified_chain(state.matrix, label)
     arr = np.asarray(state, dtype=np.complex128)
     label = system_label if system_label is not None else "S"
     if arr.ndim == 2:
-        ds = DensityState(label, arr)
-        space = CompositeSpace(((label, ds.dim),))
-        return ChainState(space, ds.matrix, (), ds.matrix, label)
+        return _purified_chain(DensityState(label, arr).matrix, label)
     vec = as_state_vector(arr)
     space = CompositeSpace(((label, vec.size),))
     return ChainState(space, vec, (), vec, label)
 
 
-def _ready_vector(dim: int) -> np.ndarray:
-    e0 = np.zeros(dim, dtype=np.complex128)
-    e0[0] = 1.0
-    return e0
+def _purified_chain(rho: np.ndarray, label: str) -> ChainState:
+    w, v = np.linalg.eigh(rho)
+    keep = w > 0
+    # Dropping the (at most 1e-10) negative eigenvalues may leave the kept
+    # weights a hair away from unit sum; renormalize so the vector is a state.
+    weights = w[keep] / np.sum(w[keep])
+    amplitudes = v[:, keep] * np.sqrt(weights)
+    space = CompositeSpace(((label, rho.shape[0]), (ANCILLA_LABEL, int(keep.sum()))))
+    return ChainState(space, amplitudes.reshape(-1), (), rho, label)
 
 
 def attach_device(
@@ -238,7 +251,7 @@ def attach_device(
     by ``target``.  A label already present in the chain is rejected: a fired
     device keeps its record and cannot be reused.
     """
-    if dev.label == chain.system_label or chain.has_device(dev.label):
+    if dev.label in chain.space.labels:
         raise ValueError(f"device label {dev.label!r} already used in this chain")
     obs = dev.observable
 
@@ -293,13 +306,11 @@ def attach_device(
     if not is_unitary(u, DEFAULT_TOL):
         raise ValueError("constructed interaction is not unitary")
 
-    new_space = chain.space.extended(dev.label, dev.pointer_dim)
-    e0 = _ready_vector(dev.pointer_dim)
-    if chain.is_pure:
-        grown = np.kron(chain.state, e0)
-    else:
-        grown = np.kron(chain.state, np.outer(e0, e0))
-    new_state = apply_operator(u, (anchor, dev.label), new_space, grown)
+    pos = chain.space.index(anchor)
+    d, p = obs.dim, dev.pointer_dim
+    column = u.reshape(d, p, d, p)[:, :, :, 0]
+    psi = np.tensordot(column, chain.state.reshape(chain.space.dims), axes=([2], [pos]))
+    new_state = np.moveaxis(psi, (0, 1), (pos, -1)).reshape(-1)
     attached = AttachedDevice(
         spec=dev,
         factor_index=len(chain.space.factors),
@@ -308,7 +319,7 @@ def attach_device(
         disturbance=disturbance,
     )
     return ChainState(
-        new_space,
+        chain.space.extended(dev.label, dev.pointer_dim),
         new_state,
         chain.devices + (attached,),
         chain.initial_system_state,

@@ -9,7 +9,8 @@ Three subcommands:
 
 Exit codes: 0 success; 1 usage, parse or validation failure (including an
 equivalence query aimed at a weak device); 2 runtime failure such as
-conditioning on a zero-probability event; 3 property-suite violation.
+conditioning on a zero-probability event or a chain that cannot be built;
+3 property-suite violation.
 ``PREMEASURE_TOL`` overrides the default report tolerance of 1e-10.
 """
 
@@ -112,14 +113,27 @@ def _resolve_tol(tol: float | None) -> float:
     return _default_tol() if tol is None else tol
 
 
+def _run_answers(scenario: dsl.Scenario, tol: float, scenario_id: str):
+    """(answers, elapsed seconds), or None after reporting a chain that
+    could not be built (a runtime failure)."""
+    started = time.perf_counter()
+    try:
+        answers = runner.run_scenario(scenario, tol=tol, scenario_id=scenario_id)
+    except ValueError as exc:
+        print(f"premeasure: {exc}", file=sys.stderr)
+        return None
+    return answers, time.perf_counter() - started
+
+
 def cmd_run(args) -> int:
     tol = _resolve_tol(args.tol)
     scenario = _load_scenario(args.scenario)
     if scenario is None:
         return 1
-    started = time.perf_counter()
-    answers = runner.run_scenario(scenario, tol=tol, scenario_id=args.scenario)
-    elapsed = time.perf_counter() - started
+    outcome = _run_answers(scenario, tol, args.scenario)
+    if outcome is None:
+        return 2
+    answers, elapsed = outcome
 
     if args.format == "json":
         doc = {
@@ -243,9 +257,10 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 1
-    started = time.perf_counter()
-    answers = runner.run_scenario(scenario, tol=tol, scenario_id=args.scenario)
-    elapsed = time.perf_counter() - started
+    outcome = _run_answers(scenario, tol, args.scenario)
+    if outcome is None:
+        return 2
+    answers, elapsed = outcome
     reports = []
     failed = False
     for a in answers:

@@ -54,6 +54,10 @@ KEYWORDS = frozenset(
     }
 )
 
+# Largest final chain state a scenario may ask for: 2**26 complex128
+# amplitudes, 1 GiB.  The validator checks it from the declarations alone.
+MAX_AMPLITUDES = 2**26
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MAG_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
@@ -757,8 +761,10 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     consistency, normalizability of states, observable structure
     (orthonormality, distinct eigenvalues, projector completeness), Hermitian
     generators, unitary disturbances and explicit evolutions, name resolution
-    in file order, and query references (devices attached, outcome indices in
-    range, no duplicate devices per query).
+    in file order, query references (devices attached, outcome indices in
+    range, no duplicate devices per query), and the size of the final chain
+    state: system dim times every pointer dim (times the system dim again for
+    the ancilla of a mixed state) must stay within ``MAX_AMPLITUDES``.
     """
     diags: list[Diagnostic] = []
 
@@ -783,6 +789,21 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     hamiltonians: set[str] = set()
     devices: dict[str, int] = {}  # name -> outcome count
     system_label = "S"
+    amplitudes = None
+    if dim is not None:
+        amplitudes = dim * (dim if isinstance(state, MixedStateDecl) else 1)
+
+    def grow(name: str, pointer_dim: int, pos: Pos):
+        nonlocal amplitudes
+        if amplitudes is None or amplitudes > MAX_AMPLITUDES:
+            return
+        amplitudes *= pointer_dim
+        if amplitudes > MAX_AMPLITUDES:
+            add(
+                f"device {name!r} grows the chain state to {amplitudes} amplitudes "
+                f"({16 * amplitudes} bytes), past the limit of {MAX_AMPLITUDES}",
+                pos,
+            )
 
     for stmt in scenario.statements:
         if isinstance(stmt, PureStateDecl):
@@ -913,6 +934,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
                 continue
             count = observables[stmt.observable]
             devices[stmt.name] = count
+            grow(stmt.name, count + 1, stmt.pos)
             if stmt.weak is not None:
                 if len(stmt.weak) != count:
                     add(
@@ -946,6 +968,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
             else:
                 # Reader outcomes: one per pointer state of the target.
                 devices[stmt.name] = devices[stmt.target] + 1
+                grow(stmt.name, devices[stmt.name] + 1, stmt.pos)
         elif isinstance(stmt, EvolveNamedDecl):
             if stmt.hamiltonian not in hamiltonians:
                 add(f"undefined hamiltonian {stmt.hamiltonian!r}", stmt.pos)

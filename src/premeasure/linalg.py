@@ -1,10 +1,9 @@
 """Dense complex linear algebra over labelled tensor-factor spaces.
 
 Everything operates on plain numpy arrays with dtype complex128.  Operations
-on composite spaces (operator embedding, partial trace, applying an operator
-to a subset of factors) reshape to one axis per factor and contract, instead
-of assembling Kronecker products with identity blocks, so chains with total
-dimension in the low thousands stay cheap.
+on composite spaces (applying an operator to a subset of factors of a state
+vector, partial trace) reshape to one axis per factor and contract, instead
+of assembling Kronecker products with identity blocks.
 """
 
 from __future__ import annotations
@@ -71,13 +70,6 @@ def unitarity_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - eye)))
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    arr = as_complex_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        return False
-    return hermiticity_residual(arr) <= tol
-
-
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     """True when ``m^† m`` equals the identity entrywise within ``tol``."""
     arr = as_complex_matrix(m)
@@ -135,11 +127,6 @@ class CompositeSpace:
         return CompositeSpace(self.factors + ((label, dim),))
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product, promoting both operands to complex128."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
 def _target_positions(space: CompositeSpace, target_labels) -> list[int]:
     labels = list(target_labels)
     if not labels:
@@ -149,78 +136,28 @@ def _target_positions(space: CompositeSpace, target_labels) -> list[int]:
     return [space.index(lbl) for lbl in labels]
 
 
-def _check_op_dim(op: np.ndarray, tdims: list[int], name: str) -> None:
+def apply_operator(op, target_labels, space: CompositeSpace, state: np.ndarray) -> np.ndarray:
+    """Return ``op|state>`` for ``op`` acting on the listed factors of the
+    state vector, without materializing the embedded operator."""
+    op = as_complex_matrix(op, "operator")
+    positions = _target_positions(space, target_labels)
+    dims = space.dims
+    tdims = [dims[p] for p in positions]
     d = math.prod(tdims)
     if op.shape != (d, d):
         raise ValueError(
-            f"{name} has shape {op.shape}, expected {(d, d)} for target factors {tdims}"
+            f"operator has shape {op.shape}, expected {(d, d)} for target factors {tdims}"
         )
-
-
-def embed_operator(op, target_labels, space: CompositeSpace) -> np.ndarray:
-    """Extend ``op`` (acting on the listed factors, in that order) by the
-    identity on every other factor and return the full-space matrix."""
-    op = as_complex_matrix(op, "operator")
-    positions = _target_positions(space, target_labels)
-    dims = space.dims
-    tdims = [dims[p] for p in positions]
-    _check_op_dim(op, tdims, "operator")
-    n = len(dims)
-    rest = [p for p in range(n) if p not in positions]
-
-    full = op.reshape(tuple(tdims) + tuple(tdims))
-    for p in rest:
-        full = np.tensordot(full, np.eye(dims[p], dtype=np.complex128), axes=0)
-
-    # Axis bookkeeping: targets contribute (rows..., cols...) up front, each
-    # remaining factor appended an adjacent (row, col) pair.
-    k = len(positions)
-    row_axis, col_axis = {}, {}
-    for i, p in enumerate(positions):
-        row_axis[p] = i
-        col_axis[p] = k + i
-    for j, p in enumerate(rest):
-        row_axis[p] = 2 * k + 2 * j
-        col_axis[p] = 2 * k + 2 * j + 1
-    perm = [row_axis[p] for p in range(n)] + [col_axis[p] for p in range(n)]
-    total = space.dim
-    return full.transpose(perm).reshape(total, total)
-
-
-def apply_operator(op, target_labels, space: CompositeSpace, state: np.ndarray) -> np.ndarray:
-    """Apply ``op`` on the listed factors of ``state`` without materializing
-    the embedded operator.
-
-    For a vector returns ``op|state>``; for a density matrix returns
-    ``op state op^†``.
-    """
-    op = as_complex_matrix(op, "operator")
-    positions = _target_positions(space, target_labels)
-    dims = space.dims
-    tdims = [dims[p] for p in positions]
-    _check_op_dim(op, tdims, "operator")
-    n = len(dims)
     k = len(positions)
     opt = op.reshape(tuple(tdims) + tuple(tdims))
-    op_cols = list(range(k, 2 * k))
 
     state = np.asarray(state, dtype=np.complex128)
-    if state.ndim == 1:
-        if state.size != space.dim:
-            raise ValueError(f"state has size {state.size}, space dimension is {space.dim}")
-        psi = state.reshape(dims)
-        psi = np.tensordot(opt, psi, axes=(op_cols, positions))
-        psi = np.moveaxis(psi, list(range(k)), positions)
-        return psi.reshape(-1)
-
-    if state.shape != (space.dim, space.dim):
-        raise ValueError(f"state has shape {state.shape}, expected {(space.dim, space.dim)}")
-    rho = state.reshape(dims + dims)
-    rho = np.tensordot(opt, rho, axes=(op_cols, positions))
-    rho = np.moveaxis(rho, list(range(k)), positions)
-    rho = np.tensordot(np.conj(opt), rho, axes=(op_cols, [n + p for p in positions]))
-    rho = np.moveaxis(rho, list(range(k)), [n + p for p in positions])
-    return rho.reshape(space.dim, space.dim)
+    if state.shape != (space.dim,):
+        raise ValueError(
+            f"state has shape {state.shape}, expected a vector of size {space.dim}"
+        )
+    psi = np.tensordot(opt, state.reshape(dims), axes=(list(range(k, 2 * k)), positions))
+    return np.moveaxis(psi, list(range(k)), positions).reshape(-1)
 
 
 def partial_trace(rho, space: CompositeSpace, keep_labels) -> np.ndarray:
@@ -255,5 +192,9 @@ def hermitian_evolution(h, t: float) -> np.ndarray:
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
     w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wt = w * t
+    if not np.all(np.isfinite(wt)):
+        raise ValueError("evolution phases overflow: eigenvalue times time is not finite")
+    phases = np.exp(-1j * wt)
     return (v * phases) @ v.conj().T

@@ -116,8 +116,10 @@ def random_scenario(rng: np.random.Generator, max_dim: int = 6, max_depth: int =
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
 
-    # Density matrices square the composite dimension, so mixed trials get a
-    # much smaller budget (and a smaller system) than pure ones.
+    # Mixed trials get a much smaller budget (and a smaller system) than pure
+    # ones.  A purified mixed chain is at most the system dimension times the
+    # size of its pure counterpart, so this is stricter than memory needs;
+    # the budgets stay because they fix which scenario each (seed, trial) draws.
     mixed = rng.random() < 0.25
     if mixed:
         dim = int(rng.integers(2, min(max_dim, 4) + 1))

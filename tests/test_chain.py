@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from premeasure.born import (
+    OutcomeEvent,
+    joint_probability,
+    marginal_distribution,
+    reduced_system_state,
+)
 from premeasure.chain import (
+    ANCILLA_LABEL,
     Disturbance,
     apply_evolution,
     attach_device,
@@ -110,8 +117,12 @@ def test_attach_density_route_matches_pure():
     pure = attach_device(init_chain(v), make_device("M1", _z_obs()))
     rho = np.outer(v, v.conj())
     dens = attach_device(init_chain(rho), make_device("M1", _z_obs()))
+    assert pure.is_pure and not dens.is_pure
+    for k in (1, 2):
+        ev = [OutcomeEvent("M1", k)]
+        assert_allclose(joint_probability(dens, ev), joint_probability(pure, ev), atol=1e-13)
     assert_allclose(
-        dens.state, np.outer(pure.state, pure.state.conj()), atol=1e-13
+        reduced_system_state(dens).matrix, reduced_system_state(pure).matrix, atol=1e-13
     )
 
 
@@ -156,7 +167,18 @@ def test_init_chain_accepts_density_state():
     chain = init_chain(ds)
     assert not chain.is_pure
     assert chain.system_dim == 2
-    assert chain.space.labels == ("S",)
+    assert chain.state.ndim == 1
+    assert_allclose(reduced_system_state(chain).matrix, ds.matrix, atol=1e-15)
+    chain = attach_device(chain, make_device("M1", _z_obs()))
+    assert not chain.is_pure
+    assert_allclose(marginal_distribution(chain, "M1").probability((1,)), 0.25, atol=1e-15)
+    assert_allclose(marginal_distribution(chain, "M1").probability((2,)), 0.75, atol=1e-15)
+
+
+def test_attach_rejects_the_ancilla_label():
+    chain = init_chain(np.diag([0.5, 0.5]).astype(complex))
+    with pytest.raises(ValueError, match="already used"):
+        attach_device(chain, make_device(ANCILLA_LABEL, _z_obs()))
 
 
 def test_initial_system_state_is_preserved():

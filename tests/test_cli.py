@@ -104,6 +104,30 @@ def test_run_validation_error_exits_1(tmp_path, capsys):
     assert "M1" in capsys.readouterr().err
 
 
+OVERFLOW = (
+    "system dim 2\nstate pure [1, 0]\n"
+    "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+    "hamiltonian H [[1e308, 0], [0, -1e308]]\n"
+    "evolve H t 1e10\n"
+    "device M1 measures Z\ndevice M2 measures Z\n"
+    "query repeatability M1 M2\n"
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_chain_build_failure_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "overflow.scn"
+    path.write_text(OVERFLOW)
+    code = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("premeasure: ") and "not finite" in lines[0]
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])

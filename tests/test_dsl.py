@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,37 @@ def test_validator_reserved_system_label():
         "device S measures Z\n"
     )
     assert any("reserved" in m for m in msgs)
+
+
+def _ququart_chain(state: str, devices: int) -> str:
+    return (
+        f"system dim 4\nstate {state}\n"
+        "observable A eigen [1, 2, 3, 4] basis "
+        "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]\n"
+        + "".join(f"device M{i} measures A\n" for i in range(1, devices + 1))
+    )
+
+
+def test_validator_size_preflight_names_first_device_over_limit():
+    # 4 * 5**11 amplitudes is past 2**26; 4 * 5**10 is not.  Validation is
+    # arithmetic on the declarations, so it must not allocate the state.
+    tracemalloc.start()
+    try:
+        msgs = _diags(_ququart_chain("pure [1, 0, 0, 0]", 12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    over = [m for m in msgs if "amplitudes" in m]
+    assert len(over) == 1 and "'M11'" in over[0]
+    assert not _diags(_ququart_chain("pure [1, 0, 0, 0]", 10))
+
+
+def test_validator_size_preflight_counts_the_mixed_ancilla():
+    mixed = "mixed [[0.25,0,0,0],[0,0.25,0,0],[0,0,0.25,0],[0,0,0,0.25]]"
+    assert not _diags(_ququart_chain(mixed, 9))
+    over = [m for m in _diags(_ququart_chain(mixed, 10)) if "amplitudes" in m]
+    assert len(over) == 1 and "'M10'" in over[0]
 
 
 def test_statement_order_is_preserved():
