@@ -1,11 +1,12 @@
 """Born-rule queries against a measurement chain.
 
 Outcome events name a device and a 1-based outcome index; the corresponding
-projector is the pointer projector |k><k| on that device's factor.  All such
-projectors are diagonal in the computational basis and commute, so a joint
-probability is the squared norm of the chain's state vector restricted to the
-events' pointer indices.  A mixed start's ancilla factor is never masked, so
-it is summed over like any unobserved factor.
+projector is the pointer projector |k><k| on that device's factor.  These
+projectors are diagonal and commute, so every query reads one array computed
+once per chain: ``ChainState.pointer_probabilities``, |psi|^2 summed over the
+system and any ancilla, one axis per device.  A joint probability indexes the
+events' axes and sums the rest, a conditional is the ratio of two such sums,
+and a joint distribution keeps outcomes 1..n of its devices and sums the rest.
 """
 
 from __future__ import annotations
@@ -45,60 +46,80 @@ def clamp_probability(p: float) -> float:
     raise ValueError(f"probability {p!r} lies outside [0, 1] beyond tolerance")
 
 
-@dataclass(frozen=True)
 class Distribution:
     """Probabilities over joint outcome tuples of the named devices.
 
-    ``entries`` is sorted by outcome tuple; probabilities are clamped and must
-    sum to 1 within ``DISTRIBUTION_SUM_TOL``.
+    ``table[k1 - 1, ..., kn - 1]`` is p(k1, ..., kn), given as ``table=`` or
+    filled from (outcome tuple, probability) ``entries``, absent tuples being
+    0.  Entries are clamped and must sum to 1 within ``DISTRIBUTION_SUM_TOL``.
     """
 
-    devices: tuple[str, ...]
-    entries: tuple[tuple[tuple[int, ...], float], ...]
+    __slots__ = ("devices", "table")
 
-    def __post_init__(self):
-        devices = tuple(str(d) for d in self.devices)
-        entries = []
-        keys = set()
-        for key, p in self.entries:
-            key = tuple(int(k) for k in key)
-            if len(key) != len(devices):
-                raise ValueError(f"outcome tuple {key} does not match devices {devices}")
-            if key in keys:
-                raise ValueError(f"duplicate outcome tuple {key}")
-            keys.add(key)
-            entries.append((key, clamp_probability(float(p))))
-        entries.sort(key=lambda kv: kv[0])
-        total = sum(p for _, p in entries)
+    def __init__(self, devices, entries=(), *, table=None):
+        devices = tuple(str(d) for d in devices)
+        if table is None:
+            table = _table_from_entries(devices, entries)
+        table = np.asarray(table, dtype=np.float64)
+        if table.ndim != len(devices):
+            raise ValueError(f"table of shape {table.shape} does not match devices {devices}")
+        bad = ~((table >= -PROB_SLACK) & (table <= 1.0 + PROB_SLACK))
+        if bad.any():
+            clamp_probability(float(table[bad][0]))  # raises, naming the value
+        table = np.clip(table, 0.0, 1.0)
+        total = float(table.sum())
         if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "devices", devices)
-        object.__setattr__(self, "entries", tuple(entries))
+        table.setflags(write=False)
+        self.devices = devices
+        self.table = table
 
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return dict(self.entries)
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """Every (outcome tuple, probability) pair, sorted by tuple."""
+        keys = itertools.product(*(range(1, n + 1) for n in self.table.shape))
+        return tuple(zip(keys, self.table.ravel().tolist()))
 
     def probability(self, key) -> float:
-        key = tuple(int(k) for k in key)
-        for k, p in self.entries:
-            if k == key:
-                return p
+        index = tuple(int(k) - 1 for k in key)
+        shape = self.table.shape
+        if len(index) == len(shape) and all(0 <= i < n for i, n in zip(index, shape)):
+            return float(self.table[index])
         return 0.0
 
     def marginal(self, device_label: str) -> "Distribution":
         """Single-device marginal obtained by summing the other positions."""
-        pos = self.devices.index(device_label)
-        acc: dict[tuple[int, ...], float] = {}
-        for key, p in self.entries:
-            sub = (key[pos],)
-            acc[sub] = acc.get(sub, 0.0) + p
-        return Distribution((device_label,), tuple(acc.items()))
+        axis = self.devices.index(device_label)
+        return Distribution((device_label,), table=sum_to_axes(self.table, [axis]))
+
+
+def sum_to_axes(table: np.ndarray, axes) -> np.ndarray:
+    """``table`` with every unlisted axis summed out, the listed ones in order."""
+    others = [a for a in range(table.ndim) if a not in axes]
+    return table.transpose([*axes, *others]).sum(axis=tuple(range(len(axes), table.ndim)))
+
+
+def _table_from_entries(devices: tuple[str, ...], entries) -> np.ndarray:
+    probs: dict[tuple[int, ...], float] = {}
+    for key, p in entries:
+        key = tuple(int(k) for k in key)
+        if len(key) != len(devices) or min(key, default=1) < 1:
+            raise ValueError(f"outcome tuple {key} does not match devices {devices}")
+        if key in probs:
+            raise ValueError(f"duplicate outcome tuple {key}")
+        probs[key] = p
+    keys = np.array(list(probs), dtype=int).reshape(len(probs), len(devices))
+    table = np.zeros(keys.max(axis=0, initial=0))
+    table[tuple((keys - 1).T)] = list(probs.values())
+    return table
 
 
 def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
+    """(pointer-tensor axis, outcome index) of each event of a checked list."""
     events = list(events)
     if not events:
         raise ValueError("need at least one outcome event")
+    lead = len(chain.space.factors) - len(chain.devices)
     seen = set()
     out = []
     for ev in events:
@@ -117,22 +138,20 @@ def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
         if ev.device_label in seen:
             raise ValueError(f"duplicate device {ev.device_label!r} in event list")
         seen.add(ev.device_label)
-        out.append((ad.factor_index, ev.outcome_index))
+        out.append((ad.factor_index - lead, ev.outcome_index))
     return out
 
 
-def _masked_probability(chain: ChainState, events) -> float:
-    dims = chain.space.dims
-    idx: list = [slice(None)] * len(dims)
-    for pos, k in _event_positions(chain, events):
-        idx[pos] = k
-    block = chain.state.reshape(dims)[tuple(idx)]
-    return clamp_probability(float(np.sum(np.abs(block) ** 2)))
+def _events_probability(chain: ChainState, positions) -> float:
+    index = [slice(None)] * len(chain.devices)
+    for axis, k in positions:
+        index[axis] = k
+    return clamp_probability(float(chain.pointer_probabilities[tuple(index)].sum()))
 
 
 def joint_probability(chain: ChainState, events) -> float:
     """Probability that every listed device shows its listed outcome."""
-    return _masked_probability(chain, events)
+    return _events_probability(chain, _event_positions(chain, events))
 
 
 def conditional_probability(chain: ChainState, target: OutcomeEvent, given) -> float:
@@ -140,25 +159,23 @@ def conditional_probability(chain: ChainState, target: OutcomeEvent, given) -> f
     given = list(given)
     if not given:
         raise ValueError("conditional needs at least one conditioning event")
-    _event_positions(chain, given + [target])  # validates, incl. distinctness
-    p_given = _masked_probability(chain, given)
+    positions = _event_positions(chain, given + [target])
+    p_given = _events_probability(chain, positions[:-1])
     if p_given <= PROB_SLACK:
         raise ZeroProbabilityError(
             f"conditioning event has probability {p_given!r}; conditional undefined"
         )
-    p_all = _masked_probability(chain, given + [target])
-    return clamp_probability(p_all / p_given)
+    return clamp_probability(_events_probability(chain, positions) / p_given)
 
 
 def joint_distribution(chain: ChainState, device_labels) -> Distribution:
     """Full joint distribution over the listed devices' outcomes."""
     labels = list(device_labels)
-    ranges = [range(1, chain.outcome_count(lbl) + 1) for lbl in labels]
-    entries = []
-    for combo in itertools.product(*ranges):
-        events = [OutcomeEvent(lbl, k) for lbl, k in zip(labels, combo)]
-        entries.append((combo, _masked_probability(chain, events)))
-    return Distribution(tuple(labels), tuple(entries))
+    events = [OutcomeEvent(lbl, 1) for lbl in labels]  # checks the labels: 1 is always valid
+    axes = [axis for axis, _ in _event_positions(chain, events)]
+    table = sum_to_axes(chain.pointer_probabilities, axes)
+    # Pointer state 0 is the ready state, never an outcome.
+    return Distribution(labels, table=table[(slice(1, None),) * len(axes)])
 
 
 def marginal_distribution(chain: ChainState, device_label: str) -> Distribution:
@@ -175,15 +192,11 @@ def total_probability(chain: ChainState, target_device: str) -> Distribution:
     if target_device == first:
         raise ValueError("target device must differ from the first device")
     direct = marginal_distribution(chain, target_device)
-    pair = joint_distribution(chain, [first, target_device])
-    for (k,), p in direct.entries:
-        decomposed = sum(
-            pp for (j, kk), pp in pair.entries if kk == k
-        )
-        if abs(decomposed - p) > 1e-10:
+    decomposed = joint_distribution(chain, [first, target_device]).table.sum(axis=0)
+    for k, (d, p) in enumerate(zip(decomposed.tolist(), direct.table.tolist()), start=1):
+        if abs(d - p) > 1e-10:
             raise RuntimeError(
-                f"total-probability decomposition mismatch for outcome {k}: "
-                f"{decomposed!r} vs {p!r}"
+                f"total-probability decomposition mismatch for outcome {k}: {d!r} vs {p!r}"
             )
     return direct
 

@@ -33,6 +33,7 @@ values are immutable, every operation returns a new one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +142,16 @@ class ChainState:
 
     def outcome_count(self, label: str) -> int:
         return self.device(label).spec.observable.outcome_count
+
+    @cached_property
+    def pointer_probabilities(self) -> np.ndarray:
+        """|psi|^2 summed over the system and any ancilla, computed once: one
+        axis per device in attachment order, indexed by pointer state."""
+        psi = self.state.reshape(self.space.dims)
+        lead = len(self.space.factors) - len(self.devices)
+        probs = (np.square(psi.real) + np.square(psi.imag)).sum(axis=tuple(range(lead)))
+        probs.setflags(write=False)
+        return probs
 
 
 def pointer_shift(dim: int) -> np.ndarray:

@@ -10,7 +10,9 @@ Three subcommands:
 Exit codes: 0 success; 1 usage, parse or validation failure (including an
 equivalence query aimed at a weak device); 2 runtime failure such as
 conditioning on a zero-probability event or a chain that cannot be built;
-3 property-suite violation.
+3 property-suite violation (a generated scenario whose chain cannot be built
+counts as a ``build`` failure, so it too exits 3).  ``prop`` exits 2 when it
+cannot write a reproducer file into ``--out-dir``.
 ``PREMEASURE_TOL`` overrides the default report tolerance of 1e-10.
 """
 
@@ -27,7 +29,6 @@ import time
 from pathlib import Path
 
 from . import __version__, dsl, runner
-from .propsuite import run_property_suite
 
 SCHEMA_VERSION = 1
 ENV_TOL = "PREMEASURE_TOL"
@@ -291,6 +292,14 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def run_property_suite(*args):
+    """``propsuite.run_property_suite``, imported on first use: ``run`` and
+    ``verify`` never load the suite or its scenario sampler."""
+    from . import propsuite
+
+    return propsuite.run_property_suite(*args)
+
+
 def cmd_prop(args) -> int:
     if args.trials < 1:
         print("premeasure: --trials must be at least 1", file=sys.stderr)
@@ -308,7 +317,11 @@ def cmd_prop(args) -> int:
         name = f"prop-failure-{args.seed}-{f.trial}.scn"
         path = Path(args.out_dir) / name
         if f.trial not in written:
-            path.write_text(f.scenario_text, encoding="utf-8")
+            try:
+                path.write_text(f.scenario_text, encoding="utf-8")
+            except OSError as exc:
+                print(f"premeasure: cannot write {path}: {exc}", file=sys.stderr)
+                return 2
             written.add(f.trial)
         failures.append(
             {

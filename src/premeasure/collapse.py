@@ -11,7 +11,6 @@ package exists to show that the collapse-free chain reproduces these numbers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,12 +137,9 @@ def oracle_sequence_distribution(initial_state, steps, labels=None) -> Distribut
         else:
             raise ValueError(f"unknown oracle step {step!r}")
 
-    weights: dict[tuple[int, ...], float] = {}
+    # Pruned branches carry weight <= PRUNE_TOL each; the table spans the
+    # full product of outcomes so chain-side comparisons align by position.
+    table = np.zeros(outcome_ranges)
     for prefix, weight, _ in frontier:
-        weights[prefix] = weights.get(prefix, 0.0) + weight
-    # Pruned branches carry weight <= PRUNE_TOL each; list every tuple in the
-    # full product so chain-side comparisons can align by key.
-    entries = []
-    for combo in itertools.product(*[range(1, n + 1) for n in outcome_ranges]):
-        entries.append((combo, weights.get(combo, 0.0)))
-    return Distribution(labels, tuple(entries))
+        table[tuple(k - 1 for k in prefix)] += weight
+    return Distribution(labels, table=table)

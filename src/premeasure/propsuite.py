@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsl, engine, sampling
-from .born import OutcomeEvent, joint_distribution, total_probability
+from .born import joint_distribution, total_probability
 from .chain import attach_device, build_ideal_unitary, init_chain, make_device
 from .collapse import unknown_result_mixture
 from .linalg import hermitian_evolution, unitarity_residual
@@ -121,18 +121,15 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     try:
         rep = repeatability_matrix(chain, repeat_labels[0], repeat_labels[1], tol=STRUCT_TOL)
         _record(summary, trial, scenario, "repeatability", rep.max_identity_deviation, STRUCT_TOL)
-        agree = joint_distribution(chain, repeat_labels)
-        n = chain.outcome_count(repeat_labels[0])
-        p_equal = sum(
-            agree.probability(tuple([j] * len(repeat_labels))) for j in range(1, n + 1)
-        )
+        agree = joint_distribution(chain, repeat_labels).table
+        p_equal = sum(float(agree[(j,) * agree.ndim]) for j in range(agree.shape[0]))
         _record(summary, trial, scenario, "avalanche", abs(p_equal - 1.0), STRUCT_TOL)
     except Exception as exc:  # noqa: BLE001
         fail("repeatability", str(exc))
 
     # Full equivalence with the collapse oracle.
     try:
-        eq = collapse_equivalence_report(scenario, tol=dynamic_tol)
+        eq = collapse_equivalence_report(scenario, chain=chain, tol=dynamic_tol)
         _record(summary, trial, scenario, "equivalence", eq.max_deviation, dynamic_tol)
     except Exception as exc:  # noqa: BLE001
         fail("equivalence", str(exc))
@@ -159,11 +156,8 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
             elif isinstance(e, dsl.EvolveUnitaryDecl):
                 u = np.array([[complex(z) for z in row] for row in e.matrix])
                 w = u @ w @ u.conj().T
-        obs_b = observables["B"]
-        dev = 0.0
-        for (k,), p in direct.entries:
-            via_mixture = float(np.trace(w @ obs_b.projector(k)).real)
-            dev = max(dev, abs(p - via_mixture))
+        via_mixture = [np.trace(w @ p).real for p in observables["B"].projectors]
+        dev = float(np.max(np.abs(direct.table - via_mixture)))
         _record(summary, trial, scenario, "total-probability", dev, dynamic_tol)
     except Exception as exc:  # noqa: BLE001
         fail("total-probability", str(exc))

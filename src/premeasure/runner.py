@@ -151,7 +151,7 @@ def _answer(scenario, chain, q, tol: float, scenario_id: str) -> dict:
         )
         return repeatability_payload(rep)
     if isinstance(q, dsl.EquivalenceQuery):
-        rep = collapse_equivalence_report(scenario, tol=tol, scenario_id=scenario_id)
+        rep = collapse_equivalence_report(scenario, chain=chain, tol=tol, scenario_id=scenario_id)
         return equivalence_payload(rep)
     raise TypeError(f"unknown query {q!r}")
 

@@ -6,7 +6,8 @@ Three kinds of report:
   chain, with its deviation from the identity.  The matrix itself is the
   finding; a weak first device shows exactly where repeatability breaks.
 * collapse equivalence: every joint, marginal and pairwise conditional of the
-  chain's ideal system devices, compared against the branch-tree oracle.
+  chain's ideal system devices, compared against the branch-tree oracle; the
+  caller passes in the chain it built, so each scenario is built once.
 * partial trace: the system marginal of a one-device chain compared against
   the unknown-result mixture of the projected branches.
 
@@ -16,17 +17,19 @@ rather than counted as failures.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import engine
 from .born import (
     PROB_SLACK,
-    OutcomeEvent,
-    conditional_probability,
+    clamp_probability,
     joint_distribution,
     reduced_system_state,
+    sum_to_axes,
 )
 from .chain import ChainState
 from .collapse import oracle_sequence_distribution, unknown_result_mixture
@@ -37,8 +40,7 @@ class WeakDeviceError(ValueError):
     """Raised when an equivalence claim is requested for a weak device."""
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     """One compared quantity; values are floats or complex matrix entries."""
 
     query: str
@@ -58,6 +60,13 @@ class EquivalenceReport:
     def __post_init__(self):
         if self.passed != (self.max_deviation <= self.tol):
             raise ValueError("passed flag contradicts max_deviation vs tol")
+
+
+def _compare(queries, chain_values, oracle_values) -> list[QueryRecord]:
+    """One record per query name, pairing equal-shaped arrays elementwise."""
+    c, o = chain_values.ravel(), oracle_values.ravel()
+    rows = zip(queries, c.tolist(), o.tolist(), np.abs(c - o).tolist())
+    return list(map(QueryRecord._make, rows))
 
 
 def _make_report(scenario_id: str, records, tol: float) -> EquivalenceReport:
@@ -99,102 +108,71 @@ def repeatability_matrix(
             f"devices {first_device!r} and {second_device!r} have different "
             f"outcome counts ({n1} vs {n2})"
         )
-    first_marginal = joint_distribution(chain, [first_device])
+    table = joint_distribution(chain, [first_device, second_device]).table
     rows: list[tuple[float, ...] | None] = []
     max_dev = 0.0
-    for j in range(1, n1 + 1):
-        if first_marginal.probability((j,)) <= PROB_SLACK:
+    for j, joint_row in enumerate(table):
+        p_first = float(joint_row.sum())
+        if p_first <= PROB_SLACK:
             rows.append(None)
             continue
-        row = tuple(
-            conditional_probability(
-                chain,
-                OutcomeEvent(second_device, k),
-                [OutcomeEvent(first_device, j)],
-            )
-            for k in range(1, n2 + 1)
-        )
-        rows.append(row)
-        for k, p in enumerate(row, start=1):
-            max_dev = max(max_dev, abs(p - (1.0 if k == j else 0.0)))
+        row = [clamp_probability(p) for p in (joint_row / p_first).tolist()]
+        rows.append(tuple(row))
+        row[j] -= 1.0
+        max_dev = max(max_dev, *map(abs, row))
     return RepeatabilityReport(
-        scenario_id,
-        first_device,
-        second_device,
-        tuple(rows),
-        max_dev,
-        tol,
-        max_dev <= tol,
+        scenario_id, first_device, second_device, tuple(rows), max_dev, tol, max_dev <= tol
     )
 
 
 def collapse_equivalence_report(
     scenario: Scenario,
     *,
+    chain: ChainState | None = None,
     tol: float = 1e-10,
     scenario_id: str = "scenario",
 ) -> EquivalenceReport:
     """Compare the chain against the collapse oracle on every joint, marginal
-    and pairwise conditional of the scenario's ideal system devices."""
+    and pairwise conditional of the scenario's ideal system devices.
+
+    ``chain`` is the scenario's built chain (``engine.build_chain(scenario)``);
+    it is built here when not given.  Marginals and pair tables, for the chain
+    and the oracle alike, are sums over their one joint table.
+    """
     if scenario.has_weak_device():
         raise WeakDeviceError(
             "equivalence with the collapse postulate is only claimed for ideal "
             "premeasurements; this scenario attaches a weak device"
         )
-    chain = engine.build_chain(scenario)
+    if chain is None:
+        chain = engine.build_chain(scenario)
     initial, steps, labels = engine.oracle_plan(scenario)
     if not labels:
         raise ValueError("scenario attaches no system devices; nothing to compare")
-    oracle = oracle_sequence_distribution(initial, steps, labels=labels)
-    chain_joint = joint_distribution(chain, labels)
+    oracle = oracle_sequence_distribution(initial, steps, labels=labels).table
+    chain_table = joint_distribution(chain, labels).table
 
-    records = []
-    for key, p_chain in chain_joint.entries:
-        p_oracle = oracle.probability(key)
-        label = "joint " + " ".join(f"{d}={k}" for d, k in zip(labels, key))
-        records.append(QueryRecord(label, p_chain, p_oracle, abs(p_chain - p_oracle)))
-
-    for dev in labels:
-        cm = chain_joint.marginal(dev)
-        om = oracle.marginal(dev)
-        for (k,), p_chain in cm.entries:
-            p_oracle = om.probability((k,))
-            records.append(
-                QueryRecord(f"marginal {dev}={k}", p_chain, p_oracle, abs(p_chain - p_oracle))
-            )
-
+    events = ([f"{d}={k}" for k in range(1, n + 1)] for d, n in zip(labels, oracle.shape))
+    names = map(" ".join, itertools.product(["joint"], *events))
+    records = _compare(names, chain_table, oracle)
+    for i, dev in enumerate(labels):
+        records += _compare(
+            (f"marginal {dev}={k}" for k in range(1, oracle.shape[i] + 1)),
+            sum_to_axes(chain_table, (i,)),
+            sum_to_axes(oracle, (i,)),
+        )
     for i, earlier in enumerate(labels):
-        for later in labels[i + 1:]:
-            pair_chain = joint_distribution(chain, [earlier, later])
-            pair_oracle = _pair_marginal(oracle, labels, earlier, later)
-            n_e = chain.outcome_count(earlier)
-            n_l = chain.outcome_count(later)
-            for j in range(1, n_e + 1):
-                pg_chain = sum(pair_chain.probability((j, k)) for k in range(1, n_l + 1))
-                pg_oracle = sum(pair_oracle.get((j, k), 0.0) for k in range(1, n_l + 1))
-                if pg_chain <= PROB_SLACK or pg_oracle <= PROB_SLACK:
-                    continue
-                for k in range(1, n_l + 1):
-                    c_chain = pair_chain.probability((j, k)) / pg_chain
-                    c_oracle = pair_oracle.get((j, k), 0.0) / pg_oracle
-                    records.append(
-                        QueryRecord(
-                            f"conditional {later}={k} given {earlier}={j}",
-                            c_chain,
-                            c_oracle,
-                            abs(c_chain - c_oracle),
-                        )
-                    )
+        for j, later in enumerate(labels[i + 1:], start=i + 1):
+            pair_c, pair_o = sum_to_axes(chain_table, (i, j)), sum_to_axes(oracle, (i, j))
+            pg_c, pg_o = pair_c.sum(axis=1, keepdims=True), pair_o.sum(axis=1, keepdims=True)
+            rows = ((pg_c > PROB_SLACK) & (pg_o > PROB_SLACK)).ravel()
+            names = (
+                f"conditional {later}={k} given {earlier}={e}"
+                for e in np.flatnonzero(rows) + 1
+                for k in range(1, pair_c.shape[1] + 1)
+            )
+            records += _compare(names, pair_c[rows] / pg_c[rows], pair_o[rows] / pg_o[rows])
     return _make_report(scenario_id, records, tol)
-
-
-def _pair_marginal(dist, labels, first: str, second: str) -> dict[tuple[int, int], float]:
-    i, j = labels.index(first), labels.index(second)
-    out: dict[tuple[int, int], float] = {}
-    for key, p in dist.entries:
-        sub = (key[i], key[j])
-        out[sub] = out.get(sub, 0.0) + p
-    return out
 
 
 def partial_trace_check(
@@ -212,12 +190,6 @@ def partial_trace_check(
         raise ValueError("partial-trace check needs an ideal device")
     lhs = reduced_system_state(chain).matrix
     rhs = unknown_result_mixture(chain.initial_system_state, attached.spec.observable).matrix
-    records = []
-    d = lhs.shape[0]
-    for j in range(d):
-        for k in range(d):
-            dev = abs(lhs[j, k] - rhs[j, k])
-            records.append(
-                QueryRecord(f"reduced[{j}][{k}]", lhs[j, k], rhs[j, k], float(dev))
-            )
+    entries = itertools.product(range(lhs.shape[0]), repeat=2)
+    records = _compare((f"reduced[{j}][{k}]" for j, k in entries), lhs, rhs)
     return _make_report(scenario_id, records, tol)

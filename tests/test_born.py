@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,7 +15,13 @@ from premeasure.born import (
     reduced_system_state,
     total_probability,
 )
-from premeasure.chain import attach_device, init_chain, make_reader_device
+from premeasure.chain import (
+    Disturbance,
+    apply_evolution,
+    attach_device,
+    init_chain,
+    make_reader_device,
+)
 from premeasure.model import make_device, make_observable
 
 
@@ -159,6 +167,168 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         Distribution(("M",), (((1,), 0.4), ((2,), 0.4)))  # sums to 0.8
     d = Distribution(("M",), (((1,), 0.25), ((2,), 0.75)))
-    assert d.as_dict() == {(1,): 0.25, (2,): 0.75}
     m = d.marginal("M")
     assert_allclose(m.probability((2,)), 0.75)
+
+
+# --- the pointer-probability kernel against an explicit masked |psi|^2 sum ----
+
+
+def _masked_reference(chain, events):
+    """Squared norm of the state restricted to the events' pointer indices,
+    written out over the full state with no shared code."""
+    block = chain.state.reshape(chain.space.dims)
+    index = [slice(None)] * block.ndim
+    for ev in events:
+        index[chain.space.index(ev.device_label)] = ev.outcome_index
+    return float(np.sum(np.abs(block[tuple(index)]) ** 2))
+
+
+def _kernel_chains():
+    rng = np.random.default_rng(77)
+
+    def obs(label, d):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        q, _ = np.linalg.qr(g)
+        return make_observable(label, "S", [float(k) for k in range(d)], [q[:, k] for k in range(d)])
+
+    def state(d):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return v / np.linalg.norm(v)
+
+    def unitary(d):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q
+
+    chains = {}
+    a, b = obs("A", 2), obs("B", 2)
+    c = attach_device(init_chain(state(2)), make_device("M1", a))
+    c = attach_device(c, make_device("M2", a))
+    chains["pure"] = attach_device(c, make_device("MB", b))
+
+    w = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho = w @ w.conj().T
+    a3, b3 = obs("A", 3), obs("B", 3)
+    c = attach_device(init_chain(rho / np.trace(rho)), make_device("M1", a3))
+    c = attach_device(c, make_device("M2", a3))
+    chains["purified-mixed"] = attach_device(c, make_device("MB", b3))
+
+    c = attach_device(init_chain(state(2)), make_device("M1", a))
+    c = attach_device(c, make_reader_device("R", c.device("M1").spec), mode="reader", target="M1")
+    chains["reader"] = attach_device(c, make_device("MB", b))
+
+    dist = Disturbance((unitary(2), unitary(2)))
+    c = attach_device(init_chain(state(2)), make_device("MW", a), mode="weak", disturbance=dist)
+    c = attach_device(c, make_device("M2", a))
+    chains["weak"] = attach_device(c, make_device("MB", b))
+
+    c = attach_device(init_chain(state(2)), make_device("M1", a))
+    c = apply_evolution(c, unitary(2))
+    c = attach_device(c, make_device("M2", a))
+    c = apply_evolution(c, unitary(2))
+    chains["evolved"] = attach_device(c, make_device("MB", b))
+
+    c = attach_device(init_chain(state(3)), make_device("M1", a3))
+    c = apply_evolution(c, unitary(3))
+    c = attach_device(c, make_device("M2", a3))
+    chains["qutrit"] = attach_device(c, make_device("MB", b3))
+    return chains
+
+
+KERNEL_CHAINS = _kernel_chains()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CHAINS))
+def test_kernel_matches_masked_reference(name):
+    chain = KERNEL_CHAINS[name]
+    labels = chain.device_labels
+    for size in range(1, len(labels) + 1):
+        for devices in itertools.permutations(labels, size):
+            dist = joint_distribution(chain, devices)
+            assert dist.devices == devices
+            for key, p in dist.entries:
+                events = [OutcomeEvent(d, k) for d, k in zip(devices, key)]
+                ref = _masked_reference(chain, events)
+                assert abs(p - ref) <= 1e-15
+                assert abs(joint_probability(chain, events) - ref) <= 1e-15
+    for target in labels:
+        for (k,), p in marginal_distribution(chain, target).entries:
+            assert abs(p - _masked_reference(chain, [OutcomeEvent(target, k)])) <= 1e-15
+        if target != labels[0]:
+            for (k,), p in total_probability(chain, target).entries:
+                assert abs(p - _masked_reference(chain, [OutcomeEvent(target, k)])) <= 1e-15
+    for target, given in itertools.permutations(labels, 2):
+        for j in range(1, chain.outcome_count(given) + 1):
+            cond = [OutcomeEvent(given, j)]
+            p_given = _masked_reference(chain, cond)
+            if p_given <= 1e-12:
+                continue
+            for k in range(1, chain.outcome_count(target) + 1):
+                ev = OutcomeEvent(target, k)
+                ref = _masked_reference(chain, cond + [ev]) / p_given
+                assert abs(conditional_probability(chain, ev, cond) - ref) <= 1e-15
+
+
+def test_pointer_probabilities_are_cached_and_read_only():
+    chain = KERNEL_CHAINS["purified-mixed"]
+    probs = chain.pointer_probabilities
+    assert probs is chain.pointer_probabilities
+    assert probs.shape == tuple(ad.spec.pointer_dim for ad in chain.devices)
+    assert not probs.flags.writeable
+    assert_allclose(probs.sum(), 1.0, atol=1e-15)
+
+
+def test_distribution_views_agree_with_the_table():
+    table = np.array([[0.1, 0.2, 0.0], [0.3, 0.15, 0.25]])
+    d = Distribution(("A", "B"), table=table)
+    assert d.entries == tuple(
+        ((j + 1, k + 1), table[j, k]) for j in range(2) for k in range(3)
+    )
+    assert d.probability((2, 3)) == 0.25
+    assert d.probability((3, 1)) == 0.0
+    assert d.probability((0, 1)) == 0.0
+    assert d.probability((1,)) == 0.0
+    assert_allclose(d.marginal("A").table, [0.3, 0.7], atol=1e-16)
+    assert_allclose(d.marginal("B").table, [0.4, 0.35, 0.25], atol=1e-16)
+    assert d.marginal("B").entries[1][0] == (2,)
+    same = Distribution(("A", "B"), tuple(d.entries))
+    assert np.array_equal(same.table, d.table)
+    sparse = Distribution(("A",), (((2,), 1.0),))
+    assert sparse.entries == (((1,), 0.0), ((2,), 1.0))
+
+
+def test_distribution_validation_is_vectorised_with_the_same_bounds():
+    d = Distribution(("A",), table=[-1e-13, 1.0 + 1e-13])
+    assert d.entries == (((1,), 0.0), ((2,), 1.0))
+    with pytest.raises(ValueError, match="outside"):
+        Distribution(("A",), table=[-1e-11, 1.0])
+    with pytest.raises(ValueError, match="outside"):
+        Distribution(("A",), table=[np.nan, 1.0])
+    with pytest.raises(ValueError, match="sum to"):
+        Distribution(("A",), table=[0.5, 0.5 - 2e-9])
+    Distribution(("A",), table=[0.5, 0.5 - 5e-10])
+    with pytest.raises(ValueError, match="duplicate outcome tuple"):
+        Distribution(("A",), (((1,), 0.5), ((1,), 0.5)))
+    with pytest.raises(ValueError, match="does not match devices"):
+        Distribution(("A", "B"), (((1,), 1.0),))
+    with pytest.raises(ValueError, match="does not match devices"):
+        Distribution(("A", "B"), table=[0.5, 0.5])
+
+
+def test_query_errors_keep_their_messages():
+    chain = _chain()
+    with pytest.raises(ValueError, match=r"outcome index 3 out of range 1\.\.2 for device 'M1'"):
+        joint_probability(chain, [OutcomeEvent("M1", 3)])
+    with pytest.raises(ValueError, match="pointer index 0 of device 'M2' is the ready state"):
+        conditional_probability(chain, OutcomeEvent("M2", 0), [OutcomeEvent("M1", 1)])
+    with pytest.raises(ValueError, match="duplicate device 'M1' in event list"):
+        joint_distribution(chain, ["M1", "M2", "M1"])
+    with pytest.raises(ValueError, match="no device labelled 'nope'"):
+        marginal_distribution(chain, "nope")
+    with pytest.raises(ValueError, match="need at least one outcome event"):
+        joint_distribution(chain, [])
+    with pytest.raises(ValueError, match="at least one conditioning event"):
+        conditional_probability(chain, OutcomeEvent("M2", 1), [])
+    zero = _chain(state=(1.0, 0.0))
+    with pytest.raises(ZeroProbabilityError, match="conditional undefined"):
+        conditional_probability(zero, OutcomeEvent("M2", 1), [OutcomeEvent("M1", 2)])

@@ -272,3 +272,52 @@ def test_bundled_scenario_helpers():
     assert "weak_flip.scn" in names
     with pytest.raises(KeyError):
         premeasure.bundled_scenario_path("no_such_scenario")
+
+
+def test_prop_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
+    failure = PropFailure(
+        trial=1, check="equivalence", deviation=0.5, message="deviation",
+        scenario_text="system dim 2\nstate pure [1, 0]\n",
+    )
+    fake = PropSummary(
+        seed=3, trials=2, max_dim=6, max_depth=3,
+        checks_run=2, max_deviation=0.5, failures=[failure],
+    )
+    monkeypatch.setattr(cli, "run_property_suite", lambda *a, **k: fake)
+    missing = tmp_path / "no" / "such" / "dir"
+    code = cli.main(["prop", "--seed", "3", "--trials", "2", "--out-dir", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"premeasure: cannot write {missing}")
+
+
+def test_prop_unbuildable_scenario_is_a_build_failure(tmp_path, monkeypatch, capsys):
+    from premeasure import engine
+
+    def refuse(scenario):
+        raise ValueError("evolution phases are not finite")
+
+    monkeypatch.setattr(engine, "build_chain", refuse)
+    code = cli.main(["prop", "--seed", "5", "--trials", "2", "--out-dir", str(tmp_path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["passed"] is False
+    assert [f["check"] for f in doc["failures"]] == ["build", "build"]
+    assert "chain construction failed: evolution phases are not finite" in doc["failures"][0]["message"]
+    assert (tmp_path / "prop-failure-5-0.scn").exists()
+    assert (tmp_path / "prop-failure-5-1.scn").exists()
+
+
+def test_run_and_verify_do_not_import_the_property_suite():
+    code = (
+        "import sys\n"
+        "from premeasure import cli\n"
+        f"cli.main(['verify', {str(ZX)!r}])\n"
+        "assert 'premeasure.propsuite' not in sys.modules\n"
+        "assert 'premeasure.sampling' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,60 @@
+"""Seeded token mutations of the bundled scenarios, run through ``cli.main``.
+
+Every mutated file must end in exit code 0, 1 or 2 without an exception
+escaping, and a refusal (exit 1) must say why on stderr.  The mutations drop,
+duplicate and swap tokens, or put in extreme numbers, stray brackets and
+out-of-range outcome indices.  No timings are asserted.
+"""
+
+import random
+import re
+
+import pytest
+
+import premeasure
+from premeasure import cli
+
+NAMES = premeasure.bundled_scenario_names()
+MUTATIONS_PER_SCENARIO = 25
+TOKEN = re.compile(r"\s+|[\[\],=]|[^\s\[\],=]+")
+STRAY = ("1e308", "nan", "[", "]", "-1", "0", "99")
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    tokens = TOKEN.findall(text)
+    words = [i for i, t in enumerate(tokens) if not t.isspace()]
+    for _ in range(rng.randint(1, 2)):
+        i = rng.choice(words)
+        kind = rng.randrange(5)
+        if kind == 0:
+            tokens[i] = ""
+        elif kind == 1:
+            tokens[i] = tokens[i] + " " + tokens[i]
+        elif kind == 2:
+            j = rng.choice(words)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif kind == 3:
+            tokens[i] = rng.choice(STRAY)
+        else:
+            # An outcome index right after "=", pushed out of range.
+            outcomes = [k + 1 for k in words[:-1] if tokens[k] == "="]
+            tokens[rng.choice(outcomes or [i])] = rng.choice(("0", "3", "4", "99"))
+    return "".join(tokens)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_mutated_scenarios_end_in_a_documented_exit(name, tmp_path, capsys):
+    assert len(NAMES) == 12
+    original = premeasure.bundled_scenario_path(name).read_text(encoding="utf-8")
+    rng = random.Random(f"fuzz-{name}")
+    path = tmp_path / name
+    for n in range(MUTATIONS_PER_SCENARIO):
+        text = _mutate(original, rng)
+        path.write_text(text, encoding="utf-8")
+        command = rng.choice(("run", "verify"))
+        code = cli.main([command, str(path)])
+        err = capsys.readouterr().err
+        context = f"mutation {n} of {name} ({command}):\n{text}\nstderr:\n{err}"
+        assert code in (0, 1, 2), context
+        if code == 1:
+            assert err.strip(), context

@@ -138,3 +138,62 @@ def test_reader_leaves_system_conditionals_unchanged():
                 read, OutcomeEvent("MB", j), [OutcomeEvent("M1", 1)]
             )
             assert abs(pj - qj) <= 1e-12
+
+
+def _masked_reference(chain, events):
+    block = chain.state.reshape(chain.space.dims)
+    index = [slice(None)] * block.ndim
+    for label, k in events:
+        index[chain.space.index(label)] = k
+    return float(np.sum(np.abs(block[tuple(index)]) ** 2))
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_repeatability_rows_match_masked_reference(weak):
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    q, _ = np.linalg.qr(g)
+    obs = make_observable("A", "S", [1.0, 2.0, 3.0], [q[:, k] for k in range(3)])
+    w = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    chain = init_chain(w @ w.conj().T / np.trace(w @ w.conj().T))
+    if weak:
+        dist = Disturbance(tuple(np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(3)))
+        chain = attach_device(chain, make_device("M1", obs), mode="weak", disturbance=dist)
+    else:
+        chain = attach_device(chain, make_device("M1", obs))
+    chain = attach_device(chain, make_device("M2", obs))
+    rep = repeatability_matrix(chain, "M1", "M2")
+    for j, row in enumerate(rep.rows, start=1):
+        p_first = _masked_reference(chain, [("M1", j)])
+        for k, p in enumerate(row, start=1):
+            assert abs(p - _masked_reference(chain, [("M1", j), ("M2", k)]) / p_first) <= 1e-15
+    assert rep.passed is not weak
+
+
+def test_equivalence_report_from_passed_in_chain_is_identical():
+    for trial in range(10):
+        rng = np.random.default_rng([321, trial])
+        s = random_scenario(rng, max_dim=4, max_depth=3)
+        own = collapse_equivalence_report(s, tol=1e-9, scenario_id="x")
+        passed = collapse_equivalence_report(
+            s, chain=engine.build_chain(s), tol=1e-9, scenario_id="x"
+        )
+        assert passed.records == own.records
+        assert passed.max_deviation == own.max_deviation and passed.passed
+
+
+def test_equivalence_report_records_in_order():
+    s = dsl.parse_scenario(
+        "system dim 2\nstate pure [0.6, 0.8]\n"
+        "observable Z eigen [1, -1] basis [[1,0],[0,1]]\n"
+        "device M1 measures Z\ndevice R reads M1\ndevice M2 measures Z\n"
+    )
+    rep = collapse_equivalence_report(s)
+    assert [r.query for r in rep.records] == [
+        "joint M1=1 M2=1", "joint M1=1 M2=2", "joint M1=2 M2=1", "joint M1=2 M2=2",
+        "marginal M1=1", "marginal M1=2", "marginal M2=1", "marginal M2=2",
+        "conditional M2=1 given M1=1", "conditional M2=2 given M1=1",
+        "conditional M2=1 given M1=2", "conditional M2=2 given M1=2",
+    ]
+    assert_allclose([r.chain_value for r in rep.records[:4]], [0.36, 0, 0, 0.64], atol=1e-15)
+    assert rep.max_deviation <= 1e-15
