@@ -59,7 +59,6 @@ from .model import (
     make_degenerate_observable,
     make_device,
     make_observable,
-    pure_to_density,
 )
 from .verify import (
     EquivalenceReport,
@@ -113,7 +112,6 @@ __all__ = [
     "partial_trace",
     "partial_trace_check",
     "pointer_shift",
-    "pure_to_density",
     "reduced_system_state",
     "repeatability_matrix",
     "total_probability",

@@ -18,13 +18,7 @@ import numpy as np
 
 from .chain import ChainState
 from .model import DensityState
-
-# Probabilities may stray this far outside [0, 1] before being an error,
-# and conditioning events at or below it are refused outright.
-PROB_SLACK = 1e-12
-
-# A set of probabilities meant to be exhaustive must sum to 1 within this.
-DISTRIBUTION_SUM_TOL = 1e-9
+from .tolerances import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, PROB_SLACK
 
 
 class ZeroProbabilityError(ValueError):
@@ -194,7 +188,7 @@ def total_probability(chain: ChainState, target_device: str) -> Distribution:
     direct = marginal_distribution(chain, target_device)
     decomposed = joint_distribution(chain, [first, target_device]).table.sum(axis=0)
     for k, (d, p) in enumerate(zip(decomposed.tolist(), direct.table.tolist()), start=1):
-        if abs(d - p) > 1e-10:
+        if abs(d - p) > DEFAULT_TOL:
             raise RuntimeError(
                 f"total-probability decomposition mismatch for outcome {k}: {d!r} vs {p!r}"
             )

@@ -38,16 +38,16 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     CompositeSpace,
     apply_operator,
     as_complex_matrix,
     as_state_vector,
+    as_unitary,
     is_unitary,
     readonly,
-    unitarity_residual,
 )
 from .model import DensityState, DeviceSpec, Observable, make_device, make_observable
+from .tolerances import DEFAULT_TOL
 
 SYSTEM_TARGET = "system"
 
@@ -63,16 +63,15 @@ class Disturbance:
     unitaries: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(as_complex_matrix(u, "disturbance") for u in self.unitaries)
+        mats = tuple(
+            as_unitary(u, f"disturbance {i}") for i, u in enumerate(self.unitaries, start=1)
+        )
         if not mats:
             raise ValueError("disturbance needs at least one unitary")
         d = mats[0].shape[0]
         for i, u in enumerate(mats, start=1):
             if u.shape != (d, d):
                 raise ValueError(f"disturbance {i} has shape {u.shape}, expected {(d, d)}")
-            res = unitarity_residual(u)
-            if res > DEFAULT_TOL:
-                raise ValueError(f"disturbance {i} is not unitary (residual {res:.3e})")
         object.__setattr__(self, "unitaries", tuple(readonly(u) for u in mats))
 
     def __len__(self) -> int:

@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 
 from . import __version__, dsl, runner
+from .tolerances import REPORT_TOL
 
 SCHEMA_VERSION = 1
 ENV_TOL = "PREMEASURE_TOL"
@@ -56,7 +57,7 @@ def _positive_float(raw: str) -> float:
 def _default_tol() -> float:
     raw = os.environ.get(ENV_TOL)
     if raw is None:
-        return 1e-10
+        return REPORT_TOL
     try:
         tol = float(raw)
     except ValueError:

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .born import PROB_SLACK, Distribution, clamp_probability
-from .linalg import DEFAULT_TOL, as_complex_matrix, as_state_vector, is_unitary
+from .linalg import as_complex_matrix, as_state_vector, is_unitary
 from .model import DensityState, Observable
-
-# Branches at or below this weight are dropped from the tree.
-PRUNE_TOL = 1e-12
+from .tolerances import DEFAULT_TOL, PRUNE_TOL
 
 
 @dataclass(frozen=True, eq=False)

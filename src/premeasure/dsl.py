@@ -1,4 +1,4 @@
-"""Scenario description language: parser, validator, canonical formatter.
+"""Scenario description language: parser, compiler, canonical formatter.
 
 Scenario files are line-oriented; ``#`` starts a comment running to the end
 of the line, and newlines are insignificant inside brackets so matrices may
@@ -29,6 +29,13 @@ lowercase ``i`` suffix and no internal whitespace; ``a`` and ``b`` may use
 scientific notation.  Device and evolve statements are the chain's events, in
 file order; queries are answered from the final chain state.
 
+``compile_scenario`` checks a parsed scenario in one pass and builds the
+objects the engine runs (a ``Program``: initial state, observables, device
+specs, evolutions).  Every number is converted and checked once, by the same
+constructors the engine uses, and input they reject becomes a positioned
+``Diagnostic``.  ``Scenario.program`` memoizes the result, and
+``validate_scenario`` returns its diagnostics.
+
 The canonical formatter emits one statement per line with single spaces and
 17 significant digits, enough for float64 round trips, and
 ``parse_scenario(format_scenario(s))`` equals ``s`` (source positions are
@@ -39,11 +46,27 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, hermiticity_residual, unitarity_residual
-from .model import EIGENVALUE_SEPARATION
+from .chain import Disturbance, make_reader_device
+from .linalg import (
+    as_complex_matrix,
+    as_hermitian,
+    as_state_vector,
+    as_unitary,
+    hermitian_evolution,
+)
+from .model import (
+    DensityState,
+    DeviceSpec,
+    Observable,
+    make_degenerate_observable,
+    make_device,
+    make_observable,
+)
+from .tolerances import NORM_FLOOR
 
 KEYWORDS = frozenset(
     {
@@ -55,8 +78,11 @@ KEYWORDS = frozenset(
 )
 
 # Largest final chain state a scenario may ask for: 2**26 complex128
-# amplitudes, 1 GiB.  The validator checks it from the declarations alone.
+# amplitudes, 1 GiB.  The compiler checks it from the declarations alone.
 MAX_AMPLITUDES = 2**26
+
+# Factor label of the system; no device may take it.
+SYSTEM_LABEL = "S"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MAG_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -312,7 +338,6 @@ class EquivalenceQuery:
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-DeviceDecl = MeasureDeviceDecl | ReaderDeviceDecl
 EventDecl = MeasureDeviceDecl | ReaderDeviceDecl | EvolveNamedDecl | EvolveUnitaryDecl
 QueryDecl = (
     MarginalQuery | JointQuery | ConditionalQuery | ReducedQuery
@@ -356,10 +381,6 @@ class Scenario:
         }
 
     @property
-    def hamiltonians(self) -> dict[str, HamiltonianDecl]:
-        return {s.name: s for s in self.statements if isinstance(s, HamiltonianDecl)}
-
-    @property
     def device_decls(self) -> dict[str, MeasureDeviceDecl | ReaderDeviceDecl]:
         return {
             s.name: s
@@ -385,6 +406,11 @@ class Scenario:
             isinstance(s, MeasureDeviceDecl) and s.weak is not None
             for s in self.statements
         )
+
+    @cached_property
+    def program(self) -> Program:
+        """The scenario compiled once (``compile_scenario``), memoized."""
+        return compile_scenario(self)
 
 
 # --- parser ----------------------------------------------------------------
@@ -744,27 +770,72 @@ def format_scenario(scenario: Scenario) -> str:
     return "\n".join(format_statement(s) for s in scenario.statements) + "\n"
 
 
-# --- validator ---------------------------------------------------------------
+# --- compiler ----------------------------------------------------------------
 
-def _mat_ok(mat: Mat) -> bool:
-    return bool(mat) and all(len(row) == len(mat[0]) for row in mat)
+@dataclass(frozen=True, eq=False)
+class Attach:
+    """Attach ``device`` in ``mode``: "ideal", "weak" (with ``disturbance``)
+    or "reader" (of the earlier device labelled ``target``)."""
+
+    device: DeviceSpec
+    mode: str
+    disturbance: Disturbance | None = None
+    target: str | None = None
 
 
-def _np_mat(mat: Mat) -> np.ndarray:
-    return np.array([[complex(z) for z in row] for row in mat], dtype=np.complex128)
+@dataclass(frozen=True, eq=False)
+class Evolution:
+    """Evolve the system by the unitary ``matrix``, or, given a ``time``, by
+    ``exp(-i matrix time)`` of the Hermitian ``matrix``."""
+
+    matrix: np.ndarray
+    time: float | None = None
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """Exponentiated once, on first use when the chain is built, so a phase
+        overflow is a build failure rather than a diagnostic."""
+        if self.time is None:
+            return self.matrix
+        return hermitian_evolution(self.matrix, self.time)
 
 
-def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
-    """Semantic diagnostics; an empty list means the scenario is runnable.
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A scenario compiled into the objects the engine runs.
 
-    Checks cover: presence of system/state declarations, dimension
-    consistency, normalizability of states, observable structure
-    (orthonormality, distinct eigenvalues, projector completeness), Hermitian
-    generators, unitary disturbances and explicit evolutions, name resolution
-    in file order, query references (devices attached, outcome indices in
-    range, no duplicate devices per query), and the size of the final chain
-    state: system dim times every pointer dim (times the system dim again for
-    the ancilla of a mixed state) must stay within ``MAX_AMPLITUDES``.
+    ``initial_state`` is a unit vector or a unit-trace density matrix and
+    ``events`` holds the devices and evolutions in file order.  A program
+    with ``diagnostics`` is incomplete and must not be run.
+    """
+
+    initial_state: np.ndarray | None
+    observables: dict[str, Observable]
+    events: tuple[Attach | Evolution, ...]
+    diagnostics: tuple[Diagnostic, ...]
+
+
+def _np_mat(mat: Mat, name: str) -> np.ndarray:
+    """A matrix literal as a finite 2-d complex128 array."""
+    if not all(len(row) == len(mat[0]) for row in mat):
+        raise ValueError("matrix rows have unequal lengths")
+    return as_complex_matrix(np.array(mat, dtype=np.complex128), name)
+
+
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def compile_scenario(scenario: Scenario) -> Program:
+    """Compile ``scenario`` in one pass in file order; prefer the memoized
+    ``scenario.program``.
+
+    Structural checks: the system and state declarations are present, every
+    matrix is finite and square of the system dimension, names resolve in
+    file order, queries name attached devices with outcome indices in range
+    and no device twice, and the final chain state (system dim times every
+    pointer dim, times the system dim again for a mixed state's ancilla)
+    stays within ``MAX_AMPLITUDES``, counted before any device is built.
+    User input is normalized (state norm or trace, eigenbasis rows) and
+    handed to the constructors that check the rest.  Their ValueErrors, and
+    float overflows while checking, become diagnostics at the statement.
     """
     diags: list[Diagnostic] = []
 
@@ -772,31 +843,34 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
         diags.append(Diagnostic(msg, pos[0], pos[1]))
 
     system = scenario.system_decl
+    dim = None
     if system is None:
         add("no system declaration", (1, 1))
-        dim = None
+    elif system.dim < 1:
+        add(f"system dimension must be positive, got {system.dim}", system.pos)
     else:
         dim = system.dim
-        if dim < 1:
-            add(f"system dimension must be positive, got {dim}", system.pos)
-            dim = None
 
     state = scenario.state_decl
     if state is None:
         add("no state declaration", (1, 1))
 
-    observables: dict[str, int] = {}  # name -> outcome count
-    hamiltonians: set[str] = set()
-    devices: dict[str, int] = {}  # name -> outcome count
-    system_label = "S"
+    def system_matrix(mat: Mat, name: str) -> np.ndarray:
+        m = _np_mat(mat, name)
+        if m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim):
+            raise ValueError(f"{name} has shape {m.shape} for system {dim}")
+        return m
+
     amplitudes = None
     if dim is not None:
         amplitudes = dim * (dim if isinstance(state, MixedStateDecl) else 1)
 
-    def grow(name: str, pointer_dim: int, pos: Pos):
+    def grow(name: str, pointer_dim: int, pos: Pos) -> bool:
+        """Count a device into the final state size; False once the size is
+        unknown or past the limit."""
         nonlocal amplitudes
         if amplitudes is None or amplitudes > MAX_AMPLITUDES:
-            return
+            return False
         amplitudes *= pointer_dim
         if amplitudes > MAX_AMPLITUDES:
             add(
@@ -804,188 +878,100 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
                 f"({16 * amplitudes} bytes), past the limit of {MAX_AMPLITUDES}",
                 pos,
             )
+            return False
+        return True
+
+    initial = None
+    outcome_counts: dict[str, int] = {}  # observable name -> outcome count
+    observables: dict[str, Observable] = {}
+    hamiltonians: dict[str, np.ndarray | None] = {}  # None: declared, not built
+    devices: dict[str, int] = {}  # device name -> outcome count
+    specs: dict[str, DeviceSpec] = {}
+    events: list[Attach | Evolution] = []
 
     for stmt in scenario.statements:
-        if isinstance(stmt, PureStateDecl):
-            if dim is not None and len(stmt.amplitudes) != dim:
-                add(
-                    f"state has {len(stmt.amplitudes)} amplitudes for dimension {dim}",
-                    stmt.pos,
-                )
-                continue
-            v = np.array([complex(z) for z in stmt.amplitudes])
-            if float(np.linalg.norm(v)) <= 1e-12:
-                add("state is not normalizable (norm is zero)", stmt.pos)
-        elif isinstance(stmt, MixedStateDecl):
-            if not _mat_ok(stmt.rows):
-                add("matrix rows have unequal lengths", stmt.pos)
-                continue
-            m = _np_mat(stmt.rows)
-            if m.shape[0] != m.shape[1]:
-                add(f"mixed state must be square, got shape {m.shape}", stmt.pos)
-                continue
-            if dim is not None and m.shape[0] != dim:
-                add(f"mixed state has dimension {m.shape[0]} for system {dim}", stmt.pos)
-                continue
-            res = hermiticity_residual(m)
-            if res > DEFAULT_TOL:
-                add(f"mixed state is not Hermitian (residual {res:.3e})", stmt.pos)
-                continue
-            tr = float(np.trace(m).real)
-            if tr <= 1e-12:
-                add("mixed state is not normalizable (trace is zero)", stmt.pos)
-                continue
-            low = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) / tr
-            if low < -DEFAULT_TOL:
-                add(f"mixed state has negative eigenvalue {low:.3e}", stmt.pos)
-        elif isinstance(stmt, EigenObservableDecl):
-            count = len(stmt.eigenvalues)
-            observables[stmt.name] = count
-            if not _mat_ok(stmt.basis):
-                add("matrix rows have unequal lengths", stmt.pos)
-                continue
-            rows = _np_mat(stmt.basis)
-            if dim is not None and rows.shape[1] != dim:
-                add(
-                    f"eigenbasis rows have dimension {rows.shape[1]} for system {dim}",
-                    stmt.pos,
-                )
-                continue
-            if rows.shape[0] != count:
-                add(
-                    f"{count} eigenvalues but {rows.shape[0]} basis rows",
-                    stmt.pos,
-                )
-                continue
-            if rows.shape[0] != rows.shape[1]:
-                add(
-                    f"{rows.shape[0]} basis rows for dimension {rows.shape[1]}",
-                    stmt.pos,
-                )
-                continue
-            norms = np.linalg.norm(rows, axis=1)
-            if float(np.min(norms)) <= 1e-12:
-                add("eigenbasis contains a zero row", stmt.pos)
-                continue
-            unit = rows / norms[:, None]
-            res = float(np.max(np.abs(unit.conj() @ unit.T - np.eye(rows.shape[0]))))
-            if res > DEFAULT_TOL:
-                add(f"non-orthonormal eigenbasis (residual {res:.3e})", stmt.pos)
-            _check_eigenvalues(stmt.eigenvalues, stmt.pos, add)
-        elif isinstance(stmt, ProjectorObservableDecl):
-            count = len(stmt.eigenvalues)
-            observables[stmt.name] = count
-            if len(stmt.projectors) != count:
-                add(
-                    f"{count} eigenvalues but {len(stmt.projectors)} projectors",
-                    stmt.pos,
-                )
-                continue
-            mats = []
-            bad = False
-            for m in stmt.projectors:
-                if not _mat_ok(m):
-                    add("matrix rows have unequal lengths", stmt.pos)
-                    bad = True
-                    break
-                mats.append(_np_mat(m))
-            if bad:
-                continue
-            d0 = mats[0].shape
-            if d0[0] != d0[1] or any(m.shape != d0 for m in mats):
-                add("projectors must be square matrices of one dimension", stmt.pos)
-                continue
-            if dim is not None and d0[0] != dim:
-                add(f"projectors have dimension {d0[0]} for system {dim}", stmt.pos)
-                continue
-            for i, m in enumerate(mats, start=1):
-                res = hermiticity_residual(m)
-                if res > DEFAULT_TOL:
-                    add(f"projector {i} is not Hermitian (residual {res:.3e})", stmt.pos)
-                res = float(np.max(np.abs(m @ m - m)))
-                if res > DEFAULT_TOL:
-                    add(f"projector {i} is not idempotent (residual {res:.3e})", stmt.pos)
-            total = sum(mats)
-            res = float(np.max(np.abs(total - np.eye(d0[0]))))
-            if res > DEFAULT_TOL:
-                add(f"projectors do not sum to identity (residual {res:.3e})", stmt.pos)
-            _check_eigenvalues(stmt.eigenvalues, stmt.pos, add)
-        elif isinstance(stmt, HamiltonianDecl):
-            hamiltonians.add(stmt.name)
-            if not _mat_ok(stmt.matrix):
-                add("matrix rows have unequal lengths", stmt.pos)
-                continue
-            m = _np_mat(stmt.matrix)
-            if m.shape[0] != m.shape[1]:
-                add(f"hamiltonian must be square, got shape {m.shape}", stmt.pos)
-                continue
-            if dim is not None and m.shape[0] != dim:
-                add(f"hamiltonian has dimension {m.shape[0]} for system {dim}", stmt.pos)
-                continue
-            res = hermiticity_residual(m)
-            if res > DEFAULT_TOL:
-                add(f"hamiltonian {stmt.name!r} is not Hermitian (residual {res:.3e})", stmt.pos)
-        elif isinstance(stmt, MeasureDeviceDecl):
-            if stmt.name == system_label:
-                add(f"device label {system_label!r} is reserved for the system", stmt.pos)
-            if stmt.observable not in observables:
-                add(f"undefined observable {stmt.observable!r}", stmt.pos)
-                devices[stmt.name] = 0
-                continue
-            count = observables[stmt.observable]
-            devices[stmt.name] = count
-            grow(stmt.name, count + 1, stmt.pos)
-            if stmt.weak is not None:
-                if len(stmt.weak) != count:
-                    add(
-                        f"weak device needs {count} disturbance matrices, "
-                        f"got {len(stmt.weak)}",
-                        stmt.pos,
+        if isinstance(stmt, (MeasureDeviceDecl, ReaderDeviceDecl)) and stmt.name == SYSTEM_LABEL:
+            add(f"device label {SYSTEM_LABEL!r} is reserved for the system", stmt.pos)
+        try:
+            if isinstance(stmt, PureStateDecl):
+                if dim is not None and len(stmt.amplitudes) != dim:
+                    raise ValueError(
+                        f"state has {len(stmt.amplitudes)} amplitudes for dimension {dim}"
                     )
-                    continue
-                for i, m in enumerate(stmt.weak, start=1):
-                    if not _mat_ok(m):
-                        add("matrix rows have unequal lengths", stmt.pos)
-                        continue
-                    arr = _np_mat(m)
-                    if arr.shape[0] != arr.shape[1] or (
-                        dim is not None and arr.shape[0] != dim
-                    ):
-                        add(
-                            f"disturbance {i} has shape {arr.shape} for system {dim}",
-                            stmt.pos,
+                v = _np_mat((stmt.amplitudes,), "state")[0]
+                norm = float(np.linalg.norm(v))
+                if norm <= NORM_FLOOR:
+                    raise ValueError("state is not normalizable (norm is zero)")
+                initial = as_state_vector(v / norm)
+            elif isinstance(stmt, MixedStateDecl):
+                m = system_matrix(stmt.rows, "mixed state")
+                tr = float(np.trace(m).real)
+                if tr <= NORM_FLOOR:
+                    raise ValueError("mixed state is not normalizable (trace is zero)")
+                initial = DensityState(SYSTEM_LABEL, m / tr).matrix
+            elif isinstance(stmt, EigenObservableDecl):
+                outcome_counts[stmt.name] = len(stmt.eigenvalues)
+                rows = system_matrix(stmt.basis, "eigenbasis")
+                norms = np.linalg.norm(rows, axis=1)
+                if float(np.min(norms)) <= NORM_FLOOR:
+                    raise ValueError("eigenbasis contains a zero row")
+                observables[stmt.name] = make_observable(
+                    stmt.name, SYSTEM_LABEL, stmt.eigenvalues, rows / norms[:, None]
+                )
+            elif isinstance(stmt, ProjectorObservableDecl):
+                outcome_counts[stmt.name] = len(stmt.eigenvalues)
+                mats = [system_matrix(m, "projector") for m in stmt.projectors]
+                observables[stmt.name] = make_degenerate_observable(
+                    stmt.name, SYSTEM_LABEL, stmt.eigenvalues, mats
+                )
+            elif isinstance(stmt, HamiltonianDecl):
+                hamiltonians[stmt.name] = None
+                name = f"hamiltonian {stmt.name!r}"
+                hamiltonians[stmt.name] = as_hermitian(system_matrix(stmt.matrix, name), name)
+            elif isinstance(stmt, MeasureDeviceDecl):
+                if stmt.observable not in outcome_counts:
+                    devices[stmt.name] = 0
+                    raise ValueError(f"undefined observable {stmt.observable!r}")
+                count = devices[stmt.name] = outcome_counts[stmt.observable]
+                fits = grow(stmt.name, count + 1, stmt.pos)
+                disturbance = None
+                if stmt.weak is not None:
+                    if len(stmt.weak) != count:
+                        raise ValueError(
+                            f"weak device needs {count} disturbance matrices, "
+                            f"got {len(stmt.weak)}"
                         )
-                        continue
-                    res = unitarity_residual(arr)
-                    if res > DEFAULT_TOL:
-                        add(f"disturbance {i} is not unitary (residual {res:.3e})", stmt.pos)
-        elif isinstance(stmt, ReaderDeviceDecl):
-            if stmt.name == system_label:
-                add(f"device label {system_label!r} is reserved for the system", stmt.pos)
-            if stmt.target not in devices:
-                add(f"undefined device {stmt.target!r}", stmt.pos)
-                devices[stmt.name] = 0
-            else:
+                    disturbance = Disturbance(tuple(
+                        system_matrix(m, f"disturbance {i}")
+                        for i, m in enumerate(stmt.weak, start=1)
+                    ))
+                if fits and stmt.observable in observables:
+                    spec = specs[stmt.name] = make_device(stmt.name, observables[stmt.observable])
+                    mode = "ideal" if disturbance is None else "weak"
+                    events.append(Attach(spec, mode, disturbance))
+            elif isinstance(stmt, ReaderDeviceDecl):
+                if stmt.target not in devices:
+                    devices[stmt.name] = 0
+                    raise ValueError(f"undefined device {stmt.target!r}")
                 # Reader outcomes: one per pointer state of the target.
                 devices[stmt.name] = devices[stmt.target] + 1
-                grow(stmt.name, devices[stmt.name] + 1, stmt.pos)
-        elif isinstance(stmt, EvolveNamedDecl):
-            if stmt.hamiltonian not in hamiltonians:
-                add(f"undefined hamiltonian {stmt.hamiltonian!r}", stmt.pos)
-            if not np.isfinite(stmt.time):
-                add("evolution time must be finite", stmt.pos)
-        elif isinstance(stmt, EvolveUnitaryDecl):
-            if not _mat_ok(stmt.matrix):
-                add("matrix rows have unequal lengths", stmt.pos)
-                continue
-            m = _np_mat(stmt.matrix)
-            if m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim):
-                add(f"evolution has shape {m.shape} for system {dim}", stmt.pos)
-                continue
-            res = unitarity_residual(m)
-            if res > DEFAULT_TOL:
-                add(f"evolution is not unitary (residual {res:.3e})", stmt.pos)
-        elif isinstance(stmt, MarginalQuery):
+                fits = grow(stmt.name, devices[stmt.name] + 1, stmt.pos)
+                if fits and stmt.target in specs:
+                    spec = specs[stmt.name] = make_reader_device(stmt.name, specs[stmt.target])
+                    events.append(Attach(spec, "reader", target=stmt.target))
+            elif isinstance(stmt, EvolveNamedDecl):
+                if stmt.hamiltonian not in hamiltonians:
+                    add(f"undefined hamiltonian {stmt.hamiltonian!r}", stmt.pos)
+                if not np.isfinite(stmt.time):
+                    raise ValueError("evolution time must be finite")
+                if hamiltonians.get(stmt.hamiltonian) is not None:
+                    events.append(Evolution(hamiltonians[stmt.hamiltonian], stmt.time))
+            elif isinstance(stmt, EvolveUnitaryDecl):
+                u = as_unitary(system_matrix(stmt.matrix, "evolution"), "evolution")
+                events.append(Evolution(u))
+        except (ValueError, FloatingPointError) as exc:
+            add(str(exc), stmt.pos)
+        if isinstance(stmt, MarginalQuery):
             _check_device_ref(stmt.device, devices, stmt.pos, add)
         elif isinstance(stmt, JointQuery):
             _check_events(stmt.events, devices, add)
@@ -1002,15 +988,18 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
                     "outcome counts",
                     stmt.pos,
                 )
-    return diags
+    return Program(initial, observables, tuple(events), tuple(diags))
 
 
-def _check_eigenvalues(values, pos: Pos, add) -> None:
-    vals = sorted(values)
-    for a, b in zip(vals, vals[1:]):
-        if abs(b - a) <= EIGENVALUE_SEPARATION:
-            add(f"eigenvalues not distinct: {a!r} and {b!r}", pos)
-            return
+def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
+    """Diagnostics of the compiled scenario (see ``compile_scenario``) in file
+    order; an empty list means the scenario is runnable.
+
+    Input that a constructor rejects is a diagnostic here, at its statement's
+    position.  Running the program can still fail, for example when an
+    evolution's phases overflow.
+    """
+    return list(scenario.program.diagnostics)
 
 
 def _check_device_ref(name: str, devices: dict[str, int], pos: Pos, add) -> bool:

@@ -1,10 +1,9 @@
-"""Build simulator objects from parsed scenarios.
+"""Run compiled scenarios: build the chain and the collapse-oracle plan.
 
-Scenario text is user input: pure amplitudes, mixed-state traces and
-eigenbasis rows are normalized here before the strict constructors see them,
-so a file carrying 8 decimal digits of 1/sqrt(2) runs fine.  Run
-``validate_scenario`` first; this module assumes a clean bill and raises
-plain ValueError on anything it still cannot build.
+``scenario.program`` (``dsl.compile_scenario``) has already normalized and
+checked every number and built the initial state, observables, device specs
+and evolutions once.  A scenario with diagnostics raises ValueError naming the
+first one, and so does a build that still fails, such as a phase overflow.
 """
 
 from __future__ import annotations
@@ -12,107 +11,42 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsl
-from .chain import (
-    ChainState,
-    Disturbance,
-    apply_evolution,
-    attach_device,
-    init_chain,
-    make_reader_device,
-)
+from .chain import ChainState, apply_evolution, attach_device, init_chain
 from .collapse import Evolve, Measure
-from .linalg import hermitian_evolution
-from .model import (
-    DensityState,
-    Observable,
-    make_degenerate_observable,
-    make_device,
-    make_observable,
-)
+from .model import Observable
 
-SYSTEM_LABEL = "S"
+SYSTEM_LABEL = dsl.SYSTEM_LABEL
 
 
-def _np_mat(mat: dsl.Mat) -> np.ndarray:
-    return np.array([[complex(z) for z in row] for row in mat], dtype=np.complex128)
-
-
-def build_observable(decl, system_dim: int) -> Observable:
-    """Observable from a declaration, normalizing eigenbasis rows first."""
-    if isinstance(decl, dsl.EigenObservableDecl):
-        rows = _np_mat(decl.basis)
-        if rows.shape != (system_dim, system_dim):
-            raise ValueError(
-                f"observable {decl.name!r} has basis shape {rows.shape}, "
-                f"expected {(system_dim, system_dim)}"
-            )
-        norms = np.linalg.norm(rows, axis=1)
-        if float(np.min(norms)) <= 1e-12:
-            raise ValueError(f"observable {decl.name!r} has a zero basis row")
-        rows = rows / norms[:, None]
-        return make_observable(decl.name, SYSTEM_LABEL, decl.eigenvalues, rows)
-    if isinstance(decl, dsl.ProjectorObservableDecl):
-        mats = [_np_mat(m) for m in decl.projectors]
-        return make_degenerate_observable(decl.name, SYSTEM_LABEL, decl.eigenvalues, mats)
-    raise TypeError(f"not an observable declaration: {decl!r}")
+def _program(scenario: dsl.Scenario) -> dsl.Program:
+    """The scenario's compiled program; ValueError if it has diagnostics."""
+    compiled = scenario.program
+    if compiled.diagnostics:
+        raise ValueError(str(compiled.diagnostics[0]))
+    return compiled
 
 
 def build_initial_state(scenario: dsl.Scenario) -> np.ndarray:
     """Normalized initial system state; 1-d for pure, 2-d for mixed."""
-    decl = scenario.state_decl
-    if decl is None:
-        raise ValueError("scenario declares no state")
-    if isinstance(decl, dsl.PureStateDecl):
-        v = np.array([complex(z) for z in decl.amplitudes], dtype=np.complex128)
-        norm = float(np.linalg.norm(v))
-        if norm <= 1e-12:
-            raise ValueError("pure state is not normalizable")
-        return v / norm
-    m = _np_mat(decl.rows)
-    tr = float(np.trace(m).real)
-    if tr <= 1e-12:
-        raise ValueError("mixed state is not normalizable")
-    return DensityState(SYSTEM_LABEL, m / tr).matrix
+    return _program(scenario).initial_state
 
 
 def build_observables(scenario: dsl.Scenario) -> dict[str, Observable]:
-    dim = scenario.system_dim
-    if dim is None:
-        raise ValueError("scenario declares no system dimension")
-    return {
-        name: build_observable(decl, dim)
-        for name, decl in scenario.observables.items()
-    }
-
-
-def build_hamiltonians(scenario: dsl.Scenario) -> dict[str, np.ndarray]:
-    return {name: _np_mat(decl.matrix) for name, decl in scenario.hamiltonians.items()}
+    return _program(scenario).observables
 
 
 def build_chain(scenario: dsl.Scenario) -> ChainState:
     """Run every device / evolve event in file order on the initial state."""
-    observables = build_observables(scenario)
-    hamiltonians = build_hamiltonians(scenario)
-    chain = init_chain(build_initial_state(scenario), SYSTEM_LABEL)
-    for event in scenario.events:
-        if isinstance(event, dsl.MeasureDeviceDecl):
-            dev = make_device(event.name, observables[event.observable])
-            if event.weak is None:
-                chain = attach_device(chain, dev, mode="ideal")
-            else:
-                dist = Disturbance(tuple(_np_mat(m) for m in event.weak))
-                chain = attach_device(chain, dev, mode="weak", disturbance=dist)
-        elif isinstance(event, dsl.ReaderDeviceDecl):
-            target_spec = chain.device(event.target).spec
-            rdev = make_reader_device(event.name, target_spec)
-            chain = attach_device(chain, rdev, mode="reader", target=event.target)
-        elif isinstance(event, dsl.EvolveNamedDecl):
-            u = hermitian_evolution(hamiltonians[event.hamiltonian], event.time)
-            chain = apply_evolution(chain, u)
-        elif isinstance(event, dsl.EvolveUnitaryDecl):
-            chain = apply_evolution(chain, _np_mat(event.matrix))
+    compiled = _program(scenario)
+    chain = init_chain(compiled.initial_state, SYSTEM_LABEL)
+    for event in compiled.events:
+        if isinstance(event, dsl.Evolution):
+            chain = apply_evolution(chain, event.unitary)
         else:
-            raise TypeError(f"unknown event {event!r}")
+            chain = attach_device(
+                chain, event.device, event.mode,
+                disturbance=event.disturbance, target=event.target,
+            )
     return chain
 
 
@@ -123,23 +57,18 @@ def oracle_plan(scenario: dsl.Scenario):
     steps; reader devices have no collapse-side counterpart and are skipped.
     Weak devices are outside the oracle's remit and are rejected.
     """
-    observables = build_observables(scenario)
-    hamiltonians = build_hamiltonians(scenario)
+    compiled = _program(scenario)
     steps = []
     labels = []
-    for event in scenario.events:
-        if isinstance(event, dsl.MeasureDeviceDecl):
-            if event.weak is not None:
-                raise ValueError(
-                    f"device {event.name!r} is weak; the collapse oracle only "
-                    "models ideal measurements"
-                )
-            steps.append(Measure(observables[event.observable]))
-            labels.append(event.name)
-        elif isinstance(event, dsl.ReaderDeviceDecl):
-            continue
-        elif isinstance(event, dsl.EvolveNamedDecl):
-            steps.append(Evolve(hermitian_evolution(hamiltonians[event.hamiltonian], event.time)))
-        elif isinstance(event, dsl.EvolveUnitaryDecl):
-            steps.append(Evolve(_np_mat(event.matrix)))
-    return build_initial_state(scenario), steps, labels
+    for event in compiled.events:
+        if isinstance(event, dsl.Evolution):
+            steps.append(Evolve(event.unitary))
+        elif event.mode == "weak":
+            raise ValueError(
+                f"device {event.device.label!r} is weak; the collapse oracle only "
+                "models ideal measurements"
+            )
+        elif event.mode == "ideal":
+            steps.append(Measure(event.device.observable))
+            labels.append(event.device.label)
+    return compiled.initial_state, steps, labels

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerance for structural checks (unitarity, Hermiticity, ...).
-DEFAULT_TOL = 1e-10
-
-# Norm (or trace) deviations below this window are silently repaired by
-# renormalization; anything larger is rejected as a caller error.
-RENORM_WINDOW = 1e-8
+from .tolerances import DEFAULT_TOL, RENORM_WINDOW
 
 
 def readonly(arr) -> np.ndarray:
@@ -68,6 +63,30 @@ def hermiticity_residual(m: np.ndarray) -> float:
 def unitarity_residual(m: np.ndarray) -> float:
     eye = np.eye(m.shape[0], dtype=np.complex128)
     return float(np.max(np.abs(m.conj().T @ m - eye)))
+
+
+def as_hermitian(m, name: str = "matrix") -> np.ndarray:
+    """Coerce ``m`` to a finite square complex128 array, Hermitian within
+    ``DEFAULT_TOL``."""
+    arr = as_complex_matrix(m, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    res = hermiticity_residual(arr)
+    if res > DEFAULT_TOL:
+        raise ValueError(f"{name} is not Hermitian (residual {res:.3e})")
+    return arr
+
+
+def as_unitary(m, name: str = "matrix") -> np.ndarray:
+    """Coerce ``m`` to a finite square complex128 array, unitary within
+    ``DEFAULT_TOL``."""
+    arr = as_complex_matrix(m, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    res = unitarity_residual(arr)
+    if res > DEFAULT_TOL:
+        raise ValueError(f"{name} is not unitary (residual {res:.3e})")
+    return arr
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
@@ -182,12 +201,7 @@ def partial_trace(rho, space: CompositeSpace, keep_labels) -> np.ndarray:
 
 def hermitian_evolution(h, t: float) -> np.ndarray:
     """Unitary ``exp(-i h t)`` of a Hermitian generator, via eigendecomposition."""
-    h = as_complex_matrix(h, "generator")
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"generator must be square, got shape {h.shape}")
-    res = hermiticity_residual(h)
-    if res > DEFAULT_TOL:
-        raise ValueError(f"generator is not Hermitian (residual {res:.3e})")
+    h = as_hermitian(h, "generator")
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")

@@ -13,17 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    RENORM_WINDOW,
-    as_complex_matrix,
-    as_state_vector,
-    hermiticity_residual,
-    readonly,
-)
-
-# Eigenvalues closer than this are treated as indistinct and rejected.
-EIGENVALUE_SEPARATION = 1e-9
+from .linalg import as_complex_matrix, as_hermitian, hermiticity_residual, readonly
+from .tolerances import DEFAULT_TOL, EIGENVALUE_SEPARATION, RENORM_WINDOW
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,12 +149,7 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, "density matrix")
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        res = hermiticity_residual(m)
-        if res > DEFAULT_TOL:
-            raise ValueError(f"density matrix is not Hermitian (residual {res:.3e})")
+        m = as_hermitian(self.matrix, "density matrix")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) >= RENORM_WINDOW:
             raise ValueError(f"density matrix has trace {tr:.12g}; expected 1")
@@ -176,12 +162,6 @@ class DensityState:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def pure_to_density(v, space_label: str = "S") -> DensityState:
-    """Rank-1 density operator |v><v| of a unit vector."""
-    vec = as_state_vector(v)
-    return DensityState(space_label, np.outer(vec, vec.conj()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,11 +26,9 @@ from . import dsl, engine, sampling
 from .born import joint_distribution, total_probability
 from .chain import attach_device, build_ideal_unitary, init_chain, make_device
 from .collapse import unknown_result_mixture
-from .linalg import hermitian_evolution, unitarity_residual
+from .linalg import unitarity_residual
+from .tolerances import DYNAMIC_TOL, STRUCT_TOL
 from .verify import collapse_equivalence_report, partial_trace_check, repeatability_matrix
-
-STRUCT_TOL = 1e-10
-DYNAMIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,14 +146,9 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     try:
         direct = total_probability(chain, "MB")
         w = unknown_result_mixture(engine.build_initial_state(scenario), obs_a).matrix
-        hams = engine.build_hamiltonians(scenario)
-        for e in scenario.events:
-            if isinstance(e, dsl.EvolveNamedDecl):
-                u = hermitian_evolution(hams[e.hamiltonian], e.time)
-                w = u @ w @ u.conj().T
-            elif isinstance(e, dsl.EvolveUnitaryDecl):
-                u = np.array([[complex(z) for z in row] for row in e.matrix])
-                w = u @ w @ u.conj().T
+        for e in scenario.program.events:
+            if isinstance(e, dsl.Evolution):
+                w = e.unitary @ w @ e.unitary.conj().T
         via_mixture = [np.trace(w @ p).real for p in observables["B"].projectors]
         dev = float(np.max(np.abs(direct.table - via_mixture)))
         _record(summary, trial, scenario, "total-probability", dev, dynamic_tol)

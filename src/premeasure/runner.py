@@ -18,6 +18,7 @@ from .born import (
     marginal_distribution,
     reduced_system_state,
 )
+from .tolerances import REPORT_TOL
 from .verify import (
     EquivalenceReport,
     RepeatabilityReport,
@@ -85,7 +86,7 @@ def equivalence_payload(rep: EquivalenceReport) -> dict:
 def run_scenario(
     scenario: dsl.Scenario,
     *,
-    tol: float = 1e-10,
+    tol: float = REPORT_TOL,
     scenario_id: str = "scenario",
 ) -> list[QueryAnswer]:
     """Build the chain once and answer each query in order.

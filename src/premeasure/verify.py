@@ -34,6 +34,7 @@ from .born import (
 from .chain import ChainState
 from .collapse import oracle_sequence_distribution, unknown_result_mixture
 from .dsl import Scenario
+from .tolerances import REPORT_TOL
 
 
 class WeakDeviceError(ValueError):
@@ -94,7 +95,7 @@ def repeatability_matrix(
     first_device: str,
     second_device: str,
     *,
-    tol: float = 1e-10,
+    tol: float = REPORT_TOL,
     scenario_id: str = "chain",
 ) -> RepeatabilityReport:
     """Conditional matrix C[j][k] = p(second=k | first=j) and its deviation
@@ -129,7 +130,7 @@ def collapse_equivalence_report(
     scenario: Scenario,
     *,
     chain: ChainState | None = None,
-    tol: float = 1e-10,
+    tol: float = REPORT_TOL,
     scenario_id: str = "scenario",
 ) -> EquivalenceReport:
     """Compare the chain against the collapse oracle on every joint, marginal
@@ -178,7 +179,7 @@ def collapse_equivalence_report(
 def partial_trace_check(
     chain: ChainState,
     *,
-    tol: float = 1e-10,
+    tol: float = REPORT_TOL,
     scenario_id: str = "chain",
 ) -> EquivalenceReport:
     """Entrywise comparison of the traced-out system state of a one-device

@@ -8,7 +8,6 @@ from premeasure.model import (
     make_degenerate_observable,
     make_device,
     make_observable,
-    pure_to_density,
 )
 
 
@@ -96,13 +95,6 @@ def test_density_state_validation():
 def test_density_state_renormalizes_tiny_trace_drift():
     rho = DensityState("S", np.diag([0.5 + 2e-9, 0.5]).astype(complex))
     assert_allclose(np.trace(rho.matrix).real, 1.0, atol=1e-14)
-
-
-def test_pure_to_density():
-    v = np.array([0.6, 0.8j], dtype=complex)
-    rho = pure_to_density(v)
-    assert isinstance(rho, DensityState)
-    assert_allclose(rho.matrix, np.outer(v, v.conj()), atol=1e-15)
 
 
 def test_make_device_pointer_layout():
