@@ -9,7 +9,8 @@ Three subcommands:
 
 Exit codes: 0 success; 1 usage, parse or validation failure (including an
 equivalence query aimed at a weak device); 2 runtime failure such as
-conditioning on a zero-probability event or a chain that cannot be built;
+conditioning on a zero-probability event, a chain that cannot be built
+or a run that exhausts memory;
 3 property-suite violation (a generated scenario whose chain cannot be built
 counts as a ``build`` failure, so it too exits 3).  ``prop`` exits 2 when it
 cannot write a reproducer file into ``--out-dir``.
@@ -117,12 +118,16 @@ def _resolve_tol(tol: float | None) -> float:
 
 def _run_answers(scenario: dsl.Scenario, tol: float, scenario_id: str):
     """(answers, elapsed seconds), or None after reporting a chain that
-    could not be built (a runtime failure)."""
+    could not be built or a run that ran out of memory (runtime failures)."""
     started = time.perf_counter()
     try:
         answers = runner.run_scenario(scenario, tol=tol, scenario_id=scenario_id)
     except ValueError as exc:
         print(f"premeasure: {exc}", file=sys.stderr)
+        return None
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"
+        print(f"premeasure: out of memory: {reason}", file=sys.stderr)
         return None
     return answers, time.perf_counter() - started
 

@@ -1,47 +1,54 @@
 """Observables, density operators and measurement-device descriptions.
 
-An :class:`Observable` is held in spectral form: a tuple of distinct real
-eigenvalues paired with orthogonal projectors that sum to the identity.
-Degenerate observables simply carry projectors of rank greater than one.
-Outcome indices are 1-based throughout; index ``k`` refers to the k-th
-eigenvalue / projector pair.
+An :class:`Observable` is held in spectral form: distinct real eigenvalues,
+one d x d unitary ``basis`` with an eigenvector per column, and the 1-based
+outcome index of each column.  The projector of outcome ``k`` is
+``V_k V_k^dagger`` over the columns ``V_k`` mapped to ``k``, so a degenerate
+outcome simply owns several columns.  Outcome indices are 1-based
+throughout; index ``k`` refers to the k-th eigenvalue / projector pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_complex_matrix, as_hermitian, hermiticity_residual, readonly
+from .linalg import (
+    as_complex_matrix,
+    as_hermitian,
+    hermiticity_residual,
+    readonly,
+    unitarity_residual,
+)
 from .tolerances import DEFAULT_TOL, EIGENVALUE_SEPARATION, RENORM_WINDOW
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Spectral decomposition of a Hermitian operator on one labelled factor."""
+    """Spectral decomposition of a Hermitian operator on one labelled factor.
+
+    ``basis`` column ``j`` is an eigenvector with eigenvalue
+    ``eigenvalues[outcomes[j] - 1]``.  Construction checks each property
+    once, in O(d^3): finite eigenvalues separated by more than 1e-9, an
+    orthonormal basis within 1e-10, and an outcome map that gives every
+    eigenvalue at least one column.  ``projectors`` is derived from the
+    basis on first read.
+    """
 
     label: str
     space_label: str
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
+    basis: np.ndarray
+    outcomes: np.ndarray
 
     def __post_init__(self):
         eigenvalues = tuple(float(a) for a in self.eigenvalues)
-        projectors = tuple(as_complex_matrix(p, "projector") for p in self.projectors)
         if len(eigenvalues) == 0:
             raise ValueError("observable needs at least one outcome")
-        if len(eigenvalues) != len(projectors):
-            raise ValueError(
-                f"{len(eigenvalues)} eigenvalues but {len(projectors)} projectors"
-            )
         if not all(np.isfinite(eigenvalues)):
             raise ValueError("eigenvalues contain non-finite entries")
-        d = projectors[0].shape[0]
-        for p in projectors:
-            if p.shape != (d, d):
-                raise ValueError(f"projector shapes disagree: {p.shape} vs {(d, d)}")
-
         vals = sorted(eigenvalues)
         for a, b in zip(vals, vals[1:]):
             if abs(b - a) <= EIGENVALUE_SEPARATION:
@@ -50,28 +57,22 @@ class Observable:
                     f"{EIGENVALUE_SEPARATION:g}"
                 )
 
-        for i, p in enumerate(projectors, start=1):
-            res = hermiticity_residual(p)
-            if res > DEFAULT_TOL:
-                raise ValueError(f"projector {i} is not Hermitian (residual {res:.3e})")
-            res = float(np.max(np.abs(p @ p - p)))
-            if res > DEFAULT_TOL:
-                raise ValueError(f"projector {i} is not idempotent (residual {res:.3e})")
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                res = float(np.max(np.abs(projectors[i] @ projectors[j])))
-                if res > DEFAULT_TOL:
-                    raise ValueError(
-                        f"projectors {i + 1} and {j + 1} are not orthogonal "
-                        f"(residual {res:.3e})"
-                    )
-        total = sum(projectors)
-        res = float(np.max(np.abs(total - np.eye(d))))
+        basis = as_complex_matrix(self.basis, "eigenbasis")
+        d = basis.shape[0]
+        if basis.shape != (d, d):
+            raise ValueError(f"eigenbasis has shape {basis.shape}, expected a square matrix")
+        outcomes = np.array(self.outcomes, dtype=int)
+        used = np.unique(outcomes)
+        if outcomes.shape != (d,) or not np.array_equal(used, np.arange(1, len(eigenvalues) + 1)):
+            raise ValueError(f"{len(eigenvalues)} eigenvalues but {used.size} eigenspaces")
+        res = unitarity_residual(basis)
         if res > DEFAULT_TOL:
-            raise ValueError(f"projectors do not sum to identity (residual {res:.3e})")
+            raise ValueError(f"non-orthonormal eigenbasis (residual {res:.3e})")
 
+        outcomes.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "projectors", tuple(readonly(p) for p in projectors))
+        object.__setattr__(self, "basis", readonly(basis))
+        object.__setattr__(self, "outcomes", outcomes)
 
     @property
     def outcome_count(self) -> int:
@@ -79,62 +80,68 @@ class Observable:
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.basis.shape[0]
 
-    def matrix(self) -> np.ndarray:
-        """The operator itself, reassembled as sum of a_k P_k."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for a, p in zip(self.eigenvalues, self.projectors):
-            out += a * p
-        return out
-
-    def projector(self, outcome_index: int) -> np.ndarray:
-        """Projector for a 1-based outcome index."""
-        if not 1 <= outcome_index <= self.outcome_count:
-            raise ValueError(
-                f"outcome index {outcome_index} out of range 1..{self.outcome_count}"
-            )
-        return self.projectors[outcome_index - 1]
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Read-only projector of each outcome in order, built on first read."""
+        columns = (self.basis[:, self.outcomes == k] for k in range(1, self.outcome_count + 1))
+        return tuple(readonly(v @ v.conj().T) for v in columns)
 
 
 def make_observable(label: str, space_label: str, eigenvalues, eigenbasis) -> Observable:
     """Non-degenerate observable from distinct eigenvalues and an orthonormal
-    eigenbasis (one vector per outcome).
+    eigenbasis given as rows, one per outcome in order.
 
-    The basis must be orthonormal within 1e-10; each projector is the rank-1
-    projector onto the corresponding basis vector.
+    The rows become the basis columns as given; ``Observable`` checks them.
     """
-    vectors = [np.asarray(v, dtype=np.complex128) for v in eigenbasis]
-    if not vectors:
-        raise ValueError("eigenbasis is empty")
-    d = vectors[0].size
-    for v in vectors:
-        if v.ndim != 1 or v.size != d:
-            raise ValueError("eigenbasis vectors must share one dimension")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("eigenbasis contains non-finite entries")
-    if len(vectors) != d:
-        raise ValueError(f"{len(vectors)} eigenvectors for dimension {d}")
-    vmat = np.array(vectors)
-    gram = vmat.conj() @ vmat.T
-    res = float(np.max(np.abs(gram - np.eye(d))))
-    if res > DEFAULT_TOL:
-        raise ValueError(f"non-orthonormal eigenbasis (residual {res:.3e})")
-    projectors = []
-    for v in vectors:
-        v = v / np.linalg.norm(v)
-        projectors.append(np.outer(v, v.conj()))
-    return Observable(label, space_label, tuple(float(a) for a in eigenvalues), tuple(projectors))
+    basis = np.asarray(eigenbasis, dtype=np.complex128).T
+    return Observable(label, space_label, eigenvalues, basis, np.arange(1, basis.shape[-1] + 1))
 
 
 def make_degenerate_observable(label: str, space_label: str, eigenvalues, projectors) -> Observable:
-    """Observable from explicit projectors; ranks may exceed one."""
-    return Observable(
-        label,
-        space_label,
-        tuple(float(a) for a in eigenvalues),
-        tuple(as_complex_matrix(p, "projector") for p in projectors),
-    )
+    """Observable from explicit projectors, one per eigenvalue; ranks may
+    exceed one.
+
+    Each projector must be Hermitian and idempotent within 1e-10; its range,
+    taken from ``eigh``, becomes that outcome's basis columns.  One Gram
+    product over all the ranges then bounds the Frobenius norm of every
+    off-diagonal block, V_i^dagger V_j, by 1e-10.  That norm bounds the
+    spectral norm of P_i P_j, hence each of its entries.  Ranges that pass
+    and fill the space make the basis.
+    """
+    ranges = []
+    for i, p in enumerate(projectors, start=1):
+        p = as_complex_matrix(p, "projector")
+        d = len(ranges[0]) if ranges else p.shape[0]
+        if p.shape != (d, d):
+            raise ValueError(f"projector {i} has shape {p.shape}, expected {(d, d)}")
+        res = hermiticity_residual(p)
+        if res > DEFAULT_TOL:
+            raise ValueError(f"projector {i} is not Hermitian (residual {res:.3e})")
+        res = float(np.max(np.abs(p @ p - p)))
+        if res > DEFAULT_TOL:
+            raise ValueError(f"projector {i} is not idempotent (residual {res:.3e})")
+        w, v = np.linalg.eigh(p)
+        ranges.append(v[:, w > 0.5])
+    basis = np.hstack(ranges)
+    outcomes = np.repeat(np.arange(1, len(ranges) + 1), [r.shape[1] for r in ranges])
+    # Squared Frobenius norm of every Gram block (i, j), summed by outcome.
+    member = (outcomes[:, None] == np.arange(1, len(ranges) + 1)).astype(float)
+    overlap = member.T @ np.abs(basis.conj().T @ basis) ** 2 @ member
+    pairs = np.argwhere(np.triu(overlap, 1) > DEFAULT_TOL**2)
+    if pairs.size:
+        i, j = pairs[0]
+        raise ValueError(
+            f"projectors {i + 1} and {j + 1} are not orthogonal "
+            f"(residual {np.sqrt(overlap[i, j]):.3e})"
+        )
+    if basis.shape[1] != basis.shape[0]:
+        raise ValueError(
+            f"projectors do not sum to identity (total rank {basis.shape[1]} "
+            f"for dimension {basis.shape[0]})"
+        )
+    return Observable(label, space_label, eigenvalues, basis, outcomes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,28 +176,22 @@ class DeviceSpec:
     """A pointer device for one observable.
 
     The pointer space has one ready state (index 0) plus one pointer state per
-    outcome, so ``pointer_dim`` is always ``outcome_count + 1``.  Pointer state
-    ``k`` records outcome ``k``.
+    outcome, so ``pointer_dim`` is ``outcome_count + 1``.  Pointer state ``k``
+    records outcome ``k``.
     """
 
     label: str
     observable: Observable
-    pointer_dim: int
-    ready_index: int = field(default=0)
 
     def __post_init__(self):
         if not self.label:
             raise ValueError("device label must be non-empty")
-        expected = self.observable.outcome_count + 1
-        if self.pointer_dim != expected:
-            raise ValueError(
-                f"pointer_dim {self.pointer_dim} does not fit observable with "
-                f"{self.observable.outcome_count} outcomes (need {expected})"
-            )
-        if self.ready_index != 0:
-            raise ValueError("ready state must sit at pointer index 0")
+
+    @property
+    def pointer_dim(self) -> int:
+        return self.observable.outcome_count + 1
 
 
 def make_device(label: str, observable: Observable) -> DeviceSpec:
     """Device spec with the canonical pointer layout for ``observable``."""
-    return DeviceSpec(label, observable, observable.outcome_count + 1)
+    return DeviceSpec(label, observable)

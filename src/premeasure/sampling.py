@@ -87,17 +87,11 @@ def _rows(mat: np.ndarray) -> dsl.Mat:
 
 
 def _obs_decl(name: str, obs: Observable) -> dsl.Statement:
-    """Declaration matching ``obs``: eigen/basis when every projector is
-    rank-1, projector form otherwise."""
-    ranks = [int(round(np.trace(p).real)) for p in obs.projectors]
-    if all(r == 1 for r in ranks):
-        basis = []
-        for p in obs.projectors:
-            w, v = np.linalg.eigh(p)
-            basis.append(v[:, int(np.argmax(w))])
-        return dsl.EigenObservableDecl(
-            name, tuple(obs.eigenvalues), _rows(np.array(basis))
-        )
+    """Declaration matching ``obs``: eigen/basis when every outcome owns one
+    basis column, projector form otherwise."""
+    if obs.outcome_count == obs.dim:
+        rows = obs.basis[:, np.argsort(obs.outcomes)].T
+        return dsl.EigenObservableDecl(name, tuple(obs.eigenvalues), _rows(rows))
     return dsl.ProjectorObservableDecl(
         name, tuple(obs.eigenvalues), tuple(_rows(p) for p in obs.projectors)
     )
@@ -148,8 +142,7 @@ def random_scenario(rng: np.random.Generator, max_dim: int = 6, max_depth: int =
     # Sometimes start in an eigenstate so some conditioning rows have zero
     # probability and the exclusion paths get exercised.
     if pure is not None and not degenerate and rng.random() < 0.2:
-        w, v = np.linalg.eigh(obs_a.projectors[0])
-        aligned = v[:, int(np.argmax(w))]
+        aligned = obs_a.basis[:, 0]  # the eigenvector of outcome 1
         statements[1] = dsl.PureStateDecl(tuple(complex(z) for z in aligned))
 
     obs_b = random_observable(rng, dim, "B")

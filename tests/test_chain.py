@@ -62,7 +62,7 @@ def test_ideal_unitary_matches_projector_sum():
     u = build_ideal_unitary(obs, dev)
     shift = pointer_shift(4)
     expected = sum(
-        np.kron(obs.projector(k), np.linalg.matrix_power(shift, k))
+        np.kron(obs.projectors[k - 1], np.linalg.matrix_power(shift, k))
         for k in (1, 2, 3)
     )
     assert_allclose(u, expected, atol=1e-13)
@@ -136,9 +136,9 @@ def test_reader_targets_pointer_factor():
     pb = pointer_basis_observable("pb", base)
     assert pb.outcome_count == 3
     # outcome k projects onto pointer state k, ready state comes last
-    assert_allclose(pb.projector(1), np.diag([0, 1, 0]).astype(complex))
-    assert_allclose(pb.projector(2), np.diag([0, 0, 1]).astype(complex))
-    assert_allclose(pb.projector(3), np.diag([1, 0, 0]).astype(complex))
+    assert_allclose(pb.projectors[0], np.diag([0, 1, 0]).astype(complex))
+    assert_allclose(pb.projectors[1], np.diag([0, 0, 1]).astype(complex))
+    assert_allclose(pb.projectors[2], np.diag([1, 0, 0]).astype(complex))
 
 
 def test_attach_reader_requires_existing_target():

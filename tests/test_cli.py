@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import premeasure
-from premeasure import cli
+from premeasure import cli, engine
 from premeasure.propsuite import PropFailure, PropSummary
 
 try:
@@ -126,6 +126,21 @@ def test_chain_build_failure_exits_2(tmp_path, capsys, command):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("premeasure: ") and "not finite" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_out_of_memory_exits_2(monkeypatch, capsys, command):
+    def exhausted(scenario):
+        raise MemoryError("Unable to allocate 4.00 GiB for an array")
+
+    monkeypatch.setattr(engine, "build_chain", exhausted)
+    code = cli.main([command, str(REPEAT)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "premeasure: out of memory: Unable to allocate 4.00 GiB for an array"
+    ]
 
 
 def test_usage_error_exits_1(capsys):

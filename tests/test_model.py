@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+from premeasure import dsl
 
 from premeasure.model import (
     DensityState,
@@ -15,21 +19,18 @@ def _z():
     return make_observable("Z", "S", [1.0, -1.0], np.eye(2, dtype=complex))
 
 
+def _matrix(obs):
+    """The operator reassembled as sum of a_k P_k."""
+    return sum(a * p for a, p in zip(obs.eigenvalues, obs.projectors))
+
+
 def test_make_observable_projectors():
     obs = _z()
     assert obs.outcome_count == 2
     assert obs.dim == 2
-    assert_allclose(obs.projector(1), np.diag([1, 0]).astype(complex))
-    assert_allclose(obs.projector(2), np.diag([0, 1]).astype(complex))
-    assert_allclose(obs.matrix(), np.diag([1.0, -1.0]).astype(complex))
-
-
-def test_projector_index_is_one_based():
-    obs = _z()
-    with pytest.raises(ValueError):
-        obs.projector(0)
-    with pytest.raises(ValueError):
-        obs.projector(3)
+    assert_allclose(obs.projectors[0], np.diag([1, 0]).astype(complex))
+    assert_allclose(obs.projectors[1], np.diag([0, 1]).astype(complex))
+    assert_allclose(_matrix(obs), np.diag([1.0, -1.0]).astype(complex))
 
 
 def test_make_observable_rejects_duplicate_eigenvalues():
@@ -49,7 +50,7 @@ def test_make_observable_accepts_eight_digit_rows():
     )
     b = b / np.linalg.norm(b, axis=1)[:, None]
     obs = make_observable("X", "S", [1.0, -1.0], b)
-    assert_allclose(obs.matrix(), np.array([[0, 1], [1, 0]], dtype=complex), atol=1e-12)
+    assert_allclose(_matrix(obs), np.array([[0, 1], [1, 0]], dtype=complex), atol=1e-12)
 
 
 def test_degenerate_observable():
@@ -58,7 +59,7 @@ def test_degenerate_observable():
     obs = make_degenerate_observable("D", "S", [5.0, -2.0], [p1, p2])
     assert obs.outcome_count == 2
     assert obs.dim == 3
-    assert_allclose(obs.matrix(), np.diag([5.0, 5.0, -2.0]).astype(complex))
+    assert_allclose(_matrix(obs), np.diag([5.0, 5.0, -2.0]).astype(complex))
 
 
 def test_degenerate_observable_requires_completeness():
@@ -101,7 +102,6 @@ def test_make_device_pointer_layout():
     dev = make_device("M1", _z())
     assert dev.label == "M1"
     assert dev.pointer_dim == 3
-    assert dev.ready_index == 0
 
 
 def test_observable_requires_projector_property():
@@ -109,3 +109,21 @@ def test_observable_requires_projector_property():
     not_proj = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
         make_degenerate_observable("D", "S", [1.0, 2.0], [bad, not_proj])
+
+
+def test_validation_memory_is_a_small_multiple_of_the_basis():
+    d = 256
+    rows = ", ".join(
+        "[" + ", ".join("1" if i == j else "0" for j in range(d)) + "]" for i in range(d)
+    )
+    scenario = dsl.parse_scenario(
+        f"system dim {d}\nstate pure [{', '.join(['1'] + ['0'] * (d - 1))}]\n"
+        f"observable A eigen [{', '.join(str(k) for k in range(d))}] basis [{rows}]\n"
+    )
+    tracemalloc.start()
+    try:
+        assert dsl.validate_scenario(scenario) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * d * d * np.dtype(np.complex128).itemsize
