@@ -76,6 +76,27 @@ def test_degenerate_observable_requires_orthogonality():
         make_degenerate_observable("D", "S", [1.0, 2.0], [p, q])
 
 
+@pytest.mark.parametrize("overlap, accepted", [(1e-12, True), (1e-9, False)])
+def test_degenerate_overlap_is_bounded_like_the_entrywise_check(overlap, accepted):
+    # Two rank-1 projectors whose vectors overlap by ``overlap``; max|P1 P2|
+    # equals the overlap, so 1e-9 fails the 1e-10 orthogonality bound.
+    v1 = np.array([1.0, 0.0], dtype=complex)
+    v2 = np.array([overlap, np.sqrt(1 - overlap**2)], dtype=complex)
+    p1, p2 = np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
+    assert abs(np.max(np.abs(p1 @ p2)) - overlap) <= 1e-20
+    if accepted:
+        make_degenerate_observable("D", "S", [1.0, 2.0], [p1, p2])
+    else:
+        with pytest.raises(ValueError, match="projectors 1 and 2 are not orthogonal"):
+            make_degenerate_observable("D", "S", [1.0, 2.0], [p1, p2])
+
+
+def test_degenerate_observable_rejects_an_empty_eigenspace():
+    p1 = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="2 eigenvalues but 1 eigenspaces"):
+        make_degenerate_observable("D", "S", [1.0, 2.0], [p1, np.zeros((2, 2))])
+
+
 def test_observable_arrays_are_readonly():
     obs = _z()
     with pytest.raises(ValueError):
