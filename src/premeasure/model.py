@@ -62,9 +62,9 @@ class Observable:
         if basis.shape != (d, d):
             raise ValueError(f"eigenbasis has shape {basis.shape}, expected a square matrix")
         outcomes = np.array(self.outcomes, dtype=int)
-        used = np.unique(outcomes)
-        if outcomes.shape != (d,) or not np.array_equal(used, np.arange(1, len(eigenvalues) + 1)):
-            raise ValueError(f"{len(eigenvalues)} eigenvalues but {used.size} eigenspaces")
+        used = set(outcomes.ravel().tolist())
+        if outcomes.shape != (d,) or used != set(range(1, len(eigenvalues) + 1)):
+            raise ValueError(f"{len(eigenvalues)} eigenvalues but {len(used)} eigenspaces")
         res = unitarity_residual(basis)
         if res > DEFAULT_TOL:
             raise ValueError(f"non-orthonormal eigenbasis (residual {res:.3e})")
