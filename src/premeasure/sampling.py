@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsl
-from .model import Observable, make_degenerate_observable, make_observable
+from .model import Observable, make_observable
 
 
 def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -69,15 +69,10 @@ def random_degenerate_observable(
     groups = np.split(np.arange(dim), cuts)
     if all(len(g) == 1 for g in groups):
         groups = [np.arange(2)] + [np.array([i]) for i in range(2, dim)]
-    basis = random_orthonormal_basis(rng, dim)
-    projectors = []
-    for g in groups:
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        for i in g:
-            p += np.outer(basis[i], basis[i].conj())
-        projectors.append(p)
+    basis = np.array(random_orthonormal_basis(rng, dim)).T
+    outcomes = np.repeat(np.arange(1, len(groups) + 1), [len(g) for g in groups])
     values = distinct_eigenvalues(rng, len(groups))
-    return make_degenerate_observable(label, space_label, values, projectors)
+    return Observable(label, space_label, values, basis, outcomes)
 
 
 # --- scenario generation -----------------------------------------------------
