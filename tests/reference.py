@@ -46,7 +46,8 @@ def _shift(p: int) -> np.ndarray:
     return np.roll(np.eye(p), 1, axis=0)
 
 
-def _ket(k: int, p: int) -> np.ndarray:
+def _state_projector(k: int, p: int) -> np.ndarray:
+    """|k><k| on a p-dimensional factor."""
     e = np.zeros((p, p))
     e[k, k] = 1.0
     return e
@@ -107,21 +108,21 @@ class Reference:
                 else:
                     measured = self.factor[s.target]
                     p_t = self.dims[measured]
-                    ops = [_ket(k, p_t) for k in list(range(1, p_t)) + [0]]
+                    ops = [_state_projector(k, p_t) for k in list(range(1, p_t)) + [0]]
                     self.kind[s.name] = "reader"
                 n = len(ops)
                 p = n + 1
                 new = self.factor[s.name] = len(self.dims)
                 self.outcomes[s.name] = n
                 self.dims.append(p)
-                rho = np.kron(rho, _ket(0, p))
+                rho = np.kron(rho, _state_projector(0, p))
                 u = sum(
                     _on({measured: op, new: np.linalg.matrix_power(_shift(p), k)}, self.dims)
                     for k, op in enumerate(ops, start=1)
                 )
                 if self.kind[s.name] == "weak":
-                    v = _on({new: _ket(0, p)}, self.dims) + sum(
-                        _on({0: _mat(r), new: _ket(k, p)}, self.dims)
+                    v = _on({new: _state_projector(0, p)}, self.dims) + sum(
+                        _on({0: _mat(r), new: _state_projector(k, p)}, self.dims)
                         for k, r in enumerate(s.weak, start=1)
                     )
                     u = v @ u
@@ -244,7 +245,12 @@ def _equivalence(ref: Reference) -> dict:
                     pair_o[e, k] / pg_o,
                 )
     worst = max((r["deviation"] for r in records), default=0.0)
-    return {"records": records, "max_deviation": worst, "tol": REPORT_TOL, "passed": worst <= REPORT_TOL}
+    return {
+        "records": records,
+        "max_deviation": worst,
+        "tol": REPORT_TOL,
+        "passed": worst <= REPORT_TOL,
+    }
 
 
 def answers(scenario: dsl.Scenario, scenario_id: str = "scenario") -> list[dict]:

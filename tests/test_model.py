@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from premeasure import dsl
-
 from premeasure.model import (
     DensityState,
     Observable,

@@ -26,7 +26,7 @@ def _agree(actual, expected, where="$"):
         assert isinstance(actual, (int, float)) and not isinstance(actual, bool), where
         assert abs(actual - expected) <= TOL, f"{where}: {actual!r} vs {expected!r}"
     elif isinstance(expected, dict):
-        assert sorted(actual) == sorted(expected), f"{where}: {sorted(actual)} vs {sorted(expected)}"
+        assert sorted(actual) == sorted(expected), f"{where}: keys differ"
         for key in expected:
             _agree(actual[key], expected[key], f"{where}.{key}")
     elif isinstance(expected, list):
