@@ -14,11 +14,14 @@ unitary built from the measured observable:
 * reader: an ideal interaction whose "system" is the pointer factor of an
   earlier device, copying that device's record into a fresh pointer.
 
-Every new pointer starts in its ready state |0>, so only the ready column
-``U[:, :, :, 0]`` of an interaction (reshaped to measured x pointer x
-measured x pointer) ever acts: attaching a device costs one contraction of
-that column into the measured factor, O(D*d*p) for composite dimension D,
-measured dimension d and pointer dimension p.
+Every new pointer starts in its ready state |0>, so an attach only needs
+``U (psi (x) |0>) = sum_k B_k V_k V_k^dagger psi (x) |k>``, where ``V_k`` holds
+the basis columns of outcome ``k`` and ``B_k`` is ``R_k`` for a weak device
+and 1 otherwise.  ``attach_device`` writes each branch straight into the new
+state, in its final axis order: O(D*d) time for composite dimension D and
+measured dimension d, and O(d^2) scratch per outcome besides the new state.
+The dense U of ``build_ideal_unitary`` / ``build_weak_unitary`` is the
+reference that the property suite and the tests check this against.
 
 A mixed initial state rho = sum_i w_i |e_i><e_i| is simulated by its
 purification sum_i sqrt(w_i) |e_i>|i> on the system and an ancilla factor
@@ -45,11 +48,10 @@ from .linalg import (
     as_unitary,
     is_unitary,
     readonly,
+    unitarity_residual,
 )
 from .model import DensityState, DeviceSpec, Observable, make_device, make_observable
 from .tolerances import DEFAULT_TOL
-
-SYSTEM_TARGET = "system"
 
 # Factor label of the purifying ancilla of a mixed initial state.  Scenario
 # names cannot contain "~", so no device can claim it.
@@ -82,9 +84,7 @@ class Disturbance:
 class AttachedDevice:
     spec: DeviceSpec
     factor_index: int
-    target: str  # SYSTEM_TARGET or the label of an earlier device
     mode: str  # "ideal" | "weak" | "reader"
-    disturbance: Disturbance | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +117,9 @@ class ChainState:
         for ad in self.devices:
             if self.space.dim_of(ad.spec.label) != ad.spec.pointer_dim:
                 raise ValueError(f"factor of device {ad.spec.label!r} has wrong dimension")
-        object.__setattr__(self, "state", readonly(state))
+        if state.flags.writeable or not state.flags.owndata:
+            state = readonly(state)
+        object.__setattr__(self, "state", state)
         object.__setattr__(self, "initial_system_state", readonly(self.initial_system_state))
 
     @property
@@ -173,8 +175,7 @@ def build_ideal_unitary(obs: Observable, dev: DeviceSpec) -> np.ndarray:
     return u
 
 
-def build_weak_unitary(obs: Observable, dev: DeviceSpec, dist: Disturbance) -> np.ndarray:
-    """Ideal premeasurement followed by the pointer-controlled disturbance."""
+def _check_disturbance(obs: Observable, dist: Disturbance) -> None:
     if len(dist) != obs.outcome_count:
         raise ValueError(
             f"need {obs.outcome_count} disturbance unitaries, got {len(dist)}"
@@ -184,6 +185,11 @@ def build_weak_unitary(obs: Observable, dev: DeviceSpec, dist: Disturbance) -> n
             raise ValueError(
                 f"disturbance dimension {u.shape[0]} does not match system dimension {obs.dim}"
             )
+
+
+def build_weak_unitary(obs: Observable, dev: DeviceSpec, dist: Disturbance) -> np.ndarray:
+    """Ideal premeasurement followed by the pointer-controlled disturbance."""
+    _check_disturbance(obs, dist)
     d_p = dev.pointer_dim
     v = np.zeros((obs.dim * d_p,) * 2, dtype=np.complex128)
     for k, r in enumerate(dist.unitaries, start=1):
@@ -278,16 +284,13 @@ def attach_device(
                 f"observable dimension {obs.dim} does not match system dimension "
                 f"{chain.system_dim}"
             )
-        if mode == "ideal":
-            if disturbance is not None:
-                raise ValueError("ideal attachment takes no disturbance")
-            u = build_ideal_unitary(obs, dev)
-        else:
+        if mode == "ideal" and disturbance is not None:
+            raise ValueError("ideal attachment takes no disturbance")
+        if mode == "weak":
             if disturbance is None:
                 raise ValueError("weak attachment needs a disturbance")
-            u = build_weak_unitary(obs, dev, disturbance)
+            _check_disturbance(obs, disturbance)
         anchor = chain.system_label
-        recorded_target = SYSTEM_TARGET
     elif mode == "reader":
         if target is None:
             raise ValueError("reader attachment needs a target device label")
@@ -303,31 +306,27 @@ def attach_device(
                 f"reader dimension {obs.dim} does not match pointer dimension "
                 f"{target_ad.spec.pointer_dim}"
             )
-        for p in obs.projectors:
-            offdiag = p - np.diag(np.diag(p))
-            if float(np.max(np.abs(offdiag))) > DEFAULT_TOL:
-                raise ValueError("reader devices must measure the pointer basis")
-        u = build_ideal_unitary(obs, dev)
         anchor = target
-        recorded_target = target
     else:
         raise ValueError(f"unknown attachment mode {mode!r}")
 
-    if not is_unitary(u, DEFAULT_TOL):
-        raise ValueError("constructed interaction is not unitary")
-
     pos = chain.space.index(anchor)
-    d, p = obs.dim, dev.pointer_dim
-    column = u.reshape(d, p, d, p)[:, :, :, 0]
-    psi = np.tensordot(column, chain.state.reshape(chain.space.dims), axes=([2], [pos]))
-    new_state = np.moveaxis(psi, (0, 1), (pos, -1)).reshape(-1)
-    attached = AttachedDevice(
-        spec=dev,
-        factor_index=len(chain.space.factors),
-        target=recorded_target,
-        mode=mode,
-        disturbance=disturbance,
-    )
+    psi = chain.state.reshape(chain.space.dims[:pos] + (obs.dim, -1))
+    new_state = np.zeros(chain.space.dim * dev.pointer_dim, dtype=np.complex128)
+    out = new_state.reshape(psi.shape + (dev.pointer_dim,))
+    for k in range(1, obs.outcome_count + 1):
+        v = obs.basis[:, obs.outcomes == k]
+        if mode == "reader":
+            proj = v @ v.conj().T
+            if float(np.max(np.abs(proj - np.diag(np.diag(proj))))) > DEFAULT_TOL:
+                raise ValueError("reader devices must measure the pointer basis")
+        # With an orthonormal basis, the map is an isometry if each branch is.
+        branch = disturbance.unitaries[k - 1] @ v if mode == "weak" else v
+        if unitarity_residual(branch) > DEFAULT_TOL:
+            raise ValueError("constructed interaction is not unitary")
+        np.matmul(branch, v.conj().T @ psi, out=out[..., k])
+    new_state.setflags(write=False)
+    attached = AttachedDevice(spec=dev, factor_index=len(chain.space.factors), mode=mode)
     return ChainState(
         chain.space.extended(dev.label, dev.pointer_dim),
         new_state,

@@ -12,8 +12,9 @@ equivalence query aimed at a weak device); 2 runtime failure such as
 conditioning on a zero-probability event, a chain that cannot be built
 or a run that exhausts memory;
 3 property-suite violation (a generated scenario whose chain cannot be built
-counts as a ``build`` failure, so it too exits 3).  ``prop`` exits 2 when it
-cannot write a reproducer file into ``--out-dir``.
+counts as a ``build`` failure, so it too exits 3).  ``prop`` exits 1 for a
+negative seed or a ``--max-dim`` past the size limit, and 2 when it cannot
+write a reproducer file into ``--out-dir``.
 ``PREMEASURE_TOL`` overrides the default report tolerance of 1e-10.
 """
 
@@ -118,16 +119,12 @@ def _resolve_tol(tol: float | None) -> float:
 
 def _run_answers(scenario: dsl.Scenario, tol: float, scenario_id: str):
     """(answers, elapsed seconds), or None after reporting a chain that
-    could not be built or a run that ran out of memory (runtime failures)."""
+    could not be built (a runtime failure)."""
     started = time.perf_counter()
     try:
         answers = runner.run_scenario(scenario, tol=tol, scenario_id=scenario_id)
     except ValueError as exc:
         print(f"premeasure: {exc}", file=sys.stderr)
-        return None
-    except MemoryError as exc:
-        reason = str(exc) or "allocation failed"
-        print(f"premeasure: out of memory: {reason}", file=sys.stderr)
         return None
     return answers, time.perf_counter() - started
 
@@ -307,11 +304,20 @@ def run_property_suite(*args):
 
 
 def cmd_prop(args) -> int:
+    if args.seed < 0:
+        print("premeasure: --seed must be non-negative", file=sys.stderr)
+        return 1
     if args.trials < 1:
         print("premeasure: --trials must be at least 1", file=sys.stderr)
         return 1
     if args.max_dim < 2:
         print("premeasure: --max-dim must be at least 2", file=sys.stderr)
+        return 1
+    # A pure trial at dimension d has at least d*(d+1)**3 amplitudes.
+    smallest = args.max_dim * (args.max_dim + 1) ** 3
+    if smallest > dsl.MAX_AMPLITUDES:
+        print(f"premeasure: --max-dim {args.max_dim} can draw scenarios of {smallest} "
+              f"amplitudes, past the limit of {dsl.MAX_AMPLITUDES}", file=sys.stderr)
         return 1
     if args.max_depth < 1:
         print("premeasure: --max-depth must be at least 1", file=sys.stderr)
@@ -357,11 +363,15 @@ def cmd_prop(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_prop(args)
+    try:
+        if args.command == "run":
+            return cmd_run(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        return cmd_prop(args)
+    except MemoryError as exc:
+        print(f"premeasure: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -61,7 +61,8 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 
 def unitarity_residual(m: np.ndarray) -> float:
-    eye = np.eye(m.shape[0], dtype=np.complex128)
+    """Largest entry of ``m^dagger m - 1``; a tall ``m`` is an isometry at 0."""
+    eye = np.eye(m.shape[1], dtype=np.complex128)
     return float(np.max(np.abs(m.conj().T @ m - eye)))
 
 

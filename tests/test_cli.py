@@ -244,6 +244,57 @@ def test_prop_zero_trials_usage_error(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def _no_suite(*args):
+    raise AssertionError("the property suite must not run")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "-1", "--trials", "1"],
+        ["--max-dim", "90"],
+        ["--max-dim", "256"],
+        ["--max-dim", "100000"],
+    ],
+)
+def test_prop_bad_arguments_exit_1_with_one_line(monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "run_property_suite", _no_suite)
+    code = cli.main(["prop", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"premeasure: {argv[0]} ")
+
+
+def test_prop_max_dim_cap_follows_the_size_limit(monkeypatch, capsys):
+    # 89 * 90**3 amplitudes fit under dsl.MAX_AMPLITUDES; 90 * 91**3 do not.
+    calls = []
+    fake = PropSummary(seed=0, trials=1, max_dim=89, max_depth=3)
+    monkeypatch.setattr(cli, "run_property_suite", lambda *a: calls.append(a) or fake)
+    assert cli.main(["prop", "--trials", "1", "--max-dim", "89"]) == 0
+    assert calls == [(0, 1, 89, 3)]
+    assert "67821390 amplitudes" not in capsys.readouterr().err
+    assert cli.main(["prop", "--trials", "1", "--max-dim", "90"]) == 1
+    assert "67821390 amplitudes" in capsys.readouterr().err
+    assert len(calls) == 1
+
+
+def test_prop_out_of_memory_exits_2(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 42.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "run_property_suite", exhausted)
+    code = cli.main(["prop", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "premeasure: out of memory: Unable to allocate 42.5 GiB for an array"
+    ]
+
+
 def test_prop_violation_exits_3_and_writes_reproducer(tmp_path, monkeypatch, capsys):
     failure = PropFailure(
         trial=4,

@@ -1,11 +1,15 @@
-"""The chain core holds one state vector: devices attach through the ready
-column of their interaction, and mixed starts are purified onto an ancilla.
+"""The chain core holds one state vector: devices attach through their
+observable's eigenbasis, one branch per outcome, and mixed starts are
+purified onto an ancilla.
 
 Both are checked against the routes they replace: the full interaction
 applied to the ready-extended vector, and a density matrix evolved as
 ``U rho U^dagger`` with every operator written out as Kronecker products.
+The attach is also held to its memory bound: no dense interaction, and a
+peak below twice the new state.
 """
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -30,6 +34,7 @@ from premeasure.chain import (
 from premeasure.linalg import apply_operator, hermitian_evolution
 from premeasure.model import DensityState, make_device, make_observable
 from premeasure.sampling import (
+    random_degenerate_observable,
     random_density_matrix,
     random_orthonormal_basis,
     random_state_vector,
@@ -42,15 +47,20 @@ def _obs(rng, label, d):
     return make_observable(label, "S", values, random_orthonormal_basis(rng, d))
 
 
-def _steps(rng, d):
+def _degenerate_obs(rng, label, d):
+    return random_degenerate_observable(rng, d, label)
+
+
+def _steps(rng, d, make_obs=_obs):
     """Ideal, weak, reader and evolve steps on a d-dimensional system.
 
-    Each step is (kind, device or unitary, extra) with the interaction built
-    the way ``attach_device`` builds it.
+    Each step is (kind, device or unitary, extra); ``make_obs`` draws the
+    observables of the ideal and the weak device.
     """
-    a = make_device("MA", _obs(rng, "A", d))
-    dist = Disturbance(tuple(random_unitary(rng, d) for _ in range(d)))
-    w = make_device("MW", _obs(rng, "W", d))
+    a = make_device("MA", make_obs(rng, "A", d))
+    n = a.observable.outcome_count
+    dist = Disturbance(tuple(random_unitary(rng, d) for _ in range(n)))
+    w = make_device("MW", make_obs(rng, "W", d))
     r = make_reader_device("R", a)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return [
@@ -79,11 +89,16 @@ def _interaction(step):
     return build_ideal_unitary(dev.observable, dev)
 
 
-@pytest.mark.parametrize("seed,d", [(1, 2), (2, 3)])
-def test_ready_column_attach_matches_full_interaction(seed, d):
+# Seed 11 draws both d = 4 observables with eigenspace ranks (2, 1, 1).
+@pytest.mark.parametrize(
+    "seed,d,make_obs",
+    [(1, 2, _obs), (2, 3, _obs), (11, 4, _degenerate_obs)],
+    ids=["1-2", "2-3", "11-4-degenerate"],
+)
+def test_ready_column_attach_matches_full_interaction(seed, d, make_obs):
     rng = np.random.default_rng(seed)
     chain = init_chain(random_state_vector(rng, d))
-    for step in _steps(rng, d):
+    for step in _steps(rng, d, make_obs):
         grown = _attach(chain, step)
         kind, dev, extra = step
         if kind != "evolve":
@@ -96,6 +111,36 @@ def test_ready_column_attach_matches_full_interaction(seed, d):
             )
             assert_allclose(grown.state, old, rtol=0, atol=1e-15)
         chain = grown
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_attach_builds_no_dense_interaction():
+    # A d = 48 device: the dense (d*p)^2 interaction alone would be 84 MiB.
+    d = 48
+    obs = make_observable("A", "S", [float(k) for k in range(d)], np.eye(d))
+    chain = init_chain(np.full(d, d**-0.5))
+    grown, peak = _traced_peak(lambda: attach_device(chain, make_device("M", obs)))
+    assert grown.state.size == d * (d + 1)
+    assert peak <= 2**20
+    assert "projectors" not in vars(obs)  # the cached view was never read
+
+
+def test_attach_peaks_below_twice_the_new_state():
+    z = make_observable("Z", "S", [1.0, -1.0], np.eye(2))
+    chain = init_chain(np.array([0.6, 0.8]))
+    for i in range(10):
+        chain = attach_device(chain, make_device(f"M{i}", z))
+    grown, peak = _traced_peak(lambda: attach_device(chain, make_device("M10", z)))
+    assert grown.state.size == 2 * 3**11
+    assert peak <= 2 * grown.state.nbytes
 
 
 def _embedded_interaction(u, dims, anchor, p):
