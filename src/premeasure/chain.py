@@ -35,6 +35,7 @@ values are immutable, every operation returns a new one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -148,9 +149,14 @@ class ChainState:
     def pointer_probabilities(self) -> np.ndarray:
         """|psi|^2 summed over the system and any ancilla, computed once: one
         axis per device in attachment order, indexed by pointer state."""
-        psi = self.state.reshape(self.space.dims)
         lead = len(self.space.factors) - len(self.devices)
-        probs = (np.square(psi.real) + np.square(psi.imag)).sum(axis=tuple(range(lead)))
+        dims = self.space.dims
+        psi = self.state.reshape(math.prod(dims[:lead]), -1)
+        # Two passes over the real and imaginary views: no temporary the size
+        # of the state, only the half-size result.
+        probs = np.einsum("ij,ij->j", psi.real, psi.real)
+        probs += np.einsum("ij,ij->j", psi.imag, psi.imag)
+        probs = probs.reshape(dims[lead:])
         probs.setflags(write=False)
         return probs
 

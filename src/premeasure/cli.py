@@ -9,8 +9,8 @@ Three subcommands:
 
 Exit codes: 0 success; 1 usage, parse or validation failure (including an
 equivalence query aimed at a weak device); 2 runtime failure such as
-conditioning on a zero-probability event, a chain that cannot be built
-or a run that exhausts memory;
+conditioning on a zero-probability event, a chain that cannot be built,
+a run that exhausts memory or a standard output closed by its reader;
 3 property-suite violation (a generated scenario whose chain cannot be built
 counts as a ``build`` failure, so it too exits 3).  ``prop`` exits 1 for a
 negative seed or a ``--max-dim`` past the size limit, and 2 when it cannot
@@ -363,15 +363,31 @@ def cmd_prop(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"run": cmd_run, "verify": cmd_verify, "prop": cmd_prop}[args.command]
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_prop(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
     except MemoryError as exc:
         print(f"premeasure: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        _discard_stdout()
+        print("premeasure: cannot write to standard output: broken pipe", file=sys.stderr)
+        return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the interpreter's
+    final flush of the unwritten output raises nothing.  An in-process caller
+    that redirected stdout to a buffer has no descriptor and is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

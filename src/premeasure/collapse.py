@@ -7,6 +7,15 @@ renormalize (for a density operator, ``P rho P / tr(rho P)``).  Chains of
 measure and evolve steps fan out into a branch tree whose leaf weights give
 the joint outcome distribution predicted by the postulate.  The rest of the
 package exists to show that the collapse-free chain reproduces these numbers.
+
+The tree is grown one step at a time on its whole frontier, held as one
+stack: the B branch states as a (B, d) array, or (B, d, d) for density
+operators, their Born weights as (B,) and their outcome prefixes as (B, m)
+ints.  A measure step checks and renormalizes every state, projects the stack
+onto every outcome in one product against the stacked projectors, and keeps
+the branches above the pruning floor; ``collapse_branches`` is that step for
+a stack of one.  The oracle shares no kernel with the chain on purpose: it is
+the independent reference the chain is checked against.
 """
 
 from __future__ import annotations
@@ -16,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .born import PROB_SLACK, Distribution, clamp_probability
-from .linalg import as_complex_matrix, as_state_vector, is_unitary
+from .linalg import as_complex_matrix, is_unitary
 from .model import DensityState, Observable
-from .tolerances import DEFAULT_TOL, PRUNE_TOL
+from .tolerances import DEFAULT_TOL, PRUNE_TOL, RENORM_WINDOW
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,40 +50,101 @@ class Evolve:
 
 
 def _coerce(state, dim: int | None = None) -> np.ndarray:
+    """``state`` as a vector or a square matrix; ``_checked`` checks its values."""
     if isinstance(state, DensityState):
         arr = state.matrix
     else:
         arr = np.asarray(state, dtype=np.complex128)
-        if arr.ndim == 1:
-            arr = as_state_vector(arr)
-        elif arr.ndim == 2:
-            arr = DensityState("S", arr).matrix
-        else:
+        if arr.ndim not in (1, 2):
             raise ValueError("state must be a vector or a density matrix")
+        name = "state" if arr.ndim == 1 else "density matrix"
+        if arr.size == 0:
+            raise ValueError(f"{name} is empty")
+        if arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"state dimension {arr.shape[0]} does not match {dim}")
     return arr
 
 
+def _reject_first(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    if bad.any():
+        raise ValueError(message.format(float(values[bad][0])))
+
+
+def _checked(states: np.ndarray) -> np.ndarray:
+    """A stack of vectors (B, d) or density matrices (B, d, d), each checked
+    as ``as_state_vector`` or ``DensityState`` checks one state, with the same
+    tolerances and messages, and renormalized."""
+    if states.ndim == 2:
+        if not np.isfinite(states).all():
+            raise ValueError("state contains non-finite entries")
+        norm = np.linalg.norm(states, axis=1)
+        _reject_first(
+            np.abs(norm - 1.0) >= RENORM_WINDOW,
+            norm,
+            f"state has norm {{:.12g}}; expected 1 within {RENORM_WINDOW:g}",
+        )
+        return states / norm[:, None]
+    if not np.isfinite(states).all():
+        raise ValueError("density matrix contains non-finite entries")
+    adjoint = states.conj().transpose(0, 2, 1)
+    residual = np.abs(states - adjoint).max(axis=(1, 2))
+    _reject_first(
+        residual > DEFAULT_TOL, residual, "density matrix is not Hermitian (residual {:.3e})"
+    )
+    trace = np.trace(states, axis1=1, axis2=2).real
+    _reject_first(
+        np.abs(trace - 1.0) >= RENORM_WINDOW, trace, "density matrix has trace {:.12g}; expected 1"
+    )
+    states = states / trace[:, None, None]
+    low = np.linalg.eigvalsh((states + states.conj().transpose(0, 2, 1)) / 2).min(axis=1)
+    _reject_first(low < -DEFAULT_TOL, low, "density matrix has negative eigenvalue {:.3e}")
+    return states
+
+
+def _measure(prefixes: np.ndarray, weights: np.ndarray, states: np.ndarray, obs: Observable):
+    """One measure step on the whole frontier: every kept (outcome, branch)
+    pair as (prefix + outcome, weight * p, renormalized post state).
+
+    ``prefixes`` (B, m) holds each branch's 0-based outcomes so far,
+    ``weights`` (B,) its Born weight and ``states`` its (B, d) vector or
+    (B, d, d) density matrix.  Outcome k of branch b is dropped when p <= 1e-12
+    or weight * p <= 1e-12.
+    """
+    if states.shape[1] != obs.dim:
+        raise ValueError(f"state dimension {states.shape[1]} does not match {obs.dim}")
+    states = _checked(states)
+    proj = np.stack(obs.projectors)
+    if states.ndim == 2:
+        post = states @ proj.transpose(0, 2, 1)  # post[k, b] = P_k psi_b
+        p = np.einsum("kbi,kbi->kb", post.conj(), post).real
+    else:
+        post = proj[:, None] @ states @ proj[:, None]
+        p = np.trace(post, axis1=2, axis2=3).real
+    over = p > 1.0 + PROB_SLACK
+    if over.any():
+        clamp_probability(float(p[over][0]))  # raises, naming the value
+    grown = weights * np.minimum(p, 1.0)
+    # Weights never exceed 1, so weight * p <= 1e-12 whenever p <= 1e-12:
+    # one comparison applies both pruning rules.
+    k, b = np.nonzero(grown > PRUNE_TOL)
+    p = p[k, b]
+    if states.ndim == 2:
+        post = post[k, b] / np.sqrt(p)[:, None]
+    else:
+        post = post[k, b] / p[:, None, None]
+    return np.concatenate((prefixes[b], k[:, None]), axis=1), grown[k, b], post
+
+
 def collapse_branches(state, obs: Observable) -> list[Branch]:
     """Born-weighted outcome branches of one measurement, pruned at 1e-12."""
     arr = _coerce(state, obs.dim)
-    branches = []
-    for k, p_op in enumerate(obs.projectors, start=1):
-        if arr.ndim == 1:
-            w = p_op @ arr
-            p = float(np.vdot(w, w).real)
-            if p <= PRUNE_TOL:
-                continue
-            post = w / np.sqrt(p)
-        else:
-            m = p_op @ arr @ p_op
-            p = float(np.trace(m).real)
-            if p <= PRUNE_TOL:
-                continue
-            post = m / p
-        branches.append(Branch(k, clamp_probability(p), post))
-    return branches
+    prefixes, weights, post = _measure(np.zeros((1, 0), dtype=np.intp), np.ones(1), arr[None], obs)
+    return [
+        Branch(k + 1, w, st)
+        for k, w, st in zip(prefixes[:, 0].tolist(), weights.tolist(), post)
+    ]
 
 
 def unknown_result_mixture(state, obs: Observable) -> DensityState:
@@ -110,34 +180,28 @@ def oracle_sequence_distribution(initial_state, steps, labels=None) -> Distribut
                 f"{len(labels)} labels for {measure_count} measure steps"
             )
 
-    state = _coerce(initial_state)
-    frontier: list[tuple[tuple[int, ...], float, np.ndarray]] = [((), 1.0, state)]
+    states = _coerce(initial_state)[None]
+    prefixes = np.zeros((1, 0), dtype=np.intp)
+    weights = np.ones(1)
     outcome_ranges: list[int] = []
     for step in steps:
         if isinstance(step, Measure):
             outcome_ranges.append(step.observable.outcome_count)
-            grown = []
-            for prefix, weight, st in frontier:
-                for b in collapse_branches(st, step.observable):
-                    w = weight * b.probability
-                    if w <= PRUNE_TOL:
-                        continue
-                    grown.append((prefix + (b.outcome_index,), w, b.post_state))
-            frontier = grown
+            prefixes, weights, states = _measure(prefixes, weights, states, step.observable)
         elif isinstance(step, Evolve):
             u = as_complex_matrix(step.unitary, "evolution")
+            dim = states.shape[1]
+            if u.shape != (dim, dim):
+                raise ValueError(f"evolution has shape {u.shape}, state dimension is {dim}")
             if not is_unitary(u, DEFAULT_TOL):
                 raise ValueError("evolution operator is not unitary")
-            frontier = [
-                (prefix, weight, u @ st if st.ndim == 1 else u @ st @ u.conj().T)
-                for prefix, weight, st in frontier
-            ]
+            states = states @ u.T if states.ndim == 2 else u @ states @ u.conj().T
         else:
             raise ValueError(f"unknown oracle step {step!r}")
 
-    # Pruned branches carry weight <= PRUNE_TOL each; the table spans the
-    # full product of outcomes so chain-side comparisons align by position.
+    # Leaf prefixes are unique, and pruned branches carry weight <= PRUNE_TOL
+    # each; the table spans the full product of outcomes so chain-side
+    # comparisons align by position.
     table = np.zeros(outcome_ranges)
-    for prefix, weight, _ in frontier:
-        table[tuple(k - 1 for k in prefix)] += weight
+    table[tuple(prefixes.T)] = weights
     return Distribution(labels, table=table)

@@ -62,7 +62,9 @@ def repeatability_payload(rep: RepeatabilityReport) -> dict:
 
 
 def equivalence_payload(rep: EquivalenceReport) -> dict:
-    def val(v: complex):
+    def val(v: float | complex):
+        if isinstance(v, float):
+            return v
         v = complex(v)
         return float(v.real) if v.imag == 0.0 else _c(v)
 

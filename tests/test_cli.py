@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ ZX = premeasure.bundled_scenario_path("zx_conditional")
 REPEAT = premeasure.bundled_scenario_path("repeat_ideal")
 WEAK = premeasure.bundled_scenario_path("weak_flip")
 ZERO = premeasure.bundled_scenario_path("zero_condition")
+AVALANCHE = premeasure.bundled_scenario_path("avalanche")
 
 
 def _schema():
@@ -331,6 +333,23 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["kind"] == "run"
+
+
+def test_closed_stdout_exits_2_with_one_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes anything
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "premeasure", "run", str(AVALANCHE)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["premeasure: cannot write to standard output: broken pipe"]
 
 
 def test_bundled_scenario_helpers():

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from premeasure import collapse
 from premeasure.collapse import (
     Evolve,
     Measure,
@@ -9,7 +12,14 @@ from premeasure.collapse import (
     oracle_sequence_distribution,
     unknown_result_mixture,
 )
-from premeasure.model import make_degenerate_observable, make_observable
+from premeasure.model import DensityState, make_degenerate_observable, make_observable
+from premeasure.sampling import (
+    random_degenerate_observable,
+    random_density_matrix,
+    random_state_vector,
+    random_unitary,
+)
+from premeasure.tolerances import PRUNE_TOL
 
 
 def _z_obs():
@@ -105,3 +115,115 @@ def test_evolve_rejects_nonunitary():
             np.array([1.0, 0.0], dtype=complex),
             [Measure(_z_obs()), Evolve(np.array([[1, 1], [0, 1]], dtype=complex))],
         )
+
+
+def test_evolve_rejects_nonunitary_on_a_mixed_frontier():
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        oracle_sequence_distribution(
+            rho, [Measure(_z_obs()), Evolve(np.array([[1, 1], [0, 1]], dtype=complex))]
+        )
+
+
+@pytest.mark.parametrize(
+    "start", [np.array([1.0, 0.0], dtype=complex), np.diag([0.5, 0.5]).astype(complex)]
+)
+def test_evolve_of_the_wrong_size_names_both_sizes(start):
+    with pytest.raises(ValueError, match=r"^evolution has shape \(3, 3\), state dimension is 2$"):
+        oracle_sequence_distribution(start, [Measure(_z_obs()), Evolve(np.eye(3))])
+
+
+def _qutrit_fan(devices):
+    z3 = make_observable("Z", "S", [0.0, 1.0, 2.0], np.eye(3, dtype=complex))
+    dft = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    steps = [Measure(z3)]
+    for _ in range(devices - 1):
+        steps += [Evolve(dft), Measure(z3)]
+    return steps
+
+
+@pytest.mark.parametrize(
+    "start, first",
+    [
+        (np.array([1.0, 0.0, 0.0], dtype=complex), [1.0, 0.0, 0.0]),
+        (np.diag([0.5, 0.3, 0.2]).astype(complex), [0.5, 0.3, 0.2]),
+    ],
+)
+def test_qutrit_fan_spreads_evenly_after_the_first_device(start, first):
+    # The DFT takes every Z eigenstate to an even superposition, so after M1
+    # each later device reads 1, 2 or 3 with probability 1/3.
+    dist = oracle_sequence_distribution(start, _qutrit_fan(6))
+    expected = np.multiply.outer(first, np.full((3,) * 5, 3.0**-5))
+    assert dist.table.shape == (3,) * 6
+    assert np.max(np.abs(dist.table - expected)) <= 1e-15
+
+
+def test_branch_below_the_cumulative_weight_floor_is_dropped():
+    # Both factors of leaf (2, 1) are 1e-7, above PRUNE_TOL; their product,
+    # 1e-14, is below it, so the leaf is pruned while (1, 2) is kept.
+    e = 1e-7
+    s, c = np.sqrt(e), np.sqrt(1 - e)
+    rotation = np.array([[c, -s], [s, c]], dtype=complex)
+    dist = oracle_sequence_distribution(
+        np.array([c, s], dtype=complex), [Measure(_z_obs()), Evolve(rotation), Measure(_z_obs())]
+    )
+    assert e > PRUNE_TOL and e * e <= PRUNE_TOL
+    assert dist.table[1, 0] == 0.0
+    assert_allclose(dist.table[0, 1], (1 - e) * e, rtol=1e-9)
+    assert_allclose(dist.table[1, 1], e * (1 - e), rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),  # not Hermitian
+        np.diag([0.6, 0.6]).astype(complex),  # trace outside RENORM_WINDOW
+    ],
+)
+def test_measure_step_rejects_a_bad_density_matrix_in_the_stack(bad):
+    with pytest.raises(ValueError) as today:
+        DensityState("S", bad)
+    stack = np.stack([np.diag([0.25, 0.75]).astype(complex), bad])
+    prefixes, weights = np.zeros((2, 0), dtype=np.intp), np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(today.value))}$"):
+        collapse._measure(prefixes, weights, stack, _z_obs())
+
+
+def _loop_oracle(state, steps):
+    """Per-branch reference: recurse over outcomes with one projector at a time."""
+    table = {}
+
+    def walk(st, i, prefix, weight):
+        if i == len(steps):
+            table[prefix] = weight
+            return
+        step = steps[i]
+        if isinstance(step, Evolve):
+            u = step.unitary
+            walk(u @ st if st.ndim == 1 else u @ st @ u.conj().T, i + 1, prefix, weight)
+            return
+        for k, proj in enumerate(step.observable.projectors):
+            w = proj @ st if st.ndim == 1 else proj @ st @ proj
+            p = np.vdot(w, w).real if st.ndim == 1 else np.trace(w).real
+            if weight * p > PRUNE_TOL:
+                post = w / np.sqrt(p) if st.ndim == 1 else w / p
+                walk(post, i + 1, prefix + (k,), weight * p)
+
+    walk(state, 0, (), 1.0)
+    return table
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_frontier_matches_the_per_branch_loop(seed):
+    rng = np.random.default_rng(seed)
+    d = 4
+    obs_a = random_degenerate_observable(rng, d, "A")
+    obs_b = random_degenerate_observable(rng, d, "B")
+    u = random_unitary(rng, d)
+    steps = [Measure(obs_a), Evolve(u), Measure(obs_b), Measure(obs_a), Evolve(u), Measure(obs_b)]
+    start = random_state_vector(rng, d) if seed % 2 else random_density_matrix(rng, d)
+    dist = oracle_sequence_distribution(start, steps)
+    expected = np.zeros(dist.table.shape)
+    for prefix, weight in _loop_oracle(np.asarray(start, dtype=complex), steps).items():
+        expected[prefix] = weight
+    assert np.max(np.abs(dist.table - expected)) <= 1e-14

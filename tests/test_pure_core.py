@@ -143,6 +143,17 @@ def test_attach_peaks_below_twice_the_new_state():
     assert peak <= 2 * grown.state.nbytes
 
 
+def test_pointer_probabilities_peak_below_the_state():
+    z = make_observable("Z", "S", [1.0, -1.0], np.eye(2))
+    chain = init_chain(np.array([0.6, 0.8]))
+    for i in range(10):
+        chain = attach_device(chain, make_device(f"M{i}", z))
+    probs, peak = _traced_peak(lambda: chain.pointer_probabilities)
+    assert probs.shape == (3,) * 10
+    assert_allclose(probs.sum(), 1.0, atol=1e-12)
+    assert peak <= 0.6 * chain.state.nbytes
+
+
 def _embedded_interaction(u, dims, anchor, p):
     """Interaction on (factor ``anchor``, new last factor) as a full-space
     matrix: sum over a, b of |a><b| at the anchor, identity elsewhere, and
