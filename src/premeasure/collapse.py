@@ -129,11 +129,11 @@ def _measure(prefixes: np.ndarray, weights: np.ndarray, states: np.ndarray, obs:
     # Weights never exceed 1, so weight * p <= 1e-12 whenever p <= 1e-12:
     # one comparison applies both pruning rules.
     k, b = np.nonzero(grown > PRUNE_TOL)
-    p = p[k, b]
+    kept = p[k, b]
     if states.ndim == 2:
-        post = post[k, b] / np.sqrt(p)[:, None]
+        post = post[k, b] / np.sqrt(kept)[:, None]
     else:
-        post = post[k, b] / p[:, None, None]
+        post = post[k, b] / kept[:, None, None]
     return np.concatenate((prefixes[b], k[:, None]), axis=1), grown[k, b], post
 
 
