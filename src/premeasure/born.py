@@ -196,6 +196,15 @@ def total_probability(chain: ChainState, target_device: str) -> Distribution:
 
 
 def reduced_system_state(chain: ChainState) -> DensityState:
-    """System marginal: all device factors (and any ancilla) traced out."""
+    """System marginal: all device factors (and any ancilla) traced out.
+
+    The sum of M M^dagger runs over column blocks of at most 2**16
+    amplitudes, so the conjugate copy stays small whatever the state's size.
+    """
     m = chain.state.reshape(chain.system_dim, -1)
-    return DensityState(chain.system_label, m @ m.conj().T)
+    step = max(1, 2**16 // chain.system_dim)
+    rho = m[:, :step] @ m[:, :step].conj().T
+    for start in range(step, m.shape[1], step):
+        block = m[:, start:start + step]
+        rho += block @ block.conj().T
+    return DensityState(chain.system_label, rho)

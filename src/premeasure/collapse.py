@@ -115,7 +115,7 @@ def _measure(prefixes: np.ndarray, weights: np.ndarray, states: np.ndarray, obs:
     if states.shape[1] != obs.dim:
         raise ValueError(f"state dimension {states.shape[1]} does not match {obs.dim}")
     states = _checked(states)
-    proj = np.stack(obs.projectors)
+    proj = obs.projectors
     if states.ndim == 2:
         post = states @ proj.transpose(0, 2, 1)  # post[k, b] = P_k psi_b
         p = np.einsum("kbi,kbi->kb", post.conj(), post).real

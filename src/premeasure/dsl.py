@@ -24,10 +24,12 @@ wrap.  Keywords are lowercase and reserved.
     cvec        := "[" complex ("," complex)* "]"
     cmat        := "[" cvec ("," cvec)* "]"
 
-Complex literals take the forms ``a``, ``bi``, ``a+bi``, ``a-bi`` with a
-lowercase ``i`` suffix and no internal whitespace; ``a`` and ``b`` may use
-scientific notation.  Device and evolve statements are the chain's events, in
-file order; queries are answered from the final chain state.
+The lexer is one regular expression with an alternative per token kind.  A
+number is ``[+-]mag (i | [+-]mag i)?`` with no internal whitespace, where
+``mag`` is a decimal magnitude with an optional exponent: ``a``, ``bi``,
+``a+bi`` and ``a-bi``.  ``1+2`` without the ``i`` is two numbers, ``1`` and
+``+2``.  Device and evolve statements are the chain's events, in file order;
+queries are answered from the final chain state.
 
 ``compile_scenario`` checks a parsed scenario in one pass and builds the
 objects the engine runs (a ``Program``: initial state, observables, device
@@ -47,6 +49,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,9 +87,20 @@ MAX_AMPLITUDES = 2**26
 # Factor label of the system; no device may take it.
 SYSTEM_LABEL = "S"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_MAG_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
+
+# One named alternative per token kind (the number rule is in the docstring).
+_MAG = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("newline", r"\n"),
+    ("blank", r"(?:[ \t\r]|#[^\n]*)+"),
+    ("lbracket", r"\["),
+    ("rbracket", r"\]"),
+    ("comma", ","),
+    ("equals", "="),
+    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("number", rf"(?P<re>[+-]?{_MAG})(?:(?P<i>i)|(?P<im>[+-]{_MAG})i)?"),
+)))
 
 Pos = tuple[int, int]
 Row = tuple[complex, ...]
@@ -116,226 +130,156 @@ class Diagnostic:
         return f"{self.line}:{self.col}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # word | number | lbracket | rbracket | comma | equals | newline | eof
     text: str
     line: int
     col: int
     value: complex = 0j
-    is_int: bool = False
-    is_real: bool = False
 
 
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     depth = 0
-    i = 0
-    n = len(text)
-
-    def emit(kind, lexeme, ln, cl, **kw):
-        toks.append(Token(kind, lexeme, ln, cl, **kw))
-
+    i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch == "\n":
+        m = _TOKEN_RE.match(text, i)
+        col = i - line_start + 1
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", line, col)
+        kind = m.lastgroup
+        i = m.end()
+        if kind == "newline":
             if depth == 0 and toks and toks[-1].kind != "newline":
-                emit("newline", "\n", line, col)
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "[":
-            emit("lbracket", "[", line, col)
-            depth += 1
-            i += 1
-            col += 1
-            continue
-        if ch == "]":
-            emit("rbracket", "]", line, col)
-            depth = max(0, depth - 1)
-            i += 1
-            col += 1
-            continue
-        if ch == ",":
-            emit("comma", ",", line, col)
-            i += 1
-            col += 1
-            continue
-        if ch == "=":
-            emit("equals", "=", line, col)
-            i += 1
-            col += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m and not (ch.isdigit() or ch == "."):
-            word = m.group(0)
-            emit("word", word, line, col)
-            i = m.end()
-            col += len(word)
-            continue
-        # number: [sign] magnitude, optional (i | sign magnitude i)
-        start_line, start_col = line, col
-        j = i
-        sign = 1.0
-        if text[j] in "+-":
-            sign = -1.0 if text[j] == "-" else 1.0
-            j += 1
-        m = _MAG_RE.match(text, j)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        first = sign * float(m.group(0))
-        j = m.end()
-        real, imag = first, 0.0
-        if j < n and text[j] == "i":
-            real, imag = 0.0, first
-            j += 1
-        elif j < n and text[j] in "+-":
-            m2 = _MAG_RE.match(text, j + 1)
-            if m2 and m2.end() < n and text[m2.end()] == "i":
-                imag = float(m2.group(0)) * (-1.0 if text[j] == "-" else 1.0)
-                j = m2.end() + 1
-        lexeme = text[i:j]
-        emit(
-            "number",
-            lexeme,
-            start_line,
-            start_col,
-            value=complex(real, imag),
-            is_int=bool(_INT_RE.match(lexeme)),
-            is_real=(imag == 0.0 and not lexeme.endswith("i")),
-        )
-        col += j - i
-        i = j
+                toks.append(Token(kind, "\n", line, col))
+            line, line_start = line + 1, i
+        elif kind == "number":
+            first = float(m["re"])
+            if m["i"]:
+                value = complex(0.0, first)
+            else:
+                value = complex(first, float(m["im"]) if m["im"] else 0.0)
+            toks.append(Token(kind, m[0], line, col, value))
+        elif kind != "blank":
+            if kind == "lbracket":
+                depth += 1
+            elif kind == "rbracket":
+                depth = max(0, depth - 1)
+            toks.append(Token(kind, m[0], line, col))
 
+    col = n - line_start + 1
     if toks and toks[-1].kind != "newline":
-        emit("newline", "\n", line, col)
-    emit("eof", "", line, col)
+        toks.append(Token("newline", "\n", line, col))
+    toks.append(Token("eof", "", line, col))
     return toks
 
 
 # --- AST -------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SystemDecl:
+class _Node:
+    """Base of every statement and event node.  The source position is
+    keyword-only and ignored by equality; equal nodes have the same type."""
+
+    pos: Pos = field(default=(0, 0), compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class SystemDecl(_Node):
     dim: int
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class PureStateDecl:
+class PureStateDecl(_Node):
     amplitudes: Row
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class MixedStateDecl:
+class MixedStateDecl(_Node):
     rows: Mat
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class EigenObservableDecl:
+class EigenObservableDecl(_Node):
     name: str
     eigenvalues: tuple[float, ...]
     basis: Mat
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class ProjectorObservableDecl:
+class ProjectorObservableDecl(_Node):
     name: str
     eigenvalues: tuple[float, ...]
     projectors: tuple[Mat, ...]
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class HamiltonianDecl:
+class HamiltonianDecl(_Node):
     name: str
     matrix: Mat
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class MeasureDeviceDecl:
+class MeasureDeviceDecl(_Node):
     name: str
     observable: str
     weak: tuple[Mat, ...] | None = None
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class ReaderDeviceDecl:
+class ReaderDeviceDecl(_Node):
     name: str
     target: str
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class EvolveNamedDecl:
+class EvolveNamedDecl(_Node):
     hamiltonian: str
     time: float
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class EvolveUnitaryDecl:
+class EvolveUnitaryDecl(_Node):
     matrix: Mat
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class EventRef:
+class EventRef(_Node):
     device: str
     outcome: int
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class MarginalQuery:
+class MarginalQuery(_Node):
     device: str
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class JointQuery:
+class JointQuery(_Node):
     events: tuple[EventRef, ...]
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class ConditionalQuery:
+class ConditionalQuery(_Node):
     target: EventRef
     given: tuple[EventRef, ...]
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class ReducedQuery:
-    pos: Pos = field(default=(0, 0), compare=False)
+class ReducedQuery(_Node):
+    pass
 
 
 @dataclass(frozen=True)
-class RepeatabilityQuery:
+class RepeatabilityQuery(_Node):
     first: str
     second: str
-    pos: Pos = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class EquivalenceQuery:
-    pos: Pos = field(default=(0, 0), compare=False)
+class EquivalenceQuery(_Node):
+    pass
 
 
 EventDecl = MeasureDeviceDecl | ReaderDeviceDecl | EvolveNamedDecl | EvolveUnitaryDecl
@@ -434,13 +378,21 @@ class _Parser:
             self.i += 1
         return tok
 
-    def fail(self, expected: tuple[str, ...], got: Token | None = None):
-        tok = got or self.peek()
+    def fail(self, expected: tuple[str, ...]):
+        tok = self.peek()
         shown = tok.text if tok.kind != "eof" else "end of input"
         wanted = " or ".join(expected)
         raise ParseError(
             f"expected {wanted}, got {shown!r}", tok.line, tok.col, expected
         )
+
+    def accept(self, word: str) -> bool:
+        """Consume the keyword ``word`` if it comes next."""
+        tok = self.peek()
+        if tok.kind == "word" and tok.text == word:
+            self.i += 1
+            return True
+        return False
 
     def expect_kind(self, kind: str, what: str) -> Token:
         tok = self.peek()
@@ -448,11 +400,9 @@ class _Parser:
             self.fail((what,))
         return self.advance()
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "word" or tok.text != word:
+    def expect_keyword(self, word: str) -> None:
+        if not self.accept(word):
             self.fail((f"'{word}'",))
-        return self.advance()
 
     def expect_name(self, role: str) -> Token:
         tok = self.peek()
@@ -465,29 +415,26 @@ class _Parser:
             )
         return self.advance()
 
-    def expect_int(self, role: str) -> tuple[int, Token]:
+    def expect_int(self, role: str) -> int:
         tok = self.peek()
-        if tok.kind != "number" or not tok.is_int:
+        if tok.kind != "number" or not _INT_RE.match(tok.text):
             self.fail((role,))
-        tok = self.advance()
-        return int(tok.value.real), tok
+        return int(self.advance().value.real)
 
-    def expect_real(self, role: str) -> tuple[float, Token]:
+    def expect_real(self, role: str) -> float:
         tok = self.peek()
         if tok.kind != "number":
             self.fail((role,))
-        if not tok.is_real and tok.value.imag != 0.0:
+        if tok.value.imag != 0.0:
             raise ParseError(
                 f"expected {role}, got complex literal {tok.text!r}",
                 tok.line, tok.col, (role,),
             )
-        tok = self.advance()
-        return float(tok.value.real), tok
+        return float(self.advance().value.real)
 
-    def expect_complex(self, role: str = "number") -> complex:
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail((role,))
+    def expect_complex(self) -> complex:
+        if self.peek().kind != "number":
+            self.fail(("number",))
         return self.advance().value
 
     def end_statement(self):
@@ -499,32 +446,24 @@ class _Parser:
 
     # literals
 
-    def cvec(self) -> Row:
+    def bracketed(self, item) -> tuple:
+        """``"[" item ("," item)* "]"`` as a tuple of the items."""
         self.expect_kind("lbracket", "'['")
-        out = [self.expect_complex()]
+        out = [item()]
         while self.peek().kind == "comma":
             self.advance()
-            out.append(self.expect_complex())
+            out.append(item())
         self.expect_kind("rbracket", "']' or ','")
         return tuple(out)
 
-    def rvec(self, role: str = "real number") -> tuple[float, ...]:
-        self.expect_kind("lbracket", "'['")
-        out = [self.expect_real(role)[0]]
-        while self.peek().kind == "comma":
-            self.advance()
-            out.append(self.expect_real(role)[0])
-        self.expect_kind("rbracket", "']' or ','")
-        return tuple(out)
+    def cvec(self) -> Row:
+        return self.bracketed(self.expect_complex)
+
+    def rvec(self) -> tuple[float, ...]:
+        return self.bracketed(lambda: self.expect_real("eigenvalue"))
 
     def cmat(self) -> Mat:
-        self.expect_kind("lbracket", "'['")
-        rows = [self.cvec()]
-        while self.peek().kind == "comma":
-            self.advance()
-            rows.append(self.cvec())
-        self.expect_kind("rbracket", "']' or ','")
-        return tuple(rows)
+        return self.bracketed(self.cvec)
 
     def cmat_list(self) -> tuple[Mat, ...]:
         mats = [self.cmat()]
@@ -535,8 +474,13 @@ class _Parser:
     def event(self) -> EventRef:
         name = self.expect_name("device name")
         self.expect_kind("equals", "'='")
-        outcome, _ = self.expect_int("outcome index")
-        return EventRef(name.text, outcome, pos=(name.line, name.col))
+        return EventRef(name.text, self.expect_int("outcome index"), pos=(name.line, name.col))
+
+    def events(self) -> tuple[EventRef, ...]:
+        events = [self.event()]
+        while self.peek().kind == "word":
+            events.append(self.event())
+        return tuple(events)
 
     # statements
 
@@ -550,81 +494,53 @@ class _Parser:
         if tok.kind != "word":
             self.fail(("statement keyword",))
         pos = (tok.line, tok.col)
-        word = tok.text
-        if word == "system":
-            self.advance()
+        if self.accept("system"):
             if self.have_system:
                 raise ParseError("duplicate system declaration", tok.line, tok.col)
             self.have_system = True
             self.expect_keyword("dim")
-            dim, _ = self.expect_int("integer dimension")
-            return SystemDecl(dim, pos=pos)
-        if word == "state":
-            self.advance()
+            return SystemDecl(self.expect_int("integer dimension"), pos=pos)
+        if self.accept("state"):
             if self.have_state:
                 raise ParseError("duplicate state declaration", tok.line, tok.col)
             self.have_state = True
-            sel = self.peek()
-            if sel.kind == "word" and sel.text == "pure":
-                self.advance()
+            if self.accept("pure"):
                 return PureStateDecl(self.cvec(), pos=pos)
-            if sel.kind == "word" and sel.text == "mixed":
-                self.advance()
+            if self.accept("mixed"):
                 return MixedStateDecl(self.cmat(), pos=pos)
             self.fail(("'pure'", "'mixed'"))
-        if word == "observable":
-            self.advance()
+        if self.accept("observable"):
             name = self.expect_name("observable name")
             self.declare(self.observables, name, "observable")
-            sel = self.peek()
-            if sel.kind == "word" and sel.text == "eigen":
-                self.advance()
-                eigenvalues = self.rvec("eigenvalue")
+            if self.accept("eigen"):
+                eigenvalues = self.rvec()
                 self.expect_keyword("basis")
                 return EigenObservableDecl(name.text, eigenvalues, self.cmat(), pos=pos)
-            if sel.kind == "word" and sel.text == "projectors":
-                self.advance()
-                eigenvalues = self.rvec("eigenvalue")
-                return ProjectorObservableDecl(
-                    name.text, eigenvalues, self.cmat_list(), pos=pos
-                )
+            if self.accept("projectors"):
+                return ProjectorObservableDecl(name.text, self.rvec(), self.cmat_list(), pos=pos)
             self.fail(("'eigen'", "'projectors'"))
-        if word == "hamiltonian":
-            self.advance()
+        if self.accept("hamiltonian"):
             name = self.expect_name("hamiltonian name")
             self.declare(self.hamiltonians, name, "hamiltonian")
             return HamiltonianDecl(name.text, self.cmat(), pos=pos)
-        if word == "device":
-            self.advance()
+        if self.accept("device"):
             name = self.expect_name("device name")
             self.declare(self.devices, name, "device")
-            sel = self.peek()
-            if sel.kind == "word" and sel.text == "measures":
-                self.advance()
+            if self.accept("measures"):
                 obs = self.expect_name("observable name")
-                weak = None
-                after = self.peek()
-                if after.kind == "word" and after.text == "weak":
-                    self.advance()
-                    weak = self.cmat_list()
+                weak = self.cmat_list() if self.accept("weak") else None
                 return MeasureDeviceDecl(name.text, obs.text, weak, pos=pos)
-            if sel.kind == "word" and sel.text == "reads":
-                self.advance()
+            if self.accept("reads"):
                 target = self.expect_name("device name")
                 return ReaderDeviceDecl(name.text, target.text, pos=pos)
             self.fail(("'measures'", "'reads'"))
-        if word == "evolve":
-            self.advance()
-            sel = self.peek()
-            if sel.kind == "word" and sel.text == "unitary":
-                self.advance()
+        if self.accept("evolve"):
+            if self.accept("unitary"):
                 return EvolveUnitaryDecl(self.cmat(), pos=pos)
             name = self.expect_name("hamiltonian name")
             self.expect_keyword("t")
-            time, _ = self.expect_real("time")
-            return EvolveNamedDecl(name.text, time, pos=pos)
-        if word == "query":
-            self.advance()
+            return EvolveNamedDecl(name.text, self.expect_real("time"), pos=pos)
+        if self.accept("query"):
             return self.query(pos)
         self.fail((
             "'system'", "'state'", "'observable'", "'hamiltonian'",
@@ -632,38 +548,23 @@ class _Parser:
         ))
 
     def query(self, pos: Pos) -> QueryDecl:
-        sel = self.peek()
-        if sel.kind != "word":
+        if self.peek().kind != "word":
             self.fail(("query kind",))
-        kind = sel.text
-        if kind == "marginal":
-            self.advance()
-            dev = self.expect_name("device name")
-            return MarginalQuery(dev.text, pos=pos)
-        if kind == "joint":
-            self.advance()
-            events = [self.event()]
-            while self.peek().kind == "word":
-                events.append(self.event())
-            return JointQuery(tuple(events), pos=pos)
-        if kind == "conditional":
-            self.advance()
+        if self.accept("marginal"):
+            return MarginalQuery(self.expect_name("device name").text, pos=pos)
+        if self.accept("joint"):
+            return JointQuery(self.events(), pos=pos)
+        if self.accept("conditional"):
             target = self.event()
             self.expect_keyword("given")
-            given = [self.event()]
-            while self.peek().kind == "word":
-                given.append(self.event())
-            return ConditionalQuery(target, tuple(given), pos=pos)
-        if kind == "reduced":
-            self.advance()
+            return ConditionalQuery(target, self.events(), pos=pos)
+        if self.accept("reduced"):
             return ReducedQuery(pos=pos)
-        if kind == "repeatability":
-            self.advance()
+        if self.accept("repeatability"):
             first = self.expect_name("device name")
             second = self.expect_name("device name")
             return RepeatabilityQuery(first.text, second.text, pos=pos)
-        if kind == "equivalence":
-            self.advance()
+        if self.accept("equivalence"):
             return EquivalenceQuery(pos=pos)
         self.fail((
             "'marginal'", "'joint'", "'conditional'", "'reduced'",

@@ -8,8 +8,6 @@ first one, and so does a build that still fails, such as a phase overflow.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import dsl
 from .chain import ChainState, apply_evolution, attach_device, init_chain
 from .collapse import Evolve, Measure
@@ -24,11 +22,6 @@ def _program(scenario: dsl.Scenario) -> dsl.Program:
     if compiled.diagnostics:
         raise ValueError(str(compiled.diagnostics[0]))
     return compiled
-
-
-def build_initial_state(scenario: dsl.Scenario) -> np.ndarray:
-    """Normalized initial system state; 1-d for pure, 2-d for mixed."""
-    return _program(scenario).initial_state
 
 
 def build_observables(scenario: dsl.Scenario) -> dict[str, Observable]:

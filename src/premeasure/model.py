@@ -83,10 +83,13 @@ class Observable:
         return self.basis.shape[0]
 
     @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Read-only projector of each outcome in order, built on first read."""
+    def projectors(self) -> np.ndarray:
+        """Read-only (K, d, d) stack of the projector of each outcome in
+        order, built on first read."""
         columns = (self.basis[:, self.outcomes == k] for k in range(1, self.outcome_count + 1))
-        return tuple(readonly(v @ v.conj().T) for v in columns)
+        stack = np.stack([v @ v.conj().T for v in columns])
+        stack.setflags(write=False)
+        return stack
 
 
 def make_observable(label: str, space_label: str, eigenvalues, eigenbasis) -> Observable:

@@ -94,6 +94,7 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
         return
 
     observables = engine.build_observables(scenario)
+    initial = scenario.program.initial_state
     repeat_labels = [
         e.name
         for e in scenario.events
@@ -135,7 +136,7 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     # Partial trace of the one-device prefix chain.
     try:
         obs_a = observables["A"]
-        prefix = init_chain(engine.build_initial_state(scenario), engine.SYSTEM_LABEL)
+        prefix = init_chain(initial, engine.SYSTEM_LABEL)
         prefix = attach_device(prefix, make_device("M1", obs_a), mode="ideal")
         pt = partial_trace_check(prefix, tol=STRUCT_TOL)
         _record(summary, trial, scenario, "partial-trace", pt.max_deviation, STRUCT_TOL)
@@ -145,7 +146,7 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     # Law of total probability and the mixture route to MB's marginal.
     try:
         direct = total_probability(chain, "MB")
-        w = unknown_result_mixture(engine.build_initial_state(scenario), obs_a).matrix
+        w = unknown_result_mixture(initial, obs_a).matrix
         for e in scenario.program.events:
             if isinstance(e, dsl.Evolution):
                 w = e.unitary @ w @ e.unitary.conj().T

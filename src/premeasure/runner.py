@@ -62,19 +62,13 @@ def repeatability_payload(rep: RepeatabilityReport) -> dict:
 
 
 def equivalence_payload(rep: EquivalenceReport) -> dict:
-    def val(v: float | complex):
-        if isinstance(v, float):
-            return v
-        v = complex(v)
-        return float(v.real) if v.imag == 0.0 else _c(v)
-
     return {
         "scenario_id": rep.scenario_id,
         "records": [
             {
                 "query": r.query,
-                "chain": val(r.chain_value),
-                "oracle": val(r.oracle_value),
+                "chain": r.chain_value,
+                "oracle": r.oracle_value,
                 "deviation": r.abs_deviation,
             }
             for r in rep.records

@@ -53,6 +53,63 @@ def test_newlines_insignificant_inside_brackets():
     assert s.observables["A"].eigenvalues == (1.0, -1.0)
 
 
+# (text, tokens as (kind, text, line, col, value)); the closing newline and
+# eof tokens are part of every table row.
+TOKEN_TABLE = [
+    ("1+2", [("number", "1", 1, 1, 1), ("number", "+2", 1, 2, 2),
+             ("newline", "\n", 1, 4, 0), ("eof", "", 1, 4, 0)]),
+    ("1+2ei", [("number", "1", 1, 1, 1), ("number", "+2", 1, 2, 2), ("word", "ei", 1, 4, 0),
+               ("newline", "\n", 1, 6, 0), ("eof", "", 1, 6, 0)]),
+    (".5e-3-.2e+4i", [("number", ".5e-3-.2e+4i", 1, 1, complex(5e-4, -2e3)),
+                      ("newline", "\n", 1, 13, 0), ("eof", "", 1, 13, 0)]),
+    ("-0i", [("number", "-0i", 1, 1, complex(0.0, -0.0)),
+             ("newline", "\n", 1, 4, 0), ("eof", "", 1, 4, 0)]),
+    ("\t\rdim", [("word", "dim", 1, 3, 0), ("newline", "\n", 1, 6, 0), ("eof", "", 1, 6, 0)]),
+    ("t # end", [("word", "t", 1, 1, 0), ("newline", "\n", 1, 8, 0), ("eof", "", 1, 8, 0)]),
+    ("[1,\n 2]\n", [("lbracket", "[", 1, 1, 0), ("number", "1", 1, 2, 1), ("comma", ",", 1, 3, 0),
+                    ("number", "2", 2, 2, 2), ("rbracket", "]", 2, 3, 0),
+                    ("newline", "\n", 2, 4, 0), ("eof", "", 3, 1, 0)]),
+    # an unmatched ']' leaves the depth at 0, so the newline still counts
+    ("]\nt", [("rbracket", "]", 1, 1, 0), ("newline", "\n", 1, 2, 0), ("word", "t", 2, 1, 0),
+              ("newline", "\n", 2, 2, 0), ("eof", "", 2, 2, 0)]),
+]
+
+
+@pytest.mark.parametrize("text, expected", TOKEN_TABLE)
+def test_token_table(text, expected):
+    # repr tells the signed zeros apart
+    got = [(*tok[:4], repr(tok.value)) for tok in dsl._tokenize(text)]
+    assert got == [(*row[:4], repr(complex(row[4]))) for row in expected]
+
+
+@pytest.mark.parametrize("text, line, col, char", [
+    ("dim +", 1, 5, "+"), ("dim\n  é", 2, 3, "é"),
+])
+def test_unexpected_character_position(text, line, col, char):
+    with pytest.raises(dsl.ParseError, match="unexpected character") as exc:
+        dsl._tokenize(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert repr(char) in exc.value.message
+
+
+def test_eigenvalue_accepts_zero_imaginary_part_only():
+    s = dsl.parse_scenario("observable A eigen [0i, 1] basis [[1, 0], [0, 1]]\n")
+    assert s.observables["A"].eigenvalues == (0.0, 1.0)
+    with pytest.raises(dsl.ParseError, match="complex literal '1i'"):
+        dsl.parse_scenario("observable A eigen [1i, 1] basis [[1, 0], [0, 1]]\n")
+
+
+def test_nodes_compare_by_type_and_fields_not_position():
+    assert dsl.ReaderDeviceDecl("A", "B") != dsl.RepeatabilityQuery("A", "B")
+    assert dsl.ReducedQuery() != dsl.EquivalenceQuery()
+    assert dsl.SystemDecl(2, pos=(1, 1)) == dsl.SystemDecl(2, pos=(7, 3))
+    assert dsl.EventRef("M", 1, pos=(1, 1)) == dsl.EventRef("M", 1)
+    with pytest.raises(TypeError):
+        dsl.SystemDecl(2, (1, 1))
+    with pytest.raises(TypeError):
+        dsl.ReducedQuery((1, 1))
+
+
 def test_parse_error_position():
     with pytest.raises(dsl.ParseError) as exc:
         dsl.parse_scenario("system dim 2\nstate pure [0.6 0.8]\n")

@@ -40,10 +40,10 @@ def test_eight_digit_scenario_runs():
 
 def test_build_initial_state_normalizes():
     s = dsl.parse_scenario("system dim 2\nstate pure [3, 4]\n")
-    v = engine.build_initial_state(s)
+    v = s.program.initial_state
     assert_allclose(v, [0.6, 0.8], atol=1e-15)
     s = dsl.parse_scenario("system dim 2\nstate mixed [[2, 0], [0, 1]]\n")
-    m = engine.build_initial_state(s)
+    m = s.program.initial_state
     assert_allclose(np.trace(m).real, 1.0, atol=1e-15)
 
 

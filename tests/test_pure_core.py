@@ -133,25 +133,40 @@ def test_attach_builds_no_dense_interaction():
     assert "projectors" not in vars(obs)  # the cached view was never read
 
 
-def test_attach_peaks_below_twice_the_new_state():
+def _qubit_chain(devices):
     z = make_observable("Z", "S", [1.0, -1.0], np.eye(2))
     chain = init_chain(np.array([0.6, 0.8]))
-    for i in range(10):
+    for i in range(devices):
         chain = attach_device(chain, make_device(f"M{i}", z))
+    return chain, z
+
+
+def test_attach_peaks_below_twice_the_new_state():
+    chain, z = _qubit_chain(10)
     grown, peak = _traced_peak(lambda: attach_device(chain, make_device("M10", z)))
     assert grown.state.size == 2 * 3**11
     assert peak <= 2 * grown.state.nbytes
 
 
 def test_pointer_probabilities_peak_below_the_state():
-    z = make_observable("Z", "S", [1.0, -1.0], np.eye(2))
-    chain = init_chain(np.array([0.6, 0.8]))
-    for i in range(10):
-        chain = attach_device(chain, make_device(f"M{i}", z))
+    chain, _ = _qubit_chain(10)
     probs, peak = _traced_peak(lambda: chain.pointer_probabilities)
     assert probs.shape == (3,) * 10
     assert_allclose(probs.sum(), 1.0, atol=1e-12)
     assert peak <= 0.6 * chain.state.nbytes
+
+
+def test_reduced_state_sums_blocks_in_bounded_memory():
+    chain, _ = _qubit_chain(11)
+    rho, peak = _traced_peak(lambda: reduced_system_state(chain))
+    assert peak <= 0.25 * chain.state.nbytes
+    m = chain.state.reshape(2, -1)
+    assert_allclose(rho.matrix, m @ m.conj().T, rtol=0, atol=1e-14)
+    # A state smaller than one block takes the single product.
+    small, _ = _qubit_chain(3)
+    m = small.state.reshape(2, -1)
+    single = DensityState("S", m @ m.conj().T).matrix
+    assert np.array_equal(reduced_system_state(small).matrix, single)
 
 
 def _embedded_interaction(u, dims, anchor, p):
