@@ -4,9 +4,10 @@ Outcome events name a device and a 1-based outcome index; the corresponding
 projector is the pointer projector |k><k| on that device's factor.  These
 projectors are diagonal and commute, so every query reads one array computed
 once per chain: ``ChainState.pointer_probabilities``, |psi|^2 summed over the
-system and any ancilla, one axis per device.  A joint probability indexes the
+system and any ancilla, one axis per device with outcome ``k`` at index
+``k - 1`` (the chain stores no ready state).  A joint probability indexes the
 events' axes and sums the rest, a conditional is the ratio of two such sums,
-and a joint distribution keeps outcomes 1..n of its devices and sums the rest.
+and a joint distribution keeps its devices' axes and sums the rest.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def _table_from_entries(devices: tuple[str, ...], entries) -> np.ndarray:
 
 
 def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
-    """(pointer-tensor axis, outcome index) of each event of a checked list."""
+    """(pointer-tensor axis, axis index ``k - 1``) of each event of a checked
+    list."""
     events = list(events)
     if not events:
         raise ValueError("need at least one outcome event")
@@ -132,7 +134,7 @@ def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
         if ev.device_label in seen:
             raise ValueError(f"duplicate device {ev.device_label!r} in event list")
         seen.add(ev.device_label)
-        out.append((ad.factor_index - lead, ev.outcome_index))
+        out.append((ad.factor_index - lead, ev.outcome_index - 1))
     return out
 
 
@@ -167,9 +169,7 @@ def joint_distribution(chain: ChainState, device_labels) -> Distribution:
     labels = list(device_labels)
     events = [OutcomeEvent(lbl, 1) for lbl in labels]  # checks the labels: 1 is always valid
     axes = [axis for axis, _ in _event_positions(chain, events)]
-    table = sum_to_axes(chain.pointer_probabilities, axes)
-    # Pointer state 0 is the ready state, never an outcome.
-    return Distribution(labels, table=table[(slice(1, None),) * len(axes)])
+    return Distribution(labels, table=sum_to_axes(chain.pointer_probabilities, axes))
 
 
 def marginal_distribution(chain: ChainState, device_label: str) -> Distribution:

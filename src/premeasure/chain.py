@@ -17,11 +17,21 @@ unitary built from the measured observable:
 Every new pointer starts in its ready state |0>, so an attach only needs
 ``U (psi (x) |0>) = sum_k B_k V_k V_k^dagger psi (x) |k>``, where ``V_k`` holds
 the basis columns of outcome ``k`` and ``B_k`` is ``R_k`` for a weak device
-and 1 otherwise.  ``attach_device`` writes each branch straight into the new
-state, in its final axis order: O(D*d) time for composite dimension D and
-measured dimension d, and O(d^2) scratch per outcome besides the new state.
-The dense U of ``build_ideal_unitary`` / ``build_weak_unitary`` is the
-reference that the property suite and the tests check this against.
+and 1 otherwise.  Every branch has k >= 1: after the interaction the ready
+state carries no amplitude.  So a chain stores, per device, only its K
+recorded pointer states, outcome ``k`` at axis index ``k - 1``; the ready
+state is implicit.  For a device with K outcomes the stored factor has
+dimension K, while its ``DeviceSpec.pointer_dim`` stays K + 1.  A reader's
+measured factor is such a stored pointer, so it uses only the rows of its
+basis for the target's pointer states 1..K; it keeps a slot for its own
+ready outcome, which always stays empty.
+
+``attach_device`` writes each branch straight into the new state, in its
+final axis order: O(D*d) time for composite dimension D and measured
+dimension d, and O(d^2) scratch per outcome besides the new state.  The dense
+U of ``build_ideal_unitary`` / ``build_weak_unitary`` acts on the full K + 1
+pointer space; it is the reference that the property suite and the tests
+check this against.
 
 A mixed initial state rho = sum_i w_i |e_i><e_i| is simulated by its
 purification sum_i sqrt(w_i) |e_i>|i> on the system and an ancilla factor
@@ -93,7 +103,9 @@ class ChainState:
     """Immutable snapshot of system + devices.
 
     ``state`` is always a state vector over ``space``.  A chain started from
-    a mixed state carries the purifying ancilla as its second factor.
+    a mixed state carries the purifying ancilla as its second factor.  Each
+    device factor holds the device's recorded pointer states only: outcome
+    ``k`` at index ``k - 1``, the ready state implicit.
     ``initial_system_state`` keeps the system state the chain was started
     from (a vector, or the density matrix of a mixed start), which
     downstream checks replay against the projection postulate.
@@ -116,7 +128,7 @@ class ChainState:
         if self.space.labels[0] != self.system_label:
             raise ValueError("first factor must be the system")
         for ad in self.devices:
-            if self.space.dim_of(ad.spec.label) != ad.spec.pointer_dim:
+            if self.space.dim_of(ad.spec.label) != ad.spec.observable.outcome_count:
                 raise ValueError(f"factor of device {ad.spec.label!r} has wrong dimension")
         if state.flags.writeable or not state.flags.owndata:
             state = readonly(state)
@@ -148,7 +160,7 @@ class ChainState:
     @cached_property
     def pointer_probabilities(self) -> np.ndarray:
         """|psi|^2 summed over the system and any ancilla, computed once: one
-        axis per device in attachment order, indexed by pointer state."""
+        axis per device in attachment order, outcome ``k`` at index ``k - 1``."""
         lead = len(self.space.factors) - len(self.devices)
         dims = self.space.dims
         psi = self.state.reshape(math.prod(dims[:lead]), -1)
@@ -317,10 +329,13 @@ def attach_device(
         raise ValueError(f"unknown attachment mode {mode!r}")
 
     pos = chain.space.index(anchor)
-    psi = chain.state.reshape(chain.space.dims[:pos] + (obs.dim, -1))
-    new_state = np.zeros(chain.space.dim * dev.pointer_dim, dtype=np.complex128)
-    out = new_state.reshape(psi.shape + (dev.pointer_dim,))
-    for k in range(1, obs.outcome_count + 1):
+    psi = chain.state.reshape(chain.space.dims[:pos + 1] + (-1,))
+    # A reader's measured factor stores only the target's pointer states 1..K.
+    stored = slice(1, None) if mode == "reader" else slice(None)
+    count = obs.outcome_count
+    new_state = np.empty(chain.space.dim * count, dtype=np.complex128)
+    out = new_state.reshape(psi.shape + (count,))
+    for k in range(1, count + 1):
         v = obs.basis[:, obs.outcomes == k]
         if mode == "reader":
             proj = v @ v.conj().T
@@ -330,11 +345,11 @@ def attach_device(
         branch = disturbance.unitaries[k - 1] @ v if mode == "weak" else v
         if unitarity_residual(branch) > DEFAULT_TOL:
             raise ValueError("constructed interaction is not unitary")
-        np.matmul(branch, v.conj().T @ psi, out=out[..., k])
+        np.matmul(branch[stored], v[stored].conj().T @ psi, out=out[..., k - 1])
     new_state.setflags(write=False)
     attached = AttachedDevice(spec=dev, factor_index=len(chain.space.factors), mode=mode)
     return ChainState(
-        chain.space.extended(dev.label, dev.pointer_dim),
+        chain.space.extended(dev.label, count),
         new_state,
         chain.devices + (attached,),
         chain.initial_system_state,

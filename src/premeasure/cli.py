@@ -13,7 +13,7 @@ conditioning on a zero-probability event, a chain that cannot be built,
 a run that exhausts memory or a standard output closed by its reader;
 3 property-suite violation (a generated scenario whose chain cannot be built
 counts as a ``build`` failure, so it too exits 3).  ``prop`` exits 1 for a
-negative seed or a ``--max-dim`` past the size limit, and 2 when it cannot
+negative seed or a ``--max-dim`` past the size limits, and 2 when it cannot
 write a reproducer file into ``--out-dir``.
 ``PREMEASURE_TOL`` overrides the default report tolerance of 1e-10.
 """
@@ -313,11 +313,16 @@ def cmd_prop(args) -> int:
     if args.max_dim < 2:
         print("premeasure: --max-dim must be at least 2", file=sys.stderr)
         return 1
-    # A pure trial at dimension d has at least d*(d+1)**3 amplitudes.
-    smallest = args.max_dim * (args.max_dim + 1) ** 3
-    if smallest > dsl.MAX_AMPLITUDES:
-        print(f"premeasure: --max-dim {args.max_dim} can draw scenarios of {smallest} "
-              f"amplitudes, past the limit of {dsl.MAX_AMPLITUDES}", file=sys.stderr)
+    # The smallest pure trial at dimension d measures the d-outcome observable
+    # A twice and the d-outcome B once: its chain stores d**4 amplitudes, and
+    # its equivalence query compares d**3 joint outcomes.
+    d = args.max_dim
+    if d**4 > dsl.MAX_AMPLITUDES:
+        problem = f"chain stores {d**4} amplitudes, past the limit of {dsl.MAX_AMPLITUDES}"
+    else:
+        problem = dsl.equivalence_problem(d, False, d**3, (d, d))
+    if problem:
+        print(f"premeasure: --max-dim {d} can draw a scenario whose {problem}", file=sys.stderr)
         return 1
     if args.max_depth < 1:
         print("premeasure: --max-depth must be at least 1", file=sys.stderr)

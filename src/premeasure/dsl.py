@@ -81,8 +81,23 @@ KEYWORDS = frozenset(
 )
 
 # Largest final chain state a scenario may ask for: 2**26 complex128
-# amplitudes, 1 GiB.  The compiler checks it from the declarations alone.
+# amplitudes, 1 GiB, counting what the chain stores (the system, any
+# ancilla, and K recorded pointer states per K-outcome device).  The
+# compiler checks it from the declarations alone.
 MAX_AMPLITUDES = 2**26
+
+# Largest ``query equivalence``: it reports every joint outcome of the
+# system devices, at about 1.7 KB of records and JSON each, and the collapse
+# oracle holds one branch state per joint outcome (``equivalence_problem``
+# estimates its bytes).  Together the two bounds keep the query's own peak
+# under 1 GiB.
+MAX_JOINT_OUTCOMES = 2**18
+MAX_ORACLE_BYTES = 2**28
+
+# Longest integer literal the parser reads, in significant digits: far below
+# Python's 4,300-digit int() limit and past any dimension or outcome index
+# the size limits admit.
+MAX_INT_DIGITS = 100
 
 # Factor label of the system; no device may take it.
 SYSTEM_LABEL = "S"
@@ -419,7 +434,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "number" or not _INT_RE.match(tok.text):
             self.fail((role,))
-        return int(self.advance().value.real)
+        digits = tok.text.lstrip("+-").lstrip("0")
+        if len(digits) > MAX_INT_DIGITS:
+            raise ParseError(
+                f"{role} has {len(digits)} digits, more than {MAX_INT_DIGITS}",
+                tok.line, tok.col, (role,),
+            )
+        self.advance()
+        value = int(digits or "0")
+        return -value if tok.text.startswith("-") else value
 
     def expect_real(self, role: str) -> float:
         tok = self.peek()
@@ -732,8 +755,11 @@ def compile_scenario(scenario: Scenario) -> Program:
     matrix is finite and square of the system dimension, names resolve in
     file order, queries name attached devices with outcome indices in range
     and no device twice, and the final chain state (system dim times every
-    pointer dim, times the system dim again for a mixed state's ancilla)
-    stays within ``MAX_AMPLITUDES``, counted before any device is built.
+    device's outcome count, times the system dim again for a mixed state's
+    ancilla) stays within ``MAX_AMPLITUDES``, counted before any device is
+    built.  A ``query equivalence`` on a chain that fits must stay within
+    ``MAX_JOINT_OUTCOMES`` joint outcomes of the system devices and
+    ``MAX_ORACLE_BYTES`` of oracle leaf states and projectors.
     User input is normalized (state norm or trace, eigenbasis rows) and
     handed to the constructors that check the rest.  Their ValueErrors, and
     float overflows while checking, become diagnostics at the statement.
@@ -766,13 +792,13 @@ def compile_scenario(scenario: Scenario) -> Program:
     if dim is not None:
         amplitudes = dim * (dim if isinstance(state, MixedStateDecl) else 1)
 
-    def grow(name: str, pointer_dim: int, pos: Pos) -> bool:
-        """Count a device into the final state size; False once the size is
-        unknown or past the limit."""
+    def grow(name: str, outcomes: int, pos: Pos) -> bool:
+        """Count a device's stored pointer states into the final state size;
+        False once the size is unknown or past the limit."""
         nonlocal amplitudes
         if amplitudes is None or amplitudes > MAX_AMPLITUDES:
             return False
-        amplitudes *= pointer_dim
+        amplitudes *= outcomes
         if amplitudes > MAX_AMPLITUDES:
             add(
                 f"device {name!r} grows the chain state to {amplitudes} amplitudes "
@@ -787,6 +813,9 @@ def compile_scenario(scenario: Scenario) -> Program:
     observables: dict[str, Observable] = {}
     hamiltonians: dict[str, np.ndarray | None] = {}  # None: declared, not built
     devices: dict[str, int] = {}  # device name -> outcome count
+    measured: dict[str, int] = {}  # observable name -> outcome count, if a device measures it
+    joint_outcomes = 1  # product of the system devices' outcome counts
+    equivalence_queries: list[Pos] = []
     specs: dict[str, DeviceSpec] = {}
     events: list[Attach | Evolution] = []
 
@@ -834,7 +863,9 @@ def compile_scenario(scenario: Scenario) -> Program:
                     devices[stmt.name] = 0
                     raise ValueError(f"undefined observable {stmt.observable!r}")
                 count = devices[stmt.name] = outcome_counts[stmt.observable]
-                fits = grow(stmt.name, count + 1, stmt.pos)
+                measured[stmt.observable] = count
+                joint_outcomes *= count
+                fits = grow(stmt.name, count, stmt.pos)
                 disturbance = None
                 if stmt.weak is not None:
                     if len(stmt.weak) != count:
@@ -856,7 +887,7 @@ def compile_scenario(scenario: Scenario) -> Program:
                     raise ValueError(f"undefined device {stmt.target!r}")
                 # Reader outcomes: one per pointer state of the target.
                 devices[stmt.name] = devices[stmt.target] + 1
-                fits = grow(stmt.name, devices[stmt.name] + 1, stmt.pos)
+                fits = grow(stmt.name, devices[stmt.name], stmt.pos)
                 if fits and stmt.target in specs:
                     spec = specs[stmt.name] = make_reader_device(stmt.name, specs[stmt.target])
                     events.append(Attach(spec, "reader", target=stmt.target))
@@ -889,7 +920,41 @@ def compile_scenario(scenario: Scenario) -> Program:
                     "outcome counts",
                     stmt.pos,
                 )
+        elif isinstance(stmt, EquivalenceQuery):
+            equivalence_queries.append(stmt.pos)
+
+    if equivalence_queries and amplitudes is not None and amplitudes <= MAX_AMPLITUDES:
+        mixed = isinstance(state, MixedStateDecl)
+        problem = equivalence_problem(dim, mixed, joint_outcomes, measured.values())
+        if problem:
+            for pos in equivalence_queries:
+                add(problem, pos)
+            diags.sort(key=lambda d: (d.line, d.col))
     return Program(initial, observables, tuple(events), tuple(diags))
+
+
+def equivalence_problem(dim: int, mixed: bool, joint_outcomes: int, outcome_counts) -> str | None:
+    """Why a ``query equivalence`` of this size is refused, or None.
+
+    The collapse oracle's peak is estimated from its last measure step,
+    which holds about four stacks of one complex128 state per joint outcome
+    (a ``dim`` vector, or a density matrix for a mixed start), plus the
+    (K, dim, dim) projector stack of each measured observable;
+    ``outcome_counts`` lists K for each distinct observable.
+    """
+    if joint_outcomes > MAX_JOINT_OUTCOMES:
+        return (
+            f"query equivalence compares {joint_outcomes} joint outcomes, "
+            f"past the limit of {MAX_JOINT_OUTCOMES}"
+        )
+    leaf = dim * dim if mixed else dim
+    needed = 16 * (4 * joint_outcomes * leaf + sum(outcome_counts) * dim * dim)
+    if needed > MAX_ORACLE_BYTES:
+        return (
+            f"query equivalence needs about {needed} bytes of collapse-oracle "
+            f"states, past the limit of {MAX_ORACLE_BYTES}"
+        )
+    return None
 
 
 def validate_scenario(scenario: Scenario) -> list[Diagnostic]:

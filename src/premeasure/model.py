@@ -180,7 +180,9 @@ class DeviceSpec:
 
     The pointer space has one ready state (index 0) plus one pointer state per
     outcome, so ``pointer_dim`` is ``outcome_count + 1``.  Pointer state ``k``
-    records outcome ``k``.
+    records outcome ``k``.  The interaction leaves no amplitude on the ready
+    state, so a chain stores only the ``outcome_count`` recorded states of the
+    device's factor (see ``premeasure.chain``).
     """
 
     label: str

@@ -151,6 +151,9 @@ def random_scenario(rng: np.random.Generator, max_dim: int = 6, max_depth: int =
 
     n_a = obs_a.outcome_count
 
+    # Counted over full pointer spaces, ready states included: more than the
+    # chain stores, and kept because it fixes which scenario each (seed,
+    # trial) draws.
     def composite_dim(repeat: int, reader: bool) -> int:
         total = dim * (n_a + 1) ** repeat * (dim + 1)
         return total * (n_a + 2) if reader else total

@@ -175,12 +175,13 @@ def test_distribution_validation():
 
 
 def _masked_reference(chain, events):
-    """Squared norm of the state restricted to the events' pointer indices,
-    written out over the full state with no shared code."""
+    """Squared norm of the state restricted to the events' pointer states,
+    written out over the full state with no shared code.  A device factor
+    stores its recorded pointer states only, outcome k at index k - 1."""
     block = chain.state.reshape(chain.space.dims)
     index = [slice(None)] * block.ndim
     for ev in events:
-        index[chain.space.index(ev.device_label)] = ev.outcome_index
+        index[chain.space.index(ev.device_label)] = ev.outcome_index - 1
     return float(np.sum(np.abs(block[tuple(index)]) ** 2))
 
 
@@ -273,7 +274,7 @@ def test_pointer_probabilities_are_cached_and_read_only():
     chain = KERNEL_CHAINS["purified-mixed"]
     probs = chain.pointer_probabilities
     assert probs is chain.pointer_probabilities
-    assert probs.shape == tuple(ad.spec.pointer_dim for ad in chain.devices)
+    assert probs.shape == tuple(chain.outcome_count(lbl) for lbl in chain.device_labels)
     assert not probs.flags.writeable
     assert_allclose(probs.sum(), 1.0, atol=1e-15)
 

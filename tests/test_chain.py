@@ -100,7 +100,8 @@ def test_attach_grows_space():
     assert chain.is_pure
     chain = attach_device(chain, make_device("M1", _z_obs()))
     assert chain.space.labels == ("S", "M1")
-    assert chain.space.dim == 6
+    # The device factor stores its two recorded pointer states, not the ready one.
+    assert chain.space.dims == (2, 2)
     assert chain.outcome_count("M1") == 2
     assert chain.device("M1").mode == "ideal"
 
@@ -156,8 +157,8 @@ def test_apply_evolution_on_system_factor():
     chain = attach_device(chain, make_device("M1", _z_obs()))
     u = np.array([[0, -1j], [-1j, 0]])
     evolved = apply_evolution(chain, u)
-    # amplitude moved from |0, p1> to |1, p1>
-    assert_allclose(abs(evolved.state[1 * 3 + 1]), 1.0, atol=1e-12)
+    # amplitude moved from |0, p1> to |1, p1>; pointer state 1 is stored at index 0
+    assert_allclose(abs(evolved.state[1 * 2 + 0]), 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         apply_evolution(chain, np.array([[1, 1], [0, 1]], dtype=complex))
 

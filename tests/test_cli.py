@@ -271,16 +271,73 @@ def test_prop_bad_arguments_exit_1_with_one_line(monkeypatch, capsys, argv):
 
 
 def test_prop_max_dim_cap_follows_the_size_limit(monkeypatch, capsys):
-    # 89 * 90**3 amplitudes fit under dsl.MAX_AMPLITUDES; 90 * 91**3 do not.
+    # The smallest pure trial at d stores d**4 amplitudes and compares d**3
+    # joint outcomes.  Its equivalence query binds first: the oracle estimate
+    # 16 * (4 * d**4 + 2 * d**3) fits under dsl.MAX_ORACLE_BYTES at d = 45,
+    # not at d = 46.
     calls = []
-    fake = PropSummary(seed=0, trials=1, max_dim=89, max_depth=3)
+    fake = PropSummary(seed=0, trials=1, max_dim=45, max_depth=3)
     monkeypatch.setattr(cli, "run_property_suite", lambda *a: calls.append(a) or fake)
-    assert cli.main(["prop", "--trials", "1", "--max-dim", "89"]) == 0
-    assert calls == [(0, 1, 89, 3)]
-    assert "67821390 amplitudes" not in capsys.readouterr().err
-    assert cli.main(["prop", "--trials", "1", "--max-dim", "90"]) == 1
-    assert "67821390 amplitudes" in capsys.readouterr().err
+    assert cli.main(["prop", "--trials", "1", "--max-dim", "45"]) == 0
+    assert calls == [(0, 1, 45, 3)]
+    assert capsys.readouterr().err == ""
+    assert cli.main(["prop", "--trials", "1", "--max-dim", "46"]) == 1
+    assert "289671936 bytes" in capsys.readouterr().err
+    assert cli.main(["prop", "--trials", "1", "--max-dim", "91"]) == 1
+    assert "68574961 amplitudes" in capsys.readouterr().err
     assert len(calls) == 1
+
+
+def _qubit_chain_text(devices: int, query: str) -> str:
+    return (
+        "system dim 2\nstate pure [0.6, 0.8]\n"
+        "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+        + "".join(f"device M{i} measures Z\n" for i in range(1, devices + 1))
+        + query + "\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text,where,message",
+    [
+        ("system dim " + "9" * 400 + "\n", "1:12", "integer dimension has 400 digits"),
+        (_qubit_chain_text(1, "query joint M1=" + "9" * 400), "5:16",
+         "outcome index has 400 digits"),
+    ],
+    ids=["system-dim", "outcome-index"],
+)
+def test_oversized_integer_exits_1_with_one_line(tmp_path, capsys, text, where, message):
+    path = tmp_path / "big.scn"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{path}:{where}: {message}, more than 100"]
+
+
+def test_integers_are_read_exactly(tmp_path, capsys):
+    index = "9" * 26
+    path = tmp_path / "index.scn"
+    path.write_text(_qubit_chain_text(1, f"query joint M1={index}"))
+    assert cli.main(["run", str(path)]) == 1
+    assert f"outcome index {index} out of range 1..2" in capsys.readouterr().err
+
+
+def test_equivalence_past_the_joint_outcome_bound_exits_1(tmp_path, capsys):
+    # 2**19 joint outcomes: the chain fits, the equivalence query does not.
+    path = tmp_path / "deep.scn"
+    path.write_text(_qubit_chain_text(19, "query equivalence"))
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{path}:23:1: query equivalence compares 524288 joint outcomes, "
+        "past the limit of 262144"
+    ]
+    # The same chain answers its other queries.
+    path.write_text(_qubit_chain_text(19, "query marginal M19"))
+    assert cli.main(["run", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_prop_out_of_memory_exits_2(monkeypatch, capsys):

@@ -268,25 +268,27 @@ def _ququart_chain(state: str, devices: int) -> str:
 
 
 def test_validator_size_preflight_names_first_device_over_limit():
-    # 4 * 5**11 amplitudes is past 2**26; 4 * 5**10 is not.  Validation is
-    # arithmetic on the declarations, so it must not allocate the state.
+    # The chain stores 4 pointer states per device: 4 * 4**13 amplitudes is
+    # past 2**26, 4 * 4**12 is not.  Validation is arithmetic on the
+    # declarations, so it must not allocate the state.
     tracemalloc.start()
     try:
-        msgs = _diags(_ququart_chain("pure [1, 0, 0, 0]", 12))
+        msgs = _diags(_ququart_chain("pure [1, 0, 0, 0]", 14))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
     over = [m for m in msgs if "amplitudes" in m]
-    assert len(over) == 1 and "'M11'" in over[0]
-    assert not _diags(_ququart_chain("pure [1, 0, 0, 0]", 10))
+    assert len(over) == 1 and "'M13'" in over[0]
+    assert not _diags(_ququart_chain("pure [1, 0, 0, 0]", 12))
 
 
 def test_validator_size_preflight_counts_the_mixed_ancilla():
     mixed = "mixed [[0.25,0,0,0],[0,0.25,0,0],[0,0,0.25,0],[0,0,0,0.25]]"
-    assert not _diags(_ququart_chain(mixed, 9))
-    over = [m for m in _diags(_ququart_chain(mixed, 10)) if "amplitudes" in m]
-    assert len(over) == 1 and "'M10'" in over[0]
+    # 4 * 4 * 4**11 amplitudes fit; 4 * 4 * 4**12 do not.
+    assert not _diags(_ququart_chain(mixed, 11))
+    over = [m for m in _diags(_ququart_chain(mixed, 12)) if "amplitudes" in m]
+    assert len(over) == 1 and "'M12'" in over[0]
 
 
 def test_statement_order_is_preserved():
@@ -300,3 +302,44 @@ def test_statement_order_is_preserved():
     )
     kinds = [type(e).__name__ for e in s.events]
     assert kinds == ["MeasureDeviceDecl", "EvolveNamedDecl", "MeasureDeviceDecl"]
+
+
+def _diag_positions(text):
+    return [(d.line, d.col, d.message) for d in dsl.validate_scenario(dsl.parse_scenario(text))]
+
+
+def test_validator_bounds_the_equivalence_oracle():
+    # A mixed d = 16 start with four 16-outcome devices: the chain stores
+    # 16 * 16 * 16**4 = 2**24 amplitudes, but the oracle would hold 16**4
+    # density matrices of 16 x 16.
+    eye = "[" + ", ".join(
+        "[" + ", ".join("1" if i == j else "0" for j in range(16)) + "]" for i in range(16)
+    ) + "]"
+    def text(devices):
+        return (
+            f"system dim 16\nstate mixed {eye}\n"
+            f"observable A eigen [{', '.join(map(str, range(16)))}] basis {eye}\n"
+            + "".join(f"device M{i} measures A\n" for i in range(1, devices + 1))
+            + "query equivalence\n"
+        )
+
+    diags = _diag_positions(text(4))
+    assert [(line, col) for line, col, _ in diags] == [(8, 1)]
+    assert "collapse-oracle" in diags[0][2]
+    assert not _diag_positions(text(3))
+
+
+def test_validator_reports_an_early_equivalence_query_in_file_order():
+    # The query comes before the devices it compares; its diagnostic keeps
+    # its place ahead of a later one.
+    text = (
+        "system dim 2\nstate pure [1, 0]\n"
+        "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+        "query equivalence\n"
+        + "".join(f"device M{i} measures Z\n" for i in range(1, 20))
+        + "device X measures Nothing\n"
+    )
+    diags = _diag_positions(text)
+    assert [(line, col) for line, col, _ in diags] == [(4, 1), (24, 1)]
+    assert "524288 joint outcomes" in diags[0][2]
+    assert "undefined observable" in diags[1][2]

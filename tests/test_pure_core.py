@@ -3,10 +3,12 @@ observable's eigenbasis, one branch per outcome, and mixed starts are
 purified onto an ancilla.
 
 Both are checked against the routes they replace: the full interaction
-applied to the ready-extended vector, and a density matrix evolved as
-``U rho U^dagger`` with every operator written out as Kronecker products.
-The attach is also held to its memory bound: no dense interaction, and a
-peak below twice the new state.
+applied to the ready-extended vector, restricted to the recorded pointer
+states the chain stores, and a density matrix evolved as ``U rho U^dagger``
+with every operator written out as Kronecker products.  The ready slab that
+the chain drops is exactly zero on the dense route.  The attach is also held
+to its memory bound: no dense interaction, and a peak below twice the new
+state.
 """
 
 import tracemalloc
@@ -31,7 +33,7 @@ from premeasure.chain import (
     init_chain,
     make_reader_device,
 )
-from premeasure.linalg import apply_operator, hermitian_evolution
+from premeasure.linalg import CompositeSpace, apply_operator, hermitian_evolution
 from premeasure.model import DensityState, make_device, make_observable
 from premeasure.sampling import (
     random_degenerate_observable,
@@ -89,27 +91,63 @@ def _interaction(step):
     return build_ideal_unitary(dev.observable, dev)
 
 
+def _dense_attach(chain, step):
+    """(state, dims) of the dense route: ``chain`` written into full pointer
+    spaces with an empty ready state per device, extended by the new device
+    in its ready state, and the full interaction applied."""
+    kind, dev, extra = step
+    full = CompositeSpace(
+        chain.space.factors[:1]
+        + tuple((ad.spec.label, ad.spec.pointer_dim) for ad in chain.devices)
+        + ((dev.label, dev.pointer_dim),)
+    )
+    dense = np.zeros(full.dims, dtype=complex)
+    dense[(slice(None), *[slice(1, None)] * len(chain.devices), 0)] = chain.state.reshape(
+        chain.space.dims
+    )
+    anchor = extra if kind == "reader" else chain.system_label
+    state = apply_operator(_interaction(step), (anchor, dev.label), full, dense.reshape(-1))
+    return state.reshape(full.dims), full.dims
+
+
 # Seed 11 draws both d = 4 observables with eigenspace ranks (2, 1, 1).
-@pytest.mark.parametrize(
+STEP_CASES = pytest.mark.parametrize(
     "seed,d,make_obs",
     [(1, 2, _obs), (2, 3, _obs), (11, 4, _degenerate_obs)],
     ids=["1-2", "2-3", "11-4-degenerate"],
 )
+
+
+@STEP_CASES
 def test_ready_column_attach_matches_full_interaction(seed, d, make_obs):
     rng = np.random.default_rng(seed)
     chain = init_chain(random_state_vector(rng, d))
     for step in _steps(rng, d, make_obs):
         grown = _attach(chain, step)
-        kind, dev, extra = step
-        if kind != "evolve":
-            e0 = np.zeros(dev.pointer_dim, dtype=complex)
-            e0[0] = 1.0
-            anchor = extra if kind == "reader" else chain.system_label
-            old = apply_operator(
-                _interaction(step), (anchor, dev.label), grown.space,
-                np.kron(chain.state, e0),
-            )
-            assert_allclose(grown.state, old, rtol=0, atol=1e-15)
+        if step[0] != "evolve":
+            dense, dims = _dense_attach(chain, step)
+            recorded = dense[(slice(None), *[slice(1, None)] * (len(dims) - 1))]
+            assert_allclose(grown.state, recorded.reshape(-1), rtol=0, atol=1e-15)
+        chain = grown
+
+
+@STEP_CASES
+def test_dense_route_leaves_the_ready_slab_empty(seed, d, make_obs):
+    # The paper's point: after the interaction every branch has moved its
+    # pointer off the ready state.  Ideal, weak and reader devices alike put
+    # exactly zero amplitude there, so the chain need not store it.
+    rng = np.random.default_rng(seed)
+    chain = init_chain(random_state_vector(rng, d))
+    for step in _steps(rng, d, make_obs):
+        grown = _attach(chain, step)
+        if step[0] != "evolve":
+            dense, dims = _dense_attach(chain, step)
+            for axis in range(1, len(dims)):
+                assert not np.take(dense, 0, axis=axis).any()
+            if step[0] == "reader":
+                # The reader's last outcome is the target's ready state.
+                assert not dense[..., -1].any()
+                assert not grown.state.reshape(grown.space.dims)[..., -1].any()
         chain = grown
 
 
@@ -128,7 +166,7 @@ def test_attach_builds_no_dense_interaction():
     obs = make_observable("A", "S", [float(k) for k in range(d)], np.eye(d))
     chain = init_chain(np.full(d, d**-0.5))
     grown, peak = _traced_peak(lambda: attach_device(chain, make_device("M", obs)))
-    assert grown.state.size == d * (d + 1)
+    assert grown.state.size == d * d
     assert peak <= 2**20
     assert "projectors" not in vars(obs)  # the cached view was never read
 
@@ -141,23 +179,26 @@ def _qubit_chain(devices):
     return chain, z
 
 
+# Each peak test uses a chain of 2**18 amplitudes or more, so its ratio
+# measures the state rather than fixed overhead.
 def test_attach_peaks_below_twice_the_new_state():
-    chain, z = _qubit_chain(10)
-    grown, peak = _traced_peak(lambda: attach_device(chain, make_device("M10", z)))
-    assert grown.state.size == 2 * 3**11
+    chain, z = _qubit_chain(16)
+    grown, peak = _traced_peak(lambda: attach_device(chain, make_device("M16", z)))
+    assert grown.state.size == 2**18
     assert peak <= 2 * grown.state.nbytes
 
 
 def test_pointer_probabilities_peak_below_the_state():
-    chain, _ = _qubit_chain(10)
+    chain, _ = _qubit_chain(17)
     probs, peak = _traced_peak(lambda: chain.pointer_probabilities)
-    assert probs.shape == (3,) * 10
+    assert probs.shape == (2,) * 17
     assert_allclose(probs.sum(), 1.0, atol=1e-12)
     assert peak <= 0.6 * chain.state.nbytes
 
 
 def test_reduced_state_sums_blocks_in_bounded_memory():
-    chain, _ = _qubit_chain(11)
+    # 2**19 amplitudes: eight column blocks of 2**16.
+    chain, _ = _qubit_chain(18)
     rho, peak = _traced_peak(lambda: reduced_system_state(chain))
     assert peak <= 0.25 * chain.state.nbytes
     m = chain.state.reshape(2, -1)

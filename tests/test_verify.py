@@ -141,10 +141,11 @@ def test_reader_leaves_system_conditionals_unchanged():
 
 
 def _masked_reference(chain, events):
+    # Outcome k of a device sits at index k - 1 of its stored factor.
     block = chain.state.reshape(chain.space.dims)
     index = [slice(None)] * block.ndim
     for label, k in events:
-        index[chain.space.index(label)] = k
+        index[chain.space.index(label)] = k - 1
     return float(np.sum(np.abs(block[tuple(index)]) ** 2))
 
 
