@@ -9,6 +9,7 @@ to numerical precision.
 
 from __future__ import annotations
 
+import gc
 from importlib import resources
 
 __version__ = "0.1.0"
@@ -118,6 +119,13 @@ __all__ = [
     "unknown_result_mixture",
     "validate_scenario",
 ]
+
+# Importing numpy and this package leaves about 22,000 GC-tracked objects that
+# live as long as the process.  Left in the collected generations, they are
+# rescanned by every full collection: a pause of 7-10 ms on about one property
+# trial in 500, each trial taking 1-7 ms.  In the permanent generation the
+# pause is about 1 ms; objects created later are collected as before.
+gc.freeze()
 
 
 def bundled_scenario_names() -> list[str]:
