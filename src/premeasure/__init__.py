@@ -52,7 +52,7 @@ from .dsl import (
     parse_scenario,
     validate_scenario,
 )
-from .linalg import CompositeSpace, hermitian_evolution, partial_trace
+from .linalg import hermitian_evolution, partial_trace
 from .model import (
     DensityState,
     DeviceSpec,
@@ -73,7 +73,6 @@ from .verify import (
 __all__ = [
     "Branch",
     "ChainState",
-    "CompositeSpace",
     "DensityState",
     "DeviceSpec",
     "Diagnostic",

@@ -44,17 +44,14 @@ def clamp_probability(p: float) -> float:
 class Distribution:
     """Probabilities over joint outcome tuples of the named devices.
 
-    ``table[k1 - 1, ..., kn - 1]`` is p(k1, ..., kn), given as ``table=`` or
-    filled from (outcome tuple, probability) ``entries``, absent tuples being
-    0.  Entries are clamped and must sum to 1 within ``DISTRIBUTION_SUM_TOL``.
+    ``table[k1 - 1, ..., kn - 1]`` is p(k1, ..., kn).  Entries are clamped
+    and must sum to 1 within ``DISTRIBUTION_SUM_TOL``.
     """
 
     __slots__ = ("devices", "table")
 
-    def __init__(self, devices, entries=(), *, table=None):
+    def __init__(self, devices, table):
         devices = tuple(str(d) for d in devices)
-        if table is None:
-            table = _table_from_entries(devices, entries)
         table = np.asarray(table, dtype=np.float64)
         if table.ndim != len(devices):
             raise ValueError(f"table of shape {table.shape} does not match devices {devices}")
@@ -82,31 +79,11 @@ class Distribution:
             return float(self.table[index])
         return 0.0
 
-    def marginal(self, device_label: str) -> "Distribution":
-        """Single-device marginal obtained by summing the other positions."""
-        axis = self.devices.index(device_label)
-        return Distribution((device_label,), table=sum_to_axes(self.table, [axis]))
-
 
 def sum_to_axes(table: np.ndarray, axes) -> np.ndarray:
     """``table`` with every unlisted axis summed out, the listed ones in order."""
     others = [a for a in range(table.ndim) if a not in axes]
     return table.transpose([*axes, *others]).sum(axis=tuple(range(len(axes), table.ndim)))
-
-
-def _table_from_entries(devices: tuple[str, ...], entries) -> np.ndarray:
-    probs: dict[tuple[int, ...], float] = {}
-    for key, p in entries:
-        key = tuple(int(k) for k in key)
-        if len(key) != len(devices) or min(key, default=1) < 1:
-            raise ValueError(f"outcome tuple {key} does not match devices {devices}")
-        if key in probs:
-            raise ValueError(f"duplicate outcome tuple {key}")
-        probs[key] = p
-    keys = np.array(list(probs), dtype=int).reshape(len(probs), len(devices))
-    table = np.zeros(keys.max(axis=0, initial=0))
-    table[tuple((keys - 1).T)] = list(probs.values())
-    return table
 
 
 def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
@@ -115,12 +92,10 @@ def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
     events = list(events)
     if not events:
         raise ValueError("need at least one outcome event")
-    lead = len(chain.space.factors) - len(chain.devices)
     seen = set()
     out = []
     for ev in events:
-        ad = chain.device(ev.device_label)
-        n = ad.spec.observable.outcome_count
+        n = chain.outcome_count(ev.device_label)
         if ev.outcome_index == 0:
             raise ValueError(
                 f"pointer index 0 of device {ev.device_label!r} is the ready state, "
@@ -134,7 +109,7 @@ def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
         if ev.device_label in seen:
             raise ValueError(f"duplicate device {ev.device_label!r} in event list")
         seen.add(ev.device_label)
-        out.append((ad.factor_index - lead, ev.outcome_index - 1))
+        out.append((chain.device_labels.index(ev.device_label), ev.outcome_index - 1))
     return out
 
 

@@ -26,18 +26,21 @@ measured factor is such a stored pointer, so it uses only the rows of its
 basis for the target's pointer states 1..K; it keeps a slot for its own
 ready outcome, which always stays empty.
 
-``attach_device`` writes each branch straight into the new state, in its
-final axis order: O(D*d) time for composite dimension D and measured
-dimension d, and O(d^2) scratch per outcome besides the new state.  The dense
-U of ``build_ideal_unitary`` / ``build_weak_unitary`` acts on the full K + 1
-pointer space; it is the reference that the property suite and the tests
-check this against.
+A chain's state has one axis per factor, and that shape is its whole
+layout: the system, then the ancilla of a mixed start (below), then one
+axis of length K per device in attachment order.  ``attach_device`` writes
+each branch straight into the new state, in its final axis order: O(D*d)
+time for composite dimension D and measured dimension d, and O(d^2) scratch
+per outcome besides the new state.  ``apply_evolution`` is one product on
+the system axis.  The dense U of ``build_ideal_unitary`` /
+``build_weak_unitary`` acts on the full K + 1 pointer space; it is the
+reference that the property suite and the tests check this against.
 
 A mixed initial state rho = sum_i w_i |e_i><e_i| is simulated by its
-purification sum_i sqrt(w_i) |e_i>|i> on the system and an ancilla factor
+purification sum_i sqrt(w_i) |e_i>|i> on the system and an ancilla axis
 placed right after it.  No device or evolution touches the ancilla, so every
 Born probability and the system marginal equal those of the density-matrix
-route, while the chain only ever holds a state vector.
+route, while the chain only ever holds a pure state.
 
 No state is ever collapsed; chains only grow and evolve unitarily.  ChainState
 values are immutable, every operation returns a new one.
@@ -52,8 +55,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    CompositeSpace,
-    apply_operator,
     as_complex_matrix,
     as_state_vector,
     as_unitary,
@@ -63,10 +64,6 @@ from .linalg import (
 )
 from .model import DensityState, DeviceSpec, Observable, make_device, make_observable
 from .tolerances import DEFAULT_TOL
-
-# Factor label of the purifying ancilla of a mixed initial state.  Scenario
-# names cannot contain "~", so no device can claim it.
-ANCILLA_LABEL = "~ancilla"
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +91,6 @@ class Disturbance:
 @dataclass(frozen=True, eq=False)
 class AttachedDevice:
     spec: DeviceSpec
-    factor_index: int
     mode: str  # "ideal" | "weak" | "reader"
 
 
@@ -102,16 +98,14 @@ class AttachedDevice:
 class ChainState:
     """Immutable snapshot of system + devices.
 
-    ``state`` is always a state vector over ``space``.  A chain started from
-    a mixed state carries the purifying ancilla as its second factor.  Each
-    device factor holds the device's recorded pointer states only: outcome
-    ``k`` at index ``k - 1``, the ready state implicit.
+    ``state`` has one axis per factor: the system, the purifying ancilla of
+    a mixed start, then one axis per device holding its recorded pointer
+    states only, outcome ``k`` at index ``k - 1``, the ready state implicit.
     ``initial_system_state`` keeps the system state the chain was started
     from (a vector, or the density matrix of a mixed start), which
     downstream checks replay against the projection postulate.
     """
 
-    space: CompositeSpace
     state: np.ndarray
     devices: tuple[AttachedDevice, ...]
     initial_system_state: np.ndarray
@@ -119,17 +113,13 @@ class ChainState:
 
     def __post_init__(self):
         state = np.asarray(self.state, dtype=np.complex128)
-        if state.ndim != 1:
-            raise ValueError(f"state must be a vector, got shape {state.shape}")
-        if state.size != self.space.dim:
+        counts = tuple(ad.spec.observable.outcome_count for ad in self.devices)
+        lead = state.ndim - len(counts)
+        if lead not in (1, 2) or state.shape[lead:] != counts:
             raise ValueError(
-                f"state size {state.size} does not match space dimension {self.space.dim}"
+                f"state of shape {state.shape} does not end in the devices' "
+                f"outcome counts {counts}"
             )
-        if self.space.labels[0] != self.system_label:
-            raise ValueError("first factor must be the system")
-        for ad in self.devices:
-            if self.space.dim_of(ad.spec.label) != ad.spec.observable.outcome_count:
-                raise ValueError(f"factor of device {ad.spec.label!r} has wrong dimension")
         if state.flags.writeable or not state.flags.owndata:
             state = readonly(state)
         object.__setattr__(self, "state", state)
@@ -138,11 +128,11 @@ class ChainState:
     @property
     def is_pure(self) -> bool:
         """True unless the chain started from a mixed state."""
-        return ANCILLA_LABEL not in self.space.labels
+        return self.state.ndim == len(self.devices) + 1
 
     @property
     def system_dim(self) -> int:
-        return self.space.dims[0]
+        return self.state.shape[0]
 
     @property
     def device_labels(self) -> tuple[str, ...]:
@@ -161,14 +151,13 @@ class ChainState:
     def pointer_probabilities(self) -> np.ndarray:
         """|psi|^2 summed over the system and any ancilla, computed once: one
         axis per device in attachment order, outcome ``k`` at index ``k - 1``."""
-        lead = len(self.space.factors) - len(self.devices)
-        dims = self.space.dims
-        psi = self.state.reshape(math.prod(dims[:lead]), -1)
+        lead = self.state.ndim - len(self.devices)
+        psi = self.state.reshape(math.prod(self.state.shape[:lead]), -1)
         # Two passes over the real and imaginary views: no temporary the size
         # of the state, only the half-size result.
         probs = np.einsum("ij,ij->j", psi.real, psi.real)
         probs += np.einsum("ij,ij->j", psi.imag, psi.imag)
-        probs = probs.reshape(dims[lead:])
+        probs = probs.reshape(self.state.shape[lead:])
         probs.setflags(write=False)
         return probs
 
@@ -254,8 +243,7 @@ def init_chain(state, system_label: str | None = None) -> ChainState:
     if arr.ndim == 2:
         return _purified_chain(DensityState(label, arr).matrix, label)
     vec = as_state_vector(arr)
-    space = CompositeSpace(((label, vec.size),))
-    return ChainState(space, vec, (), vec, label)
+    return ChainState(vec, (), vec, label)
 
 
 def _purified_chain(rho: np.ndarray, label: str) -> ChainState:
@@ -264,9 +252,7 @@ def _purified_chain(rho: np.ndarray, label: str) -> ChainState:
     # Dropping the (at most 1e-10) negative eigenvalues may leave the kept
     # weights a hair away from unit sum; renormalize so the vector is a state.
     weights = w[keep] / np.sum(w[keep])
-    amplitudes = v[:, keep] * np.sqrt(weights)
-    space = CompositeSpace(((label, rho.shape[0]), (ANCILLA_LABEL, int(keep.sum()))))
-    return ChainState(space, amplitudes.reshape(-1), (), rho, label)
+    return ChainState(v[:, keep] * np.sqrt(weights), (), rho, label)
 
 
 def attach_device(
@@ -285,7 +271,7 @@ def attach_device(
     by ``target``.  A label already present in the chain is rejected: a fired
     device keeps its record and cannot be reused.
     """
-    if dev.label in chain.space.labels:
+    if dev.label == chain.system_label or dev.label in chain.device_labels:
         raise ValueError(f"device label {dev.label!r} already used in this chain")
     obs = dev.observable
 
@@ -308,7 +294,7 @@ def attach_device(
             if disturbance is None:
                 raise ValueError("weak attachment needs a disturbance")
             _check_disturbance(obs, disturbance)
-        anchor = chain.system_label
+        anchor = 0
     elif mode == "reader":
         if target is None:
             raise ValueError("reader attachment needs a target device label")
@@ -324,16 +310,15 @@ def attach_device(
                 f"reader dimension {obs.dim} does not match pointer dimension "
                 f"{target_ad.spec.pointer_dim}"
             )
-        anchor = target
+        anchor = chain.state.ndim - len(chain.devices) + chain.device_labels.index(target)
     else:
         raise ValueError(f"unknown attachment mode {mode!r}")
 
-    pos = chain.space.index(anchor)
-    psi = chain.state.reshape(chain.space.dims[:pos + 1] + (-1,))
+    psi = chain.state.reshape(chain.state.shape[:anchor + 1] + (-1,))
     # A reader's measured factor stores only the target's pointer states 1..K.
     stored = slice(1, None) if mode == "reader" else slice(None)
     count = obs.outcome_count
-    new_state = np.empty(chain.space.dim * count, dtype=np.complex128)
+    new_state = np.empty(chain.state.shape + (count,), dtype=np.complex128)
     out = new_state.reshape(psi.shape + (count,))
     for k in range(1, count + 1):
         v = obs.basis[:, obs.outcomes == k]
@@ -347,11 +332,9 @@ def attach_device(
             raise ValueError("constructed interaction is not unitary")
         np.matmul(branch[stored], v[stored].conj().T @ psi, out=out[..., k - 1])
     new_state.setflags(write=False)
-    attached = AttachedDevice(spec=dev, factor_index=len(chain.space.factors), mode=mode)
     return ChainState(
-        chain.space.extended(dev.label, count),
         new_state,
-        chain.devices + (attached,),
+        chain.devices + (AttachedDevice(dev, mode),),
         chain.initial_system_state,
         chain.system_label,
     )
@@ -366,9 +349,11 @@ def apply_evolution(chain: ChainState, u_system) -> ChainState:
         )
     if not is_unitary(u, DEFAULT_TOL):
         raise ValueError("evolution operator is not unitary")
-    new_state = apply_operator(u, (chain.system_label,), chain.space, chain.state)
+    d = chain.system_dim
+    new_state = np.empty_like(chain.state)
+    np.matmul(u, chain.state.reshape(d, -1), out=new_state.reshape(d, -1))
+    new_state.setflags(write=False)
     return ChainState(
-        chain.space,
         new_state,
         chain.devices,
         chain.initial_system_state,

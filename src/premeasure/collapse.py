@@ -109,8 +109,10 @@ def _measure(prefixes: np.ndarray, weights: np.ndarray, states: np.ndarray, obs:
 
     ``prefixes`` (B, m) holds each branch's 0-based outcomes so far,
     ``weights`` (B,) its Born weight and ``states`` its (B, d) vector or
-    (B, d, d) density matrix.  Outcome k of branch b is dropped when p <= 1e-12
-    or weight * p <= 1e-12.
+    (B, d, d) density matrix.  Outcome k of branch b is dropped when its own
+    probability p is at most 1e-12, whatever the branch's weight: a rare
+    branch keeps its likely children, and one step drops at most K * 1e-12
+    of the total weight.
     """
     if states.shape[1] != obs.dim:
         raise ValueError(f"state dimension {states.shape[1]} does not match {obs.dim}")
@@ -126,9 +128,7 @@ def _measure(prefixes: np.ndarray, weights: np.ndarray, states: np.ndarray, obs:
     if over.any():
         clamp_probability(float(p[over][0]))  # raises, naming the value
     grown = weights * np.minimum(p, 1.0)
-    # Weights never exceed 1, so weight * p <= 1e-12 whenever p <= 1e-12:
-    # one comparison applies both pruning rules.
-    k, b = np.nonzero(grown > PRUNE_TOL)
+    k, b = np.nonzero(p > PRUNE_TOL)
     kept = p[k, b]
     if states.ndim == 2:
         post = post[k, b] / np.sqrt(kept)[:, None]
@@ -164,8 +164,9 @@ def oracle_sequence_distribution(initial_state, steps, labels=None) -> Distribut
     """Joint outcome distribution for a sequence of Measure / Evolve steps.
 
     Outcome tuples are ordered by measure step; ``labels`` optionally names
-    the tuple positions (defaults to m1, m2, ...).  Branches are pruned at
-    1e-12, so the reported weights may undershoot 1 by at most a sliver.
+    the tuple positions (defaults to m1, m2, ...).  An outcome of local
+    probability at most 1e-12 is pruned, so the reported weights undershoot 1
+    by at most 1e-12 times the summed outcome counts of the measure steps.
     """
     steps = list(steps)
     measure_count = sum(1 for s in steps if isinstance(s, Measure))
@@ -199,8 +200,8 @@ def oracle_sequence_distribution(initial_state, steps, labels=None) -> Distribut
         else:
             raise ValueError(f"unknown oracle step {step!r}")
 
-    # Leaf prefixes are unique, and pruned branches carry weight <= PRUNE_TOL
-    # each; the table spans the full product of outcomes so chain-side
+    # Leaf prefixes are unique, and each step prunes at most K * PRUNE_TOL of
+    # the weight; the table spans the full product of outcomes so chain-side
     # comparisons align by position.
     table = np.zeros(outcome_ranges)
     table[tuple(prefixes.T)] = weights

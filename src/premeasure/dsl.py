@@ -86,6 +86,11 @@ KEYWORDS = frozenset(
 # compiler checks it from the declarations alone.
 MAX_AMPLITUDES = 2**26
 
+# Most devices a chain may hold.  Its state has one array axis per device
+# besides the system and any ancilla, and numpy 1.x allows 32 axes.  Only
+# chains of one-outcome devices can get this long within ``MAX_AMPLITUDES``.
+MAX_DEVICES = 30
+
 # Largest ``query equivalence``: it reports every joint outcome of the
 # system devices, at about 1.7 KB of records and JSON each, and the collapse
 # oracle holds one branch state per joint outcome (``equivalence_problem``
@@ -756,8 +761,9 @@ def compile_scenario(scenario: Scenario) -> Program:
     file order, queries name attached devices with outcome indices in range
     and no device twice, and the final chain state (system dim times every
     device's outcome count, times the system dim again for a mixed state's
-    ancilla) stays within ``MAX_AMPLITUDES``, counted before any device is
-    built.  A ``query equivalence`` on a chain that fits must stay within
+    ancilla) stays within ``MAX_AMPLITUDES`` and the chain within
+    ``MAX_DEVICES`` devices, counted before any device is built.  A ``query
+    equivalence`` on a chain that fits must stay within
     ``MAX_JOINT_OUTCOMES`` joint outcomes of the system devices and
     ``MAX_ORACLE_BYTES`` of oracle leaf states and projectors.
     User input is normalized (state norm or trace, eigenbasis rows) and
@@ -788,25 +794,31 @@ def compile_scenario(scenario: Scenario) -> Program:
             raise ValueError(f"{name} has shape {m.shape} for system {dim}")
         return m
 
-    amplitudes = None
+    amplitudes = None  # final state size; None once unknown or refused
     if dim is not None:
         amplitudes = dim * (dim if isinstance(state, MixedStateDecl) else 1)
+    attached = 0
 
     def grow(name: str, outcomes: int, pos: Pos) -> bool:
         """Count a device's stored pointer states into the final state size;
-        False once the size is unknown or past the limit."""
-        nonlocal amplitudes
-        if amplitudes is None or amplitudes > MAX_AMPLITUDES:
+        False once the size is unknown or a limit is passed."""
+        nonlocal amplitudes, attached
+        if amplitudes is None:
             return False
         amplitudes *= outcomes
-        if amplitudes > MAX_AMPLITUDES:
+        attached += 1
+        if attached > MAX_DEVICES:
+            add(f"device {name!r} makes {attached} devices, past the limit of {MAX_DEVICES}", pos)
+        elif amplitudes > MAX_AMPLITUDES:
             add(
                 f"device {name!r} grows the chain state to {amplitudes} amplitudes "
                 f"({16 * amplitudes} bytes), past the limit of {MAX_AMPLITUDES}",
                 pos,
             )
-            return False
-        return True
+        else:
+            return True
+        amplitudes = None
+        return False
 
     initial = None
     outcome_counts: dict[str, int] = {}  # observable name -> outcome count
@@ -923,7 +935,7 @@ def compile_scenario(scenario: Scenario) -> Program:
         elif isinstance(stmt, EquivalenceQuery):
             equivalence_queries.append(stmt.pos)
 
-    if equivalence_queries and amplitudes is not None and amplitudes <= MAX_AMPLITUDES:
+    if equivalence_queries and amplitudes is not None:
         mixed = isinstance(state, MixedStateDecl)
         problem = equivalence_problem(dim, mixed, joint_outcomes, measured.values())
         if problem:

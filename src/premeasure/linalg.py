@@ -1,15 +1,17 @@
-"""Dense complex linear algebra over labelled tensor-factor spaces.
+"""Dense complex linear algebra on plain complex128 numpy arrays.
 
-Everything operates on plain numpy arrays with dtype complex128.  Operations
-on composite spaces (applying an operator to a subset of factors of a state
-vector, partial trace) reshape to one axis per factor and contract, instead
-of assembling Kronecker products with identity blocks.
+Input coercion and the unitarity / Hermiticity checks every module shares,
+plus two operations on tensor-product spaces given by their factor sizes:
+applying an operator to some axes of a state vector, and the partial trace.
+Both reshape to one axis per factor and contract, instead of assembling
+Kronecker products with identity blocks.  The chain needs neither (its state
+already has one axis per factor); they are the dense routes the tests check
+it against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,104 +100,40 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     return unitarity_residual(arr) <= tol
 
 
-@dataclass(frozen=True)
-class CompositeSpace:
-    """Ordered tensor product of labelled factors.
-
-    ``factors`` is a tuple of (label, dimension) pairs; labels are unique and
-    their order fixes the axis layout of every state and operator on the
-    space.
-    """
-
-    factors: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        factors = tuple((str(lbl), int(dim)) for lbl, dim in self.factors)
-        if not factors:
-            raise ValueError("composite space needs at least one factor")
-        labels = [lbl for lbl, _ in factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
-        for lbl, dim in factors:
-            if dim < 1:
-                raise ValueError(f"factor {lbl!r} has non-positive dimension {dim}")
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-    def index(self, label: str) -> int:
-        for i, (lbl, _) in enumerate(self.factors):
-            if lbl == label:
-                return i
-        raise ValueError(f"unknown factor label {label!r}")
-
-    def dim_of(self, label: str) -> int:
-        return self.factors[self.index(label)][1]
-
-    def extended(self, label: str, dim: int) -> "CompositeSpace":
-        """New space with one extra factor appended."""
-        return CompositeSpace(self.factors + ((label, dim),))
-
-
-def _target_positions(space: CompositeSpace, target_labels) -> list[int]:
-    labels = list(target_labels)
-    if not labels:
-        raise ValueError("need at least one target label")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate target labels {labels}")
-    return [space.index(lbl) for lbl in labels]
-
-
-def apply_operator(op, target_labels, space: CompositeSpace, state: np.ndarray) -> np.ndarray:
-    """Return ``op|state>`` for ``op`` acting on the listed factors of the
-    state vector, without materializing the embedded operator."""
+def apply_operator(op, axes, dims, state) -> np.ndarray:
+    """Return ``op|state>`` for ``op`` acting on the listed axes of a state
+    vector with factor sizes ``dims``, without materializing the embedded
+    operator.  ``op`` orders its factors as ``axes`` lists them."""
     op = as_complex_matrix(op, "operator")
-    positions = _target_positions(space, target_labels)
-    dims = space.dims
-    tdims = [dims[p] for p in positions]
+    axes, dims = list(axes), tuple(dims)
+    tdims = tuple(dims[a] for a in axes)
     d = math.prod(tdims)
     if op.shape != (d, d):
         raise ValueError(
             f"operator has shape {op.shape}, expected {(d, d)} for target factors {tdims}"
         )
-    k = len(positions)
-    opt = op.reshape(tuple(tdims) + tuple(tdims))
-
     state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (space.dim,):
-        raise ValueError(
-            f"state has shape {state.shape}, expected a vector of size {space.dim}"
-        )
-    psi = np.tensordot(opt, state.reshape(dims), axes=(list(range(k, 2 * k)), positions))
-    return np.moveaxis(psi, list(range(k)), positions).reshape(-1)
+    size = math.prod(dims)
+    if state.shape != (size,):
+        raise ValueError(f"state has shape {state.shape}, expected a vector of size {size}")
+    k = len(axes)
+    psi = np.tensordot(
+        op.reshape(tdims + tdims), state.reshape(dims), axes=(list(range(k, 2 * k)), axes)
+    )
+    return np.moveaxis(psi, list(range(k)), axes).reshape(-1)
 
 
-def partial_trace(rho, space: CompositeSpace, keep_labels) -> np.ndarray:
-    """Trace out every factor not named in ``keep_labels``.
-
-    The result's factor order follows ``keep_labels`` as given.
-    """
+def partial_trace(rho, dims, keep) -> np.ndarray:
+    """Trace out every axis of a density operator with factor sizes ``dims``
+    that ``keep`` does not list; the result's factors follow ``keep``."""
     rho = as_complex_matrix(rho, "density operator")
-    if rho.shape != (space.dim, space.dim):
-        raise ValueError(f"operator has shape {rho.shape}, expected {(space.dim, space.dim)}")
-    keep = _target_positions(space, keep_labels)
-    dims = space.dims
-    n = len(dims)
-    t = rho.reshape(dims + dims)
-    row_sub = list(range(n))
+    keep, dims = list(keep), tuple(dims)
+    n, size = len(dims), math.prod(dims)
+    if rho.shape != (size, size):
+        raise ValueError(f"operator has shape {rho.shape}, expected {(size, size)}")
     col_sub = [n + p if p in keep else p for p in range(n)]
-    out_sub = [p for p in keep] + [n + p for p in keep]
-    out = np.einsum(t, row_sub + col_sub, out_sub)
+    out_sub = keep + [n + p for p in keep]
+    out = np.einsum(rho.reshape(dims + dims), list(range(n)) + col_sub, out_sub)
     d = math.prod(dims[p] for p in keep)
     return out.reshape(d, d)
 

@@ -9,7 +9,8 @@ from premeasure.born import (
     reduced_system_state,
 )
 from premeasure.chain import (
-    ANCILLA_LABEL,
+    AttachedDevice,
+    ChainState,
     Disturbance,
     apply_evolution,
     attach_device,
@@ -99,9 +100,9 @@ def test_attach_grows_space():
     chain = init_chain(np.array([0.6, 0.8], dtype=complex))
     assert chain.is_pure
     chain = attach_device(chain, make_device("M1", _z_obs()))
-    assert chain.space.labels == ("S", "M1")
-    # The device factor stores its two recorded pointer states, not the ready one.
-    assert chain.space.dims == (2, 2)
+    assert chain.device_labels == ("M1",)
+    # The device axis stores its two recorded pointer states, not the ready one.
+    assert chain.state.shape == (2, 2)
     assert chain.outcome_count("M1") == 2
     assert chain.device("M1").mode == "ideal"
 
@@ -111,6 +112,8 @@ def test_attach_rejects_duplicate_label():
     chain = attach_device(chain, make_device("M1", _z_obs()))
     with pytest.raises(ValueError, match="M1"):
         attach_device(chain, make_device("M1", _z_obs()))
+    with pytest.raises(ValueError, match="already used"):
+        attach_device(chain, make_device("S", _z_obs()))
 
 
 def test_attach_density_route_matches_pure():
@@ -147,7 +150,7 @@ def test_attach_reader_requires_existing_target():
     chain = attach_device(chain, make_device("M1", _z_obs()))
     rdev = make_reader_device("R", chain.device("M1").spec)
     grown = attach_device(chain, rdev, mode="reader", target="M1")
-    assert grown.space.labels == ("S", "M1", "R")
+    assert grown.device_labels == ("M1", "R")
     with pytest.raises(ValueError):
         attach_device(chain, rdev, mode="reader", target="nope")
 
@@ -158,7 +161,7 @@ def test_apply_evolution_on_system_factor():
     u = np.array([[0, -1j], [-1j, 0]])
     evolved = apply_evolution(chain, u)
     # amplitude moved from |0, p1> to |1, p1>; pointer state 1 is stored at index 0
-    assert_allclose(abs(evolved.state[1 * 2 + 0]), 1.0, atol=1e-12)
+    assert_allclose(abs(evolved.state[1, 0]), 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         apply_evolution(chain, np.array([[1, 1], [0, 1]], dtype=complex))
 
@@ -168,7 +171,7 @@ def test_init_chain_accepts_density_state():
     chain = init_chain(ds)
     assert not chain.is_pure
     assert chain.system_dim == 2
-    assert chain.state.ndim == 1
+    assert chain.state.shape == (2, 2)  # system, ancilla
     assert_allclose(reduced_system_state(chain).matrix, ds.matrix, atol=1e-15)
     chain = attach_device(chain, make_device("M1", _z_obs()))
     assert not chain.is_pure
@@ -176,10 +179,34 @@ def test_init_chain_accepts_density_state():
     assert_allclose(marginal_distribution(chain, "M1").probability((2,)), 0.75, atol=1e-15)
 
 
-def test_attach_rejects_the_ancilla_label():
-    chain = init_chain(np.diag([0.5, 0.5]).astype(complex))
-    with pytest.raises(ValueError, match="already used"):
-        attach_device(chain, make_device(ANCILLA_LABEL, _z_obs()))
+def test_state_shape_is_the_factor_layout():
+    # (d, [r], K1, ..., Kn): the system, the ancilla of a mixed start, then
+    # one axis per device with its outcome count.
+    qutrit = make_observable("A", "S", [0.0, 1.0, 2.0], np.eye(3, dtype=complex))
+    pure = init_chain(np.array([0.6, 0.8, 0], dtype=complex))
+    mixed = init_chain(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    assert pure.state.shape == (3,)
+    assert mixed.state.shape == (3, 3)
+    for chain, lead in ((pure, (3,)), (mixed, (3, 3))):
+        chain = attach_device(chain, make_device("M1", qutrit))
+        assert chain.state.shape == lead + (3,)
+        chain = attach_device(
+            chain, make_reader_device("R", chain.device("M1").spec), mode="reader", target="M1"
+        )
+        assert chain.state.shape == lead + (3, 4)
+        chain = apply_evolution(chain, np.eye(3)[[1, 2, 0]])
+        assert chain.state.shape == lead + (3, 4)
+        assert chain.is_pure == (lead == (3,))
+    devices = chain.devices
+    with pytest.raises(ValueError, match="outcome counts"):
+        ChainState(np.zeros((3, 3, 4, 3)), devices, chain.initial_system_state)
+    with pytest.raises(ValueError, match="outcome counts"):
+        ChainState(np.zeros((3, 3 * 4)), devices, chain.initial_system_state)
+    with pytest.raises(ValueError, match="outcome counts"):
+        ChainState(np.zeros((3, 3, 3, 3, 4)), devices, chain.initial_system_state)
+    lone = (AttachedDevice(devices[0].spec, "ideal"),)
+    with pytest.raises(ValueError, match="outcome counts"):
+        ChainState(np.zeros(9), lone, chain.initial_system_state)
 
 
 def test_initial_system_state_is_preserved():

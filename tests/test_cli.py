@@ -208,6 +208,27 @@ def test_verify_weak_equivalence_exits_1(tmp_path, capsys):
     assert "weak" in captured.err
 
 
+def test_verify_keeps_the_likely_children_of_a_rare_row(tmp_path, capsys):
+    # p(M1=2) = 1e-7 and p(M2=1 | M1=2) = 1e-6: leaf (2, 1) weighs 1e-13,
+    # below the 1e-12 pruning floor, yet the oracle must keep it for its
+    # conditionals given M1=2 to match the chain's.
+    scn = tmp_path / "rare_row.scn"
+    scn.write_text(
+        "system dim 2\n"
+        "state pure [0.9999999499999987, 0.00031622776601683794]\n"
+        "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+        "device M1 measures Z\n"
+        "evolve unitary [[0.999999499999875, -0.001], [0.001, 0.999999499999875]]\n"
+        "device M2 measures Z\n"
+        "query equivalence\n"
+    )
+    code, doc = _run_json(capsys, ["verify", str(scn)])
+    assert code == 0
+    (report,) = doc["reports"]
+    assert report["passed"] is True
+    assert report["max_deviation"] <= 1e-14
+
+
 def test_verify_without_verification_queries_exits_1(capsys):
     code = cli.main(["verify", str(ZERO)])
     assert code == 1
@@ -338,6 +359,24 @@ def test_equivalence_past_the_joint_outcome_bound_exits_1(tmp_path, capsys):
     path.write_text(_qubit_chain_text(19, "query marginal M19"))
     assert cli.main(["run", str(path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_chain_past_the_device_bound_exits_1_with_one_line(tmp_path, capsys, command):
+    # 31 one-outcome devices fit the amplitude limit but not the device bound.
+    path = tmp_path / "long.scn"
+    path.write_text(
+        "system dim 2\nstate pure [0.6, 0.8]\n"
+        "observable One projectors [1] [[1, 0], [0, 1]]\n"
+        + "".join(f"device M{i} measures One\n" for i in range(1, 32))
+        + "query marginal M31\nquery repeatability M1 M31\n"
+    )
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{path}:34:1: device 'M31' makes 31 devices, past the limit of 30"
+    ]
 
 
 def test_prop_out_of_memory_exits_2(monkeypatch, capsys):

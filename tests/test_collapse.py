@@ -158,9 +158,10 @@ def test_qutrit_fan_spreads_evenly_after_the_first_device(start, first):
     assert np.max(np.abs(dist.table - expected)) <= 1e-15
 
 
-def test_branch_below_the_cumulative_weight_floor_is_dropped():
+def test_branch_below_the_cumulative_weight_floor_is_kept():
     # Both factors of leaf (2, 1) are 1e-7, above PRUNE_TOL; their product,
-    # 1e-14, is below it, so the leaf is pruned while (1, 2) is kept.
+    # 1e-14, is below it.  Pruning looks at each outcome's own probability,
+    # so the rare row keeps its children and the leaf is kept like (1, 2).
     e = 1e-7
     s, c = np.sqrt(e), np.sqrt(1 - e)
     rotation = np.array([[c, -s], [s, c]], dtype=complex)
@@ -168,7 +169,7 @@ def test_branch_below_the_cumulative_weight_floor_is_dropped():
         np.array([c, s], dtype=complex), [Measure(_z_obs()), Evolve(rotation), Measure(_z_obs())]
     )
     assert e > PRUNE_TOL and e * e <= PRUNE_TOL
-    assert dist.table[1, 0] == 0.0
+    assert_allclose(dist.table[1, 0], e * e, rtol=1e-9)
     assert_allclose(dist.table[0, 1], (1 - e) * e, rtol=1e-9)
     assert_allclose(dist.table[1, 1], e * (1 - e), rtol=1e-9)
 
@@ -205,7 +206,7 @@ def _loop_oracle(state, steps):
         for k, proj in enumerate(step.observable.projectors):
             w = proj @ st if st.ndim == 1 else proj @ st @ proj
             p = np.vdot(w, w).real if st.ndim == 1 else np.trace(w).real
-            if weight * p > PRUNE_TOL:
+            if p > PRUNE_TOL:
                 post = w / np.sqrt(p) if st.ndim == 1 else w / p
                 walk(post, i + 1, prefix + (k,), weight * p)
 

@@ -291,6 +291,28 @@ def test_validator_size_preflight_counts_the_mixed_ancilla():
     assert len(over) == 1 and "'M12'" in over[0]
 
 
+def _one_outcome_chain(devices: int) -> str:
+    return (
+        "system dim 2\nstate pure [0.6, 0.8]\n"
+        "observable One projectors [1] [[1, 0], [0, 1]]\n"
+        + "".join(f"device M{i} measures One\n" for i in range(1, devices + 1))
+    )
+
+
+def test_validator_bounds_the_device_count():
+    # One-outcome devices keep the state at 2 amplitudes, so only the device
+    # bound stops the chain: one diagnostic at the first device past it.
+    assert dsl.MAX_DEVICES == 30
+    assert not _diags(_one_outcome_chain(30))
+    for devices in (31, 70):
+        diags = dsl.validate_scenario(dsl.parse_scenario(_one_outcome_chain(devices)))
+        assert [(d.line, d.col, d.message) for d in diags] == [
+            (34, 1, "device 'M31' makes 31 devices, past the limit of 30")
+        ]
+    reader = _one_outcome_chain(30) + "device R reads M30\n"
+    assert _diags(reader) == ["device 'R' makes 31 devices, past the limit of 30"]
+
+
 def test_statement_order_is_preserved():
     s = dsl.parse_scenario(
         "system dim 2\nstate pure [1, 0]\n"

@@ -86,6 +86,8 @@ def test_reader_event_builds_running_chain():
         "device R reads M1\n"
     )
     chain = engine.build_chain(s)
-    assert chain.space.labels == ("S", "M1", "R")
+    assert chain.device_labels == ("M1", "R")
+    # The reader stores one slot per pointer state of M1, ready included.
+    assert chain.state.shape == (2, 2, 3)
     dist = marginal_distribution(chain, "R")
     assert_allclose(dist.probability((2,)), 0.64, atol=1e-12)

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from premeasure.linalg import (
-    CompositeSpace,
     apply_operator,
     as_complex_matrix,
     as_state_vector,
@@ -40,47 +39,41 @@ def test_is_hermitian_and_unitary():
     assert not is_unitary(2 * SX)
 
 
-def test_composite_space_bookkeeping():
-    sp = CompositeSpace((("S", 2), ("M1", 3)))
-    assert sp.dim == 6
-    assert sp.labels == ("S", "M1")
-    assert sp.index("M1") == 1
-    assert sp.dim_of("S") == 2
-    grown = sp.extended("M2", 4)
-    assert grown.dims == (2, 3, 4)
-    with pytest.raises(ValueError, match="unknown factor"):
-        sp.index("nope")
-
-
 def test_apply_operator_vector_agrees_with_dense_route():
     rng = np.random.default_rng(3)
-    sp = CompositeSpace((("S", 2), ("M", 3)))
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    got = apply_operator(op, ["M"], sp, v)
+    got = apply_operator(op, [1], (2, 3), v)
     want = np.kron(np.eye(2), op) @ v
+    assert_allclose(got, want, atol=1e-13)
+    # Two target axes, listed out of order: op's factors follow the list.
+    v = rng.normal(size=12) + 1j * rng.normal(size=12)
+    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    swap = np.eye(4)[[0, 2, 1, 3]]  # exchanges the two qubit factors
+    got = apply_operator(op, [2, 0], (2, 3, 2), v)
+    dense = np.kron(np.eye(3), swap @ op @ swap).reshape(3, 2, 2, 3, 2, 2)
+    want = dense.transpose(1, 0, 2, 4, 3, 5).reshape(12, 12) @ v
     assert_allclose(got, want, atol=1e-13)
 
 
 def test_partial_trace_bell_state():
     bell = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
     rho = np.outer(bell, bell.conj())
-    sp = CompositeSpace((("S", 2), ("M", 2)))
-    red = partial_trace(rho, sp, keep_labels=("S",))
+    red = partial_trace(rho, (2, 2), keep=[0])
     assert_allclose(red, np.eye(2) / 2, atol=1e-14)
 
 
 def test_partial_trace_keeps_requested_order():
     rng = np.random.default_rng(9)
-    sp = CompositeSpace((("A", 2), ("B", 3), ("C", 2)))
+    dims = (2, 3, 2)
     m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     rho = m @ m.conj().T
     rho = rho / np.trace(rho)
-    red = partial_trace(rho, sp, keep_labels=("C", "A"))
+    red = partial_trace(rho, dims, keep=[2, 0])
     assert red.shape == (4, 4)
     assert_allclose(np.trace(red).real, 1.0, atol=1e-12)
-    # order of keep_labels is the order of the result's factors
-    swapped = partial_trace(rho, sp, keep_labels=("A", "C"))
+    # order of keep is the order of the result's factors
+    swapped = partial_trace(rho, dims, keep=[0, 2])
     perm = swapped.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     assert_allclose(red, perm, atol=1e-13)
 
@@ -125,6 +118,5 @@ def test_hermitian_evolution_rejects_overflowing_phases():
 
 
 def test_apply_operator_takes_state_vectors_only():
-    sp = CompositeSpace((("S", 2), ("M", 2)))
     with pytest.raises(ValueError, match="vector"):
-        apply_operator(SX, ["S"], sp, np.eye(4, dtype=complex) / 4)
+        apply_operator(SX, [0], (2, 2), np.eye(4, dtype=complex) / 4)

@@ -33,7 +33,7 @@ from premeasure.chain import (
     init_chain,
     make_reader_device,
 )
-from premeasure.linalg import CompositeSpace, apply_operator, hermitian_evolution
+from premeasure.linalg import apply_operator, hermitian_evolution
 from premeasure.model import DensityState, make_device, make_observable
 from premeasure.sampling import (
     random_degenerate_observable,
@@ -92,22 +92,20 @@ def _interaction(step):
 
 
 def _dense_attach(chain, step):
-    """(state, dims) of the dense route: ``chain`` written into full pointer
-    spaces with an empty ready state per device, extended by the new device
-    in its ready state, and the full interaction applied."""
+    """(state, dims) of the dense route: the pure ``chain`` written into full
+    pointer spaces with an empty ready state per device, extended by the new
+    device in its ready state, and the full interaction applied."""
     kind, dev, extra = step
-    full = CompositeSpace(
-        chain.space.factors[:1]
-        + tuple((ad.spec.label, ad.spec.pointer_dim) for ad in chain.devices)
-        + ((dev.label, dev.pointer_dim),)
+    dims = (
+        (chain.system_dim,)
+        + tuple(ad.spec.pointer_dim for ad in chain.devices)
+        + (dev.pointer_dim,)
     )
-    dense = np.zeros(full.dims, dtype=complex)
-    dense[(slice(None), *[slice(1, None)] * len(chain.devices), 0)] = chain.state.reshape(
-        chain.space.dims
-    )
-    anchor = extra if kind == "reader" else chain.system_label
-    state = apply_operator(_interaction(step), (anchor, dev.label), full, dense.reshape(-1))
-    return state.reshape(full.dims), full.dims
+    dense = np.zeros(dims, dtype=complex)
+    dense[(slice(None), *[slice(1, None)] * len(chain.devices), 0)] = chain.state
+    anchor = 1 + chain.device_labels.index(extra) if kind == "reader" else 0
+    state = apply_operator(_interaction(step), (anchor, len(dims) - 1), dims, dense.reshape(-1))
+    return state.reshape(dims), dims
 
 
 # Seed 11 draws both d = 4 observables with eigenspace ranks (2, 1, 1).
@@ -127,7 +125,7 @@ def test_ready_column_attach_matches_full_interaction(seed, d, make_obs):
         if step[0] != "evolve":
             dense, dims = _dense_attach(chain, step)
             recorded = dense[(slice(None), *[slice(1, None)] * (len(dims) - 1))]
-            assert_allclose(grown.state, recorded.reshape(-1), rtol=0, atol=1e-15)
+            assert_allclose(grown.state, recorded, rtol=0, atol=1e-15)
         chain = grown
 
 
@@ -147,7 +145,7 @@ def test_dense_route_leaves_the_ready_slab_empty(seed, d, make_obs):
             if step[0] == "reader":
                 # The reader's last outcome is the target's ready state.
                 assert not dense[..., -1].any()
-                assert not grown.state.reshape(grown.space.dims)[..., -1].any()
+                assert not grown.state[..., -1].any()
         chain = grown
 
 
@@ -265,7 +263,10 @@ def test_purified_chain_matches_density_reference(seed, d, rank):
     for step in steps:
         chain = _attach(chain, step)
     assert not chain.is_pure
-    assert chain.state.ndim == 1
+    # System, ancilla (one state per positive eigenvalue), MA, MW, R.
+    system, ancilla, *pointers = chain.state.shape
+    assert (system, pointers) == (d, [d, d, d + 1])
+    assert 1 <= ancilla <= d
     assert_allclose(chain.initial_system_state, rho, atol=1e-15)
 
     ref, dims, labels = _density_reference(rho, steps)
@@ -289,14 +290,14 @@ def test_purified_chain_matches_density_reference(seed, d, rank):
 def test_purification_keeps_one_ancilla_state_per_positive_eigenvalue():
     v = np.array([0.6, 0.8j], dtype=complex)
     chain = init_chain(np.outer(v, v.conj()))
-    assert chain.space.dims[0] == 2
-    assert 1 <= chain.space.dims[1] <= 2
+    assert chain.state.shape[0] == 2
+    assert 1 <= chain.state.shape[1] <= 2
     assert_allclose(np.linalg.norm(chain.state), 1.0, atol=1e-15)
     # A negative eigenvalue within DensityState's tolerance is dropped and
     # the rest renormalized, so probabilities stay within [0, 1].
     edge = init_chain(np.diag([1 + 5e-11, -5e-11]).astype(complex))
-    assert edge.space.dims == (2, 1)
+    assert edge.state.shape == (2, 1)
     assert_allclose(np.linalg.norm(edge.state), 1.0, rtol=0, atol=1e-15)
     full = init_chain(np.diag([0.5, 0.3, 0.2]).astype(complex))
-    assert full.space.dims == (3, 3)
+    assert full.state.shape == (3, 3)
     assert_allclose(reduced_system_state(full).matrix, np.diag([0.5, 0.3, 0.2]), atol=1e-15)

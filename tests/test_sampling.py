@@ -68,7 +68,7 @@ def test_random_scenarios_validate_and_build():
         s = random_scenario(rng, max_dim=5, max_depth=3)
         assert not dsl.validate_scenario(s)
         chain = engine.build_chain(s)
-        assert chain.space.dim >= 2
+        assert chain.state.size >= 2
 
 
 def test_random_scenario_generation_is_deterministic():

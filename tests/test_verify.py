@@ -141,11 +141,13 @@ def test_reader_leaves_system_conditionals_unchanged():
 
 
 def _masked_reference(chain, events):
-    # Outcome k of a device sits at index k - 1 of its stored factor.
-    block = chain.state.reshape(chain.space.dims)
+    # The devices are the state's trailing axes; outcome k of a device sits
+    # at index k - 1 of its axis.
+    block = chain.state
+    first = block.ndim - len(chain.devices)
     index = [slice(None)] * block.ndim
     for label, k in events:
-        index[chain.space.index(label)] = k - 1
+        index[first + chain.device_labels.index(label)] = k - 1
     return float(np.sum(np.abs(block[tuple(index)]) ** 2))
 
 
