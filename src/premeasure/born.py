@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainState
-from .model import DensityState
+from .model import SYSTEM_LABEL, DensityState
 from .tolerances import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, PROB_SLACK
 
 
@@ -182,4 +182,4 @@ def reduced_system_state(chain: ChainState) -> DensityState:
     for start in range(step, m.shape[1], step):
         block = m[:, start:start + step]
         rho += block @ block.conj().T
-    return DensityState(chain.system_label, rho)
+    return DensityState(SYSTEM_LABEL, rho)

@@ -2,17 +2,19 @@
 
 A chain starts as the bare system and grows one tensor factor per attached
 device.  Devices always attach in their ready state and interact through a
-unitary built from the measured observable:
+unitary built from the measured observable.  The factor that observable
+lives on, and a disturbance if one is given, decide the interaction:
 
-* ideal interaction: ``U = sum_k P_k (x) Shift^k`` with ``Shift`` the cyclic
-  add-1 shift on the pointer basis, so an eigenstate of outcome ``k`` drives
-  the pointer from ready straight to pointer state ``k`` while the system
-  component is left untouched;
-* weak interaction: the ideal unitary followed by a pointer-controlled
-  disturbance ``V = sum_k R_k (x) |k><k| + 1 (x) |0><0|`` that may rotate the
-  system inside each recorded branch (``R_k`` unitary);
-* reader: an ideal interaction whose "system" is the pointer factor of an
-  earlier device, copying that device's record into a fresh pointer.
+* ideal, on the system: ``U = sum_k P_k (x) Shift^k`` with ``Shift`` the
+  cyclic add-1 shift on the pointer basis, so an eigenstate of outcome ``k``
+  drives the pointer from ready straight to pointer state ``k`` while the
+  system component is left untouched;
+* weak, on the system with a ``Disturbance``: the ideal unitary followed by a
+  pointer-controlled disturbance ``V = sum_k R_k (x) |k><k| + 1 (x) |0><0|``
+  that may rotate the system inside each recorded branch (``R_k`` unitary);
+* reader, on the pointer factor of an earlier device (``DeviceSpec.target``,
+  see ``make_reader_device``): an ideal interaction that copies that
+  device's record into a fresh pointer.
 
 Every new pointer starts in its ready state |0>, so an attach only needs
 ``U (psi (x) |0>) = sum_k B_k V_k V_k^dagger psi (x) |k>``, where ``V_k`` holds
@@ -38,7 +40,8 @@ reference that the property suite and the tests check this against.
 
 A mixed initial state rho = sum_i w_i |e_i><e_i| is simulated by its
 purification sum_i sqrt(w_i) |e_i>|i> on the system and an ancilla axis
-placed right after it.  No device or evolution touches the ancilla, so every
+placed right after it, with one ancilla state per eigenvalue above the
+round-off of ``eigh``.  No device or evolution touches the ancilla, so every
 Born probability and the system marginal equal those of the density-matrix
 route, while the chain only ever holds a pure state.
 
@@ -49,7 +52,7 @@ values are immutable, every operation returns a new one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,7 +65,7 @@ from .linalg import (
     readonly,
     unitarity_residual,
 )
-from .model import DensityState, DeviceSpec, Observable, make_device, make_observable
+from .model import SYSTEM_LABEL, DensityState, DeviceSpec, Observable, make_device, make_observable
 from .tolerances import DEFAULT_TOL
 
 
@@ -109,7 +112,6 @@ class ChainState:
     state: np.ndarray
     devices: tuple[AttachedDevice, ...]
     initial_system_state: np.ndarray
-    system_label: str = field(default="S")
 
     def __post_init__(self):
         state = np.asarray(self.state, dtype=np.complex128)
@@ -228,91 +230,67 @@ def make_reader_device(label: str, target_spec: DeviceSpec) -> DeviceSpec:
     return make_device(label, obs)
 
 
-def init_chain(state, system_label: str | None = None) -> ChainState:
+def init_chain(state) -> ChainState:
     """Chain holding only the system, no devices attached yet.
 
     ``state`` may be a vector, a density matrix, or a DensityState.  A
     density matrix is purified onto (system, ancilla), keeping one ancilla
-    state per positive eigenvalue.
+    state per eigenvalue above round-off.
     """
     if isinstance(state, DensityState):
-        label = system_label if system_label is not None else state.space_label
-        return _purified_chain(state.matrix, label)
+        return _purified_chain(state.matrix)
     arr = np.asarray(state, dtype=np.complex128)
-    label = system_label if system_label is not None else "S"
     if arr.ndim == 2:
-        return _purified_chain(DensityState(label, arr).matrix, label)
+        return _purified_chain(DensityState(SYSTEM_LABEL, arr).matrix)
     vec = as_state_vector(arr)
-    return ChainState(vec, (), vec, label)
+    return ChainState(vec, (), vec)
 
 
-def _purified_chain(rho: np.ndarray, label: str) -> ChainState:
+def _purified_chain(rho: np.ndarray) -> ChainState:
     w, v = np.linalg.eigh(rho)
-    keep = w > 0
+    # eigh resolves eigenvalues only to about d * eps * max(w); anything
+    # below that, negative or not, is round-off of a zero eigenvalue.
+    keep = w > len(w) * np.finfo(float).eps * w[-1]
     # Dropping the (at most 1e-10) negative eigenvalues may leave the kept
     # weights a hair away from unit sum; renormalize so the vector is a state.
     weights = w[keep] / np.sum(w[keep])
-    return ChainState(v[:, keep] * np.sqrt(weights), (), rho, label)
+    return ChainState(v[:, keep] * np.sqrt(weights), (), rho)
 
 
 def attach_device(
-    chain: ChainState,
-    dev: DeviceSpec,
-    mode: str = "ideal",
-    *,
-    disturbance: Disturbance | None = None,
-    target: str | None = None,
+    chain: ChainState, dev: DeviceSpec, *, disturbance: Disturbance | None = None
 ) -> ChainState:
     """Extend the chain by one device in its ready state and apply its
     premeasurement interaction.
 
-    ``mode`` selects the interaction: "ideal" and "weak" couple the device to
-    the system, "reader" couples it to the pointer of the earlier device named
-    by ``target``.  A label already present in the chain is rejected: a fired
-    device keeps its record and cannot be reused.
+    The device's observable decides the interaction.  A device on the system
+    attaches "ideal", or "weak" when given a ``disturbance``; a device whose
+    observable lives on the pointer of an earlier device (``dev.target``)
+    attaches as its "reader" and takes no disturbance.  The chain records the
+    mode in ``AttachedDevice.mode``.  The observable's dimension must match
+    the factor it measures.  A label already present in the chain, or the
+    system's, is rejected: a fired device keeps its record and cannot be
+    reused.
     """
-    if dev.label == chain.system_label or dev.label in chain.device_labels:
+    if dev.label == SYSTEM_LABEL or dev.label in chain.device_labels:
         raise ValueError(f"device label {dev.label!r} already used in this chain")
     obs = dev.observable
-
-    if mode in ("ideal", "weak"):
-        if target is not None:
-            raise ValueError("target is only meaningful for reader devices")
-        if obs.space_label != chain.system_label:
-            raise ValueError(
-                f"observable {obs.label!r} lives on {obs.space_label!r}, "
-                f"not on the system {chain.system_label!r}"
-            )
-        if obs.dim != chain.system_dim:
-            raise ValueError(
-                f"observable dimension {obs.dim} does not match system dimension "
-                f"{chain.system_dim}"
-            )
-        if mode == "ideal" and disturbance is not None:
-            raise ValueError("ideal attachment takes no disturbance")
-        if mode == "weak":
-            if disturbance is None:
-                raise ValueError("weak attachment needs a disturbance")
-            _check_disturbance(obs, disturbance)
-        anchor = 0
-    elif mode == "reader":
-        if target is None:
-            raise ValueError("reader attachment needs a target device label")
-        if disturbance is not None:
-            raise ValueError("reader attachment takes no disturbance")
-        target_ad = chain.device(target)
-        if obs.space_label != target:
-            raise ValueError(
-                f"reader observable lives on {obs.space_label!r}, expected {target!r}"
-            )
-        if obs.dim != target_ad.spec.pointer_dim:
-            raise ValueError(
-                f"reader dimension {obs.dim} does not match pointer dimension "
-                f"{target_ad.spec.pointer_dim}"
-            )
-        anchor = chain.state.ndim - len(chain.devices) + chain.device_labels.index(target)
+    if dev.target is None:
+        mode = "ideal" if disturbance is None else "weak"
+        measured_dim, anchor = chain.system_dim, 0
+    elif disturbance is not None:
+        raise ValueError("reader attachment takes no disturbance")
     else:
-        raise ValueError(f"unknown attachment mode {mode!r}")
+        mode = "reader"
+        measured_dim = chain.device(dev.target).spec.pointer_dim
+        anchor = chain.state.ndim - len(chain.devices) + chain.device_labels.index(dev.target)
+    if obs.dim != measured_dim:
+        raise ValueError(
+            f"observable dimension {obs.dim} does not match dimension {measured_dim} "
+            f"of the measured factor {obs.space_label!r}"
+        )
+    if disturbance is not None:
+        _check_disturbance(obs, disturbance)
 
     psi = chain.state.reshape(chain.state.shape[:anchor + 1] + (-1,))
     # A reader's measured factor stores only the target's pointer states 1..K.
@@ -336,7 +314,6 @@ def attach_device(
         new_state,
         chain.devices + (AttachedDevice(dev, mode),),
         chain.initial_system_state,
-        chain.system_label,
     )
 
 
@@ -353,9 +330,4 @@ def apply_evolution(chain: ChainState, u_system) -> ChainState:
     new_state = np.empty_like(chain.state)
     np.matmul(u, chain.state.reshape(d, -1), out=new_state.reshape(d, -1))
     new_state.setflags(write=False)
-    return ChainState(
-        new_state,
-        chain.devices,
-        chain.initial_system_state,
-        chain.system_label,
-    )
+    return ChainState(new_state, chain.devices, chain.initial_system_state)

@@ -100,6 +100,12 @@ def _load_scenario(path: str) -> dsl.Scenario | None:
     except OSError as exc:
         print(f"premeasure: cannot read {path}: {exc}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as exc:
+        print(
+            f"premeasure: cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+            file=sys.stderr,
+        )
+        return None
     try:
         scenario = dsl.parse_scenario(text)
     except dsl.ParseError as exc:

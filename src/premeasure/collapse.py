@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import PROB_SLACK, Distribution, clamp_probability
+from .born import Distribution, clamp_probability
 from .linalg import as_complex_matrix, is_unitary
 from .model import DensityState, Observable
-from .tolerances import DEFAULT_TOL, PRUNE_TOL, RENORM_WINDOW
+from .tolerances import DEFAULT_TOL, PROB_SLACK, PRUNE_TOL, RENORM_WINDOW
 
 
 @dataclass(frozen=True, eq=False)

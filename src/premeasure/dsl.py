@@ -62,6 +62,7 @@ from .linalg import (
     hermitian_evolution,
 )
 from .model import (
+    SYSTEM_LABEL,
     DensityState,
     DeviceSpec,
     Observable,
@@ -103,9 +104,6 @@ MAX_ORACLE_BYTES = 2**28
 # Python's 4,300-digit int() limit and past any dimension or outcome index
 # the size limits admit.
 MAX_INT_DIGITS = 100
-
-# Factor label of the system; no device may take it.
-SYSTEM_LABEL = "S"
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
@@ -703,13 +701,11 @@ def format_scenario(scenario: Scenario) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Attach:
-    """Attach ``device`` in ``mode``: "ideal", "weak" (with ``disturbance``)
-    or "reader" (of the earlier device labelled ``target``)."""
+    """Attach ``device``, weakly when it has a ``disturbance``; a reader's
+    device names its target itself (``DeviceSpec.target``)."""
 
     device: DeviceSpec
-    mode: str
     disturbance: Disturbance | None = None
-    target: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -891,8 +887,7 @@ def compile_scenario(scenario: Scenario) -> Program:
                     ))
                 if fits and stmt.observable in observables:
                     spec = specs[stmt.name] = make_device(stmt.name, observables[stmt.observable])
-                    mode = "ideal" if disturbance is None else "weak"
-                    events.append(Attach(spec, mode, disturbance))
+                    events.append(Attach(spec, disturbance))
             elif isinstance(stmt, ReaderDeviceDecl):
                 if stmt.target not in devices:
                     devices[stmt.name] = 0
@@ -902,7 +897,7 @@ def compile_scenario(scenario: Scenario) -> Program:
                 fits = grow(stmt.name, devices[stmt.name], stmt.pos)
                 if fits and stmt.target in specs:
                     spec = specs[stmt.name] = make_reader_device(stmt.name, specs[stmt.target])
-                    events.append(Attach(spec, "reader", target=stmt.target))
+                    events.append(Attach(spec))
             elif isinstance(stmt, EvolveNamedDecl):
                 if stmt.hamiltonian not in hamiltonians:
                     add(f"undefined hamiltonian {stmt.hamiltonian!r}", stmt.pos)

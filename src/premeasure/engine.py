@@ -13,8 +13,6 @@ from .chain import ChainState, apply_evolution, attach_device, init_chain
 from .collapse import Evolve, Measure
 from .model import Observable
 
-SYSTEM_LABEL = dsl.SYSTEM_LABEL
-
 
 def _program(scenario: dsl.Scenario) -> dsl.Program:
     """The scenario's compiled program; ValueError if it has diagnostics."""
@@ -31,15 +29,12 @@ def build_observables(scenario: dsl.Scenario) -> dict[str, Observable]:
 def build_chain(scenario: dsl.Scenario) -> ChainState:
     """Run every device / evolve event in file order on the initial state."""
     compiled = _program(scenario)
-    chain = init_chain(compiled.initial_state, SYSTEM_LABEL)
+    chain = init_chain(compiled.initial_state)
     for event in compiled.events:
         if isinstance(event, dsl.Evolution):
             chain = apply_evolution(chain, event.unitary)
         else:
-            chain = attach_device(
-                chain, event.device, event.mode,
-                disturbance=event.disturbance, target=event.target,
-            )
+            chain = attach_device(chain, event.device, disturbance=event.disturbance)
     return chain
 
 
@@ -56,12 +51,12 @@ def oracle_plan(scenario: dsl.Scenario):
     for event in compiled.events:
         if isinstance(event, dsl.Evolution):
             steps.append(Evolve(event.unitary))
-        elif event.mode == "weak":
+        elif event.disturbance is not None:
             raise ValueError(
                 f"device {event.device.label!r} is weak; the collapse oracle only "
                 "models ideal measurements"
             )
-        elif event.mode == "ideal":
+        elif event.device.target is None:
             steps.append(Measure(event.device.observable))
             labels.append(event.device.label)
     return compiled.initial_state, steps, labels

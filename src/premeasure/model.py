@@ -24,6 +24,9 @@ from .linalg import (
 )
 from .tolerances import DEFAULT_TOL, EIGENVALUE_SEPARATION, RENORM_WINDOW
 
+# Factor label of the system; no device may take it.
+SYSTEM_LABEL = "S"
+
 
 @dataclass(frozen=True, eq=False)
 class Observable:
@@ -178,7 +181,9 @@ class DensityState:
 class DeviceSpec:
     """A pointer device for one observable.
 
-    The pointer space has one ready state (index 0) plus one pointer state per
+    The observable's ``space_label`` names the factor the device measures:
+    the system, or for a reader the pointer of device ``target``.  The
+    pointer space has one ready state (index 0) plus one pointer state per
     outcome, so ``pointer_dim`` is ``outcome_count + 1``.  Pointer state ``k``
     records outcome ``k``.  The interaction leaves no amplitude on the ready
     state, so a chain stores only the ``outcome_count`` recorded states of the
@@ -195,6 +200,12 @@ class DeviceSpec:
     @property
     def pointer_dim(self) -> int:
         return self.observable.outcome_count + 1
+
+    @property
+    def target(self) -> str | None:
+        """Label of the device whose pointer this one reads; None on the system."""
+        space = self.observable.space_label
+        return None if space == SYSTEM_LABEL else space
 
 
 def make_device(label: str, observable: Observable) -> DeviceSpec:

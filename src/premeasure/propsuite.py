@@ -128,7 +128,7 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
 
     # Full equivalence with the collapse oracle.
     try:
-        eq = collapse_equivalence_report(scenario, chain=chain, tol=dynamic_tol)
+        eq = collapse_equivalence_report(scenario, chain, tol=dynamic_tol)
         _record(summary, trial, scenario, "equivalence", eq.max_deviation, dynamic_tol)
     except Exception as exc:  # noqa: BLE001
         fail("equivalence", str(exc))
@@ -136,8 +136,7 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     # Partial trace of the one-device prefix chain.
     try:
         obs_a = observables["A"]
-        prefix = init_chain(initial, engine.SYSTEM_LABEL)
-        prefix = attach_device(prefix, make_device("M1", obs_a), mode="ideal")
+        prefix = attach_device(init_chain(initial), make_device("M1", obs_a))
         pt = partial_trace_check(prefix, tol=STRUCT_TOL)
         _record(summary, trial, scenario, "partial-trace", pt.max_deviation, STRUCT_TOL)
     except Exception as exc:  # noqa: BLE001

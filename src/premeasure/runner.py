@@ -61,9 +61,9 @@ def repeatability_payload(rep: RepeatabilityReport) -> dict:
     }
 
 
-def equivalence_payload(rep: EquivalenceReport) -> dict:
+def equivalence_payload(rep: EquivalenceReport, scenario_id: str) -> dict:
     return {
-        "scenario_id": rep.scenario_id,
+        "scenario_id": scenario_id,
         "records": [
             {
                 "query": r.query,
@@ -143,13 +143,11 @@ def _answer(scenario, chain, q, tol: float, scenario_id: str) -> dict:
         ds = reduced_system_state(chain)
         return {"space": ds.space_label, "matrix": _matrix_payload(ds.matrix)}
     if isinstance(q, dsl.RepeatabilityQuery):
-        rep = repeatability_matrix(
-            chain, q.first, q.second, tol=tol, scenario_id=scenario_id
-        )
+        rep = repeatability_matrix(chain, q.first, q.second, tol=tol)
         return repeatability_payload(rep)
     if isinstance(q, dsl.EquivalenceQuery):
-        rep = collapse_equivalence_report(scenario, chain=chain, tol=tol, scenario_id=scenario_id)
-        return equivalence_payload(rep)
+        rep = collapse_equivalence_report(scenario, chain, tol=tol)
+        return equivalence_payload(rep, scenario_id)
     raise TypeError(f"unknown query {q!r}")
 
 

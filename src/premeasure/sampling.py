@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsl
-from .model import Observable, make_observable
+from .model import SYSTEM_LABEL, Observable, make_observable
 
 
 def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -43,9 +43,9 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (g + g.conj().T) / 2
+    return (g + g.conj().T) / 2
 
 
 def distinct_eigenvalues(rng: np.random.Generator, count: int) -> list[float]:
@@ -54,14 +54,12 @@ def distinct_eigenvalues(rng: np.random.Generator, count: int) -> list[float]:
     return list(base + rng.uniform(-0.3, 0.3, size=count))
 
 
-def random_observable(rng: np.random.Generator, dim: int, label: str, space_label: str = "S") -> Observable:
+def random_observable(rng: np.random.Generator, dim: int, label: str) -> Observable:
     basis = random_orthonormal_basis(rng, dim)
-    return make_observable(label, space_label, distinct_eigenvalues(rng, dim), basis)
+    return make_observable(label, SYSTEM_LABEL, distinct_eigenvalues(rng, dim), basis)
 
 
-def random_degenerate_observable(
-    rng: np.random.Generator, dim: int, label: str, space_label: str = "S"
-) -> Observable:
+def random_degenerate_observable(rng: np.random.Generator, dim: int, label: str) -> Observable:
     """Observable with at least one eigenspace of dimension > 1 (needs dim >= 2)."""
     if dim < 2:
         raise ValueError("degeneracy needs dimension >= 2")
@@ -72,7 +70,7 @@ def random_degenerate_observable(
     basis = np.array(random_orthonormal_basis(rng, dim)).T
     outcomes = np.repeat(np.arange(1, len(groups) + 1), [len(g) for g in groups])
     values = distinct_eigenvalues(rng, len(groups))
-    return Observable(label, space_label, values, basis, outcomes)
+    return Observable(label, SYSTEM_LABEL, values, basis, outcomes)
 
 
 # --- scenario generation -----------------------------------------------------

@@ -1,7 +1,6 @@
 """Every numerical tolerance of the package, each named for its role.
 
-The modules that use a tolerance import it from here by name, so the old
-spellings (``linalg.DEFAULT_TOL``, ``born.PROB_SLACK``, ...) keep resolving.
+Every module that uses a tolerance imports it from here by name.
 """
 
 # Structural checks: unitarity, Hermiticity, orthonormality, projector

@@ -24,17 +24,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import engine
-from .born import (
-    PROB_SLACK,
-    clamp_probability,
-    joint_distribution,
-    reduced_system_state,
-    sum_to_axes,
-)
+from .born import clamp_probability, joint_distribution, reduced_system_state, sum_to_axes
 from .chain import ChainState
 from .collapse import oracle_sequence_distribution, unknown_result_mixture
 from .dsl import Scenario
-from .tolerances import REPORT_TOL
+from .tolerances import PROB_SLACK, REPORT_TOL
 
 
 class WeakDeviceError(ValueError):
@@ -52,7 +46,6 @@ class QueryRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    scenario_id: str
     records: tuple[QueryRecord, ...]
     max_deviation: float
     tol: float
@@ -70,10 +63,10 @@ def _compare(queries, chain_values, oracle_values) -> list[QueryRecord]:
     return list(map(QueryRecord._make, rows))
 
 
-def _make_report(scenario_id: str, records, tol: float) -> EquivalenceReport:
+def _make_report(records, tol: float) -> EquivalenceReport:
     records = tuple(records)
     max_dev = max((r.abs_deviation for r in records), default=0.0)
-    return EquivalenceReport(scenario_id, records, max_dev, tol, max_dev <= tol)
+    return EquivalenceReport(records, max_dev, tol, max_dev <= tol)
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,6 @@ class RepeatabilityReport:
     """Rows are conditional distributions of the second device given the
     first; a ``None`` row marks a conditioning outcome of zero probability."""
 
-    scenario_id: str
     first_device: str
     second_device: str
     rows: tuple[tuple[float, ...] | None, ...]
@@ -96,7 +88,6 @@ def repeatability_matrix(
     second_device: str,
     *,
     tol: float = REPORT_TOL,
-    scenario_id: str = "chain",
 ) -> RepeatabilityReport:
     """Conditional matrix C[j][k] = p(second=k | first=j) and its deviation
     from the identity over the rows that are defined."""
@@ -122,31 +113,25 @@ def repeatability_matrix(
         row[j] -= 1.0
         max_dev = max(max_dev, *map(abs, row))
     return RepeatabilityReport(
-        scenario_id, first_device, second_device, tuple(rows), max_dev, tol, max_dev <= tol
+        first_device, second_device, tuple(rows), max_dev, tol, max_dev <= tol
     )
 
 
 def collapse_equivalence_report(
-    scenario: Scenario,
-    *,
-    chain: ChainState | None = None,
-    tol: float = REPORT_TOL,
-    scenario_id: str = "scenario",
+    scenario: Scenario, chain: ChainState, *, tol: float = REPORT_TOL
 ) -> EquivalenceReport:
     """Compare the chain against the collapse oracle on every joint, marginal
     and pairwise conditional of the scenario's ideal system devices.
 
-    ``chain`` is the scenario's built chain (``engine.build_chain(scenario)``);
-    it is built here when not given.  Marginals and pair tables, for the chain
-    and the oracle alike, are sums over their one joint table.
+    ``chain`` is the scenario's built chain (``engine.build_chain(scenario)``).
+    Marginals and pair tables, for the chain and the oracle alike, are sums
+    over their one joint table.
     """
     if scenario.has_weak_device():
         raise WeakDeviceError(
             "equivalence with the collapse postulate is only claimed for ideal "
             "premeasurements; this scenario attaches a weak device"
         )
-    if chain is None:
-        chain = engine.build_chain(scenario)
     initial, steps, labels = engine.oracle_plan(scenario)
     if not labels:
         raise ValueError("scenario attaches no system devices; nothing to compare")
@@ -173,15 +158,10 @@ def collapse_equivalence_report(
                 for k in range(1, pair_c.shape[1] + 1)
             )
             records += _compare(names, pair_c[rows] / pg_c[rows], pair_o[rows] / pg_o[rows])
-    return _make_report(scenario_id, records, tol)
+    return _make_report(records, tol)
 
 
-def partial_trace_check(
-    chain: ChainState,
-    *,
-    tol: float = REPORT_TOL,
-    scenario_id: str = "chain",
-) -> EquivalenceReport:
+def partial_trace_check(chain: ChainState, *, tol: float = REPORT_TOL) -> EquivalenceReport:
     """Entrywise comparison of the traced-out system state of a one-device
     chain with the collapse oracle's unknown-result mixture."""
     if len(chain.devices) != 1:
@@ -193,4 +173,4 @@ def partial_trace_check(
     rhs = unknown_result_mixture(chain.initial_system_state, attached.spec.observable).matrix
     entries = itertools.product(range(lhs.shape[0]), repeat=2)
     records = _compare((f"reduced[{j}][{k}]" for j, k in entries), lhs, rhs)
-    return _make_report(scenario_id, records, tol)
+    return _make_report(records, tol)

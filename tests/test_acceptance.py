@@ -246,7 +246,7 @@ def test_criterion_08_reader_invariance(capsys):
         read = init_chain(psi)
         read = attach_device(read, make_device("M1", obs_a))
         rdev = make_reader_device("R", read.device("M1").spec)
-        read = attach_device(read, rdev, mode="reader", target="M1")
+        read = attach_device(read, rdev)
         read = attach_device(read, make_device("MB", obs_b))
 
         first = marginal_distribution(bare, "M1")

@@ -134,7 +134,7 @@ def test_density_route_matches_pure_route():
 def test_reader_marginal_mirrors_target():
     chain = _chain(devices=("M1",))
     rdev = make_reader_device("R", chain.device("M1").spec)
-    chain = attach_device(chain, rdev, mode="reader", target="M1")
+    chain = attach_device(chain, rdev)
     dist = marginal_distribution(chain, "R")
     assert_allclose(dist.probability((1,)), 0.36, atol=1e-12)
     assert_allclose(dist.probability((2,)), 0.64, atol=1e-12)
@@ -217,11 +217,11 @@ def _kernel_chains():
     chains["purified-mixed"] = attach_device(c, make_device("MB", b3))
 
     c = attach_device(init_chain(state(2)), make_device("M1", a))
-    c = attach_device(c, make_reader_device("R", c.device("M1").spec), mode="reader", target="M1")
+    c = attach_device(c, make_reader_device("R", c.device("M1").spec))
     chains["reader"] = attach_device(c, make_device("MB", b))
 
     dist = Disturbance((unitary(2), unitary(2)))
-    c = attach_device(init_chain(state(2)), make_device("MW", a), mode="weak", disturbance=dist)
+    c = attach_device(init_chain(state(2)), make_device("MW", a), disturbance=dist)
     c = attach_device(c, make_device("M2", a))
     chains["weak"] = attach_device(c, make_device("MB", b))
 

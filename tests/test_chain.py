@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -105,6 +107,9 @@ def test_attach_grows_space():
     assert chain.state.shape == (2, 2)
     assert chain.outcome_count("M1") == 2
     assert chain.device("M1").mode == "ideal"
+    assert chain.device("M1").spec.target is None
+    weak = attach_device(chain, make_device("MW", _z_obs()), disturbance=Disturbance((SX, SX)))
+    assert weak.device("MW").mode == "weak"
 
 
 def test_attach_rejects_duplicate_label():
@@ -112,8 +117,34 @@ def test_attach_rejects_duplicate_label():
     chain = attach_device(chain, make_device("M1", _z_obs()))
     with pytest.raises(ValueError, match="M1"):
         attach_device(chain, make_device("M1", _z_obs()))
-    with pytest.raises(ValueError, match="already used"):
-        attach_device(chain, make_device("S", _z_obs()))
+
+
+@pytest.mark.parametrize(
+    "dev,disturbance,message",
+    [
+        (make_device("S", _z_obs()), None, "label 'S' already used"),
+        (
+            make_reader_device("R", make_device("M1", _z_obs())),
+            Disturbance((np.eye(3),) * 3),
+            "reader attachment takes no disturbance",
+        ),
+        (
+            make_device("M2", make_observable("A", "S", [0.0, 1.0, 2.0], np.eye(3))),
+            None,
+            "observable dimension 3 does not match dimension 2 of the measured factor 'S'",
+        ),
+        (
+            make_device("R", make_observable("P", "M1", [0.0, 1.0], np.eye(2))),
+            None,
+            "observable dimension 2 does not match dimension 3 of the measured factor 'M1'",
+        ),
+    ],
+    ids=["system-label", "reader-disturbed", "system-dim", "reader-dim"],
+)
+def test_attach_rejects_a_device_its_factor_cannot_take(dev, disturbance, message):
+    chain = attach_device(init_chain(np.array([1, 0], dtype=complex)), make_device("M1", _z_obs()))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        attach_device(chain, dev, disturbance=disturbance)
 
 
 def test_attach_density_route_matches_pure():
@@ -149,10 +180,13 @@ def test_attach_reader_requires_existing_target():
     chain = init_chain(np.array([1, 0], dtype=complex))
     chain = attach_device(chain, make_device("M1", _z_obs()))
     rdev = make_reader_device("R", chain.device("M1").spec)
-    grown = attach_device(chain, rdev, mode="reader", target="M1")
+    assert rdev.target == "M1"
+    grown = attach_device(chain, rdev)
     assert grown.device_labels == ("M1", "R")
-    with pytest.raises(ValueError):
-        attach_device(chain, rdev, mode="reader", target="nope")
+    assert grown.device("R").mode == "reader"
+    absent = make_reader_device("R", make_device("nope", _z_obs()))
+    with pytest.raises(ValueError, match="no device labelled 'nope'"):
+        attach_device(chain, absent)
 
 
 def test_apply_evolution_on_system_factor():
@@ -190,9 +224,7 @@ def test_state_shape_is_the_factor_layout():
     for chain, lead in ((pure, (3,)), (mixed, (3, 3))):
         chain = attach_device(chain, make_device("M1", qutrit))
         assert chain.state.shape == lead + (3,)
-        chain = attach_device(
-            chain, make_reader_device("R", chain.device("M1").spec), mode="reader", target="M1"
-        )
+        chain = attach_device(chain, make_reader_device("R", chain.device("M1").spec))
         assert chain.state.shape == lead + (3, 4)
         chain = apply_evolution(chain, np.eye(3)[[1, 2, 0]])
         assert chain.state.shape == lead + (3, 4)

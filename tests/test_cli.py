@@ -87,6 +87,19 @@ def test_run_missing_file_exits_1(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_non_utf8_file_exits_1_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b"# caf\xe9\nsystem dim 2\n")
+    code = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"premeasure: cannot read {path}: not UTF-8 text (invalid continuation byte at byte 5)"
+    ]
+
+
 def test_run_parse_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("system dim 2\nstate pure [0.6 0.8]\n")

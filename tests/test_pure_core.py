@@ -75,13 +75,9 @@ def _steps(rng, d, make_obs=_obs):
 
 def _attach(chain, step):
     kind, obj, extra = step
-    if kind == "ideal":
-        return attach_device(chain, obj)
-    if kind == "weak":
-        return attach_device(chain, obj, mode="weak", disturbance=extra)
-    if kind == "reader":
-        return attach_device(chain, obj, mode="reader", target=extra)
-    return apply_evolution(chain, obj)
+    if kind == "evolve":
+        return apply_evolution(chain, obj)
+    return attach_device(chain, obj, disturbance=extra if kind == "weak" else None)
 
 
 def _interaction(step):
@@ -263,10 +259,10 @@ def test_purified_chain_matches_density_reference(seed, d, rank):
     for step in steps:
         chain = _attach(chain, step)
     assert not chain.is_pure
-    # System, ancilla (one state per positive eigenvalue), MA, MW, R.
+    # System, ancilla (one state per nonzero eigenvalue), MA, MW, R.
     system, ancilla, *pointers = chain.state.shape
     assert (system, pointers) == (d, [d, d, d + 1])
-    assert 1 <= ancilla <= d
+    assert ancilla == (1 if rank == 1 else d)
     assert_allclose(chain.initial_system_state, rho, atol=1e-15)
 
     ref, dims, labels = _density_reference(rho, steps)
@@ -290,9 +286,12 @@ def test_purified_chain_matches_density_reference(seed, d, rank):
 def test_purification_keeps_one_ancilla_state_per_positive_eigenvalue():
     v = np.array([0.6, 0.8j], dtype=complex)
     chain = init_chain(np.outer(v, v.conj()))
-    assert chain.state.shape[0] == 2
-    assert 1 <= chain.state.shape[1] <= 2
+    assert chain.state.shape == (2, 1)
     assert_allclose(np.linalg.norm(chain.state), 1.0, atol=1e-15)
+    # The round-off eigenvalues of a rank-1 state get no ancilla state.
+    for seed in range(5):
+        v = random_state_vector(np.random.default_rng(seed), 64)
+        assert init_chain(np.outer(v, v.conj())).state.shape == (64, 1)
     # A negative eigenvalue within DensityState's tolerance is dropped and
     # the rest renormalized, so probabilities stay within [0, 1].
     edge = init_chain(np.diag([1 + 5e-11, -5e-11]).astype(complex))
