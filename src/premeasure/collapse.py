@@ -10,8 +10,9 @@ package exists to show that the collapse-free chain reproduces these numbers.
 
 The tree is grown one step at a time on its whole frontier, held as one
 stack: the B branch states as a (B, d) array, or (B, d, d) for density
-operators, their Born weights as (B,) and their outcome prefixes as (B, m)
-ints.  A measure step checks and renormalizes every state, projects the stack
+operators, their Born weights as (B,) and their outcomes so far as one
+row-major index each into the product of the outcome counts, (B,) ints.  A
+measure step checks and renormalizes every state, projects the stack
 onto every outcome in one product against the stacked projectors, and keeps
 the branches above the pruning floor; ``collapse_branches`` is that step for
 a stack of one.  The oracle shares no kernel with the chain on purpose: it is
@@ -103,48 +104,49 @@ def _checked(states: np.ndarray) -> np.ndarray:
     return states
 
 
-def _measure(prefixes: np.ndarray, weights: np.ndarray, states: np.ndarray, obs: Observable):
+def _measure(index: np.ndarray, weights: np.ndarray, states: np.ndarray, obs: Observable):
     """One measure step on the whole frontier: every kept (outcome, branch)
-    pair as (prefix + outcome, weight * p, renormalized post state).
+    pair as (index * K + outcome, weight * p, renormalized post state).
 
-    ``prefixes`` (B, m) holds each branch's 0-based outcomes so far,
-    ``weights`` (B,) its Born weight and ``states`` its (B, d) vector or
-    (B, d, d) density matrix.  Outcome k of branch b is dropped when its own
-    probability p is at most 1e-12, whatever the branch's weight: a rare
-    branch keeps its likely children, and one step drops at most K * 1e-12
-    of the total weight.
+    ``index`` (B,) holds each branch's 0-based outcomes so far as one
+    row-major index into the product of the outcome counts, ``weights`` (B,)
+    its Born weight and ``states`` its (B, d) vector or (B, d, d) density
+    matrix.  Outcome k of branch b is dropped when its own probability p is
+    at most 1e-12, whatever the branch's weight: a rare branch keeps its
+    likely children, and one step drops at most K * 1e-12 of the total
+    weight.  Besides the frontier passed in, a step holds the K * B projected
+    states and one copy of the kept ones, renormalized in place.
     """
     if states.shape[1] != obs.dim:
         raise ValueError(f"state dimension {states.shape[1]} does not match {obs.dim}")
     states = _checked(states)
     proj = obs.projectors
-    if states.ndim == 2:
+    pure = states.ndim == 2
+    if pure:
         post = states @ proj.transpose(0, 2, 1)  # post[k, b] = P_k psi_b
-        p = np.einsum("kbi,kbi->kb", post.conj(), post).real
+        # |P_k psi_b|^2 over the real and imaginary views: no conjugate copy.
+        p = np.einsum("kbi,kbi->kb", post.real, post.real)
+        p += np.einsum("kbi,kbi->kb", post.imag, post.imag)
     else:
         post = proj[:, None] @ states @ proj[:, None]
         p = np.trace(post, axis1=2, axis2=3).real
+    del states  # the renormalized copy; the caller still holds the frontier
     over = p > 1.0 + PROB_SLACK
     if over.any():
         clamp_probability(float(p[over][0]))  # raises, naming the value
     grown = weights * np.minimum(p, 1.0)
     k, b = np.nonzero(p > PRUNE_TOL)
     kept = p[k, b]
-    if states.ndim == 2:
-        post = post[k, b] / np.sqrt(kept)[:, None]
-    else:
-        post = post[k, b] / kept[:, None, None]
-    return np.concatenate((prefixes[b], k[:, None]), axis=1), grown[k, b], post
+    post = post[k, b]
+    post /= np.sqrt(kept)[:, None] if pure else kept[:, None, None]
+    return index[b] * len(proj) + k, grown[k, b], post
 
 
 def collapse_branches(state, obs: Observable) -> list[Branch]:
     """Born-weighted outcome branches of one measurement, pruned at 1e-12."""
     arr = _coerce(state, obs.dim)
-    prefixes, weights, post = _measure(np.zeros((1, 0), dtype=np.intp), np.ones(1), arr[None], obs)
-    return [
-        Branch(k + 1, w, st)
-        for k, w, st in zip(prefixes[:, 0].tolist(), weights.tolist(), post)
-    ]
+    outcomes, weights, post = _measure(np.zeros(1, dtype=np.intp), np.ones(1), arr[None], obs)
+    return [Branch(k + 1, w, st) for k, w, st in zip(outcomes.tolist(), weights.tolist(), post)]
 
 
 def unknown_result_mixture(state, obs: Observable) -> DensityState:
@@ -182,13 +184,13 @@ def oracle_sequence_distribution(initial_state, steps, labels=None) -> Distribut
             )
 
     states = _coerce(initial_state)[None]
-    prefixes = np.zeros((1, 0), dtype=np.intp)
+    index = np.zeros(1, dtype=np.intp)
     weights = np.ones(1)
     outcome_ranges: list[int] = []
     for step in steps:
         if isinstance(step, Measure):
             outcome_ranges.append(step.observable.outcome_count)
-            prefixes, weights, states = _measure(prefixes, weights, states, step.observable)
+            index, weights, states = _measure(index, weights, states, step.observable)
         elif isinstance(step, Evolve):
             u = as_complex_matrix(step.unitary, "evolution")
             dim = states.shape[1]
@@ -200,9 +202,9 @@ def oracle_sequence_distribution(initial_state, steps, labels=None) -> Distribut
         else:
             raise ValueError(f"unknown oracle step {step!r}")
 
-    # Leaf prefixes are unique, and each step prunes at most K * PRUNE_TOL of
+    # Leaf indices are unique, and each step prunes at most K * PRUNE_TOL of
     # the weight; the table spans the full product of outcomes so chain-side
     # comparisons align by position.
     table = np.zeros(outcome_ranges)
-    table[tuple(prefixes.T)] = weights
+    table.reshape(-1)[index] = weights
     return Distribution(labels, table=table)

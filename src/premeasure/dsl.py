@@ -93,10 +93,11 @@ MAX_AMPLITUDES = 2**26
 MAX_DEVICES = 30
 
 # Largest ``query equivalence``: it reports every joint outcome of the
-# system devices, at about 1.7 KB of records and JSON each, and the collapse
-# oracle holds one branch state per joint outcome (``equivalence_problem``
-# estimates its bytes).  Together the two bounds keep the query's own peak
-# under 1 GiB.
+# system devices.  The report holds its values as arrays, but the output
+# records and their JSON text peak at about 1.7 KB per joint outcome, and the
+# collapse oracle holds one branch state per joint outcome
+# (``equivalence_problem`` estimates its bytes).  Together the two bounds
+# keep the query's own peak under 1 GiB.
 MAX_JOINT_OUTCOMES = 2**18
 MAX_ORACLE_BYTES = 2**28
 

@@ -62,16 +62,16 @@ def repeatability_payload(rep: RepeatabilityReport) -> dict:
 
 
 def equivalence_payload(rep: EquivalenceReport, scenario_id: str) -> dict:
+    rows = zip(
+        rep.queries,
+        rep.chain_values.tolist(),
+        rep.oracle_values.tolist(),
+        rep.deviations.tolist(),
+    )
     return {
         "scenario_id": scenario_id,
         "records": [
-            {
-                "query": r.query,
-                "chain": r.chain_value,
-                "oracle": r.oracle_value,
-                "deviation": r.abs_deviation,
-            }
-            for r in rep.records
+            {"query": q, "chain": c, "oracle": o, "deviation": d} for q, c, o, d in rows
         ],
         "max_deviation": rep.max_deviation,
         "tol": rep.tol,

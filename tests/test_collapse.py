@@ -185,9 +185,9 @@ def test_measure_step_rejects_a_bad_density_matrix_in_the_stack(bad):
     with pytest.raises(ValueError) as today:
         DensityState("S", bad)
     stack = np.stack([np.diag([0.25, 0.75]).astype(complex), bad])
-    prefixes, weights = np.zeros((2, 0), dtype=np.intp), np.array([0.5, 0.5])
+    index, weights = np.zeros(2, dtype=np.intp), np.array([0.5, 0.5])
     with pytest.raises(ValueError, match=f"^{re.escape(str(today.value))}$"):
-        collapse._measure(prefixes, weights, stack, _z_obs())
+        collapse._measure(index, weights, stack, _z_obs())
 
 
 def _loop_oracle(state, steps):

@@ -1,9 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from premeasure import dsl, engine
-from premeasure.born import OutcomeEvent, conditional_probability
+from premeasure.born import OutcomeEvent, conditional_probability, joint_distribution
 from premeasure.chain import Disturbance, attach_device, init_chain, make_reader_device
 from premeasure.model import make_device, make_observable
 from premeasure.sampling import random_scenario
@@ -14,7 +17,15 @@ from premeasure.verify import (
     repeatability_matrix,
 )
 
+import reference
+
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+QUBIT_ZX = (
+    "system dim 2\nstate pure [0.6, 0.8]\n"
+    "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+    "observable X eigen [1, -1] basis "
+    "[[0.7071067811865476, 0.7071067811865476], [0.7071067811865476, -0.7071067811865476]]\n"
+)
 
 
 def _z_obs():
@@ -186,3 +197,89 @@ def test_equivalence_report_records_in_order():
     ]
     assert_allclose([r.chain_value for r in rep.records[:4]], [0.36, 0, 0, 0.64], atol=1e-15)
     assert rep.max_deviation <= 1e-15
+
+
+# Edge cases of the array report: (scenario text, number of conditionals).
+EDGE_CASES = {
+    "one system device": (QUBIT_ZX + "device M1 measures Z\n", 0),
+    "mixed outcome counts": (
+        "system dim 3\nstate pure [0.8, 0.2, 0.1]\n"
+        "observable D projectors [1, 2] [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]] "
+        "[[0.5, -0.5, 0], [-0.5, 0.5, 0], [0, 0, 1]]\n"
+        "observable F eigen [1, 2, 3] basis [[0.6, 0.8, 0], [0.8, -0.6, 0], [0, 0, 1]]\n"
+        "device M1 measures D\ndevice M2 measures F\ndevice M3 measures D\n",
+        2 * 3 + 2 * 2 + 3 * 2,
+    ),
+    "reader between system devices": (
+        QUBIT_ZX + "device M1 measures Z\ndevice R reads M1\ndevice M2 measures X\n",
+        2 * 2,
+    ),
+    # M1=2 and M2=2 never fire, so the rows given them are dropped.
+    "zero-probability condition": (
+        QUBIT_ZX.replace("[0.6, 0.8]", "[1, 0]")
+        + "device M1 measures Z\ndevice M2 measures Z\ndevice M3 measures X\n",
+        2 + 2 + 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("text, conditionals", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_equivalence_arrays_match_the_reference(text, conditionals):
+    s = dsl.parse_scenario(text + "query equivalence\n")
+    rep = collapse_equivalence_report(s, engine.build_chain(s))
+    want = reference.answers(s)[-1]["result"]["records"]
+    assert list(rep.queries) == [r["query"] for r in want]
+    assert sum(q.startswith("conditional") for q in rep.queries) == conditionals
+    assert rep.chain_values.dtype == rep.oracle_values.dtype == np.float64
+    assert_allclose(rep.chain_values, [r["chain"] for r in want], rtol=0, atol=1e-12)
+    assert_allclose(rep.oracle_values, [r["oracle"] for r in want], rtol=0, atol=1e-12)
+    records = rep.records
+    assert len(records) == len(want) == rep.deviations.size
+    assert rep.max_deviation == max(r.abs_deviation for r in records)
+    assert rep.passed
+
+
+def test_partial_trace_check_arrays_and_records():
+    s = dsl.parse_scenario(EDGE_CASES["mixed outcome counts"][0])
+    device = make_device("M1", s.program.observables["D"])
+    chain = attach_device(init_chain(s.program.initial_state), device)
+    rep = partial_trace_check(chain)
+    assert rep.queries == tuple(f"reduced[{j}][{k}]" for j in range(3) for k in range(3))
+    assert rep.chain_values.dtype == np.complex128
+    records = rep.records
+    assert len(records) == 9
+    assert rep.max_deviation == max(r.abs_deviation for r in records)
+    assert [r.chain_value for r in records] == rep.chain_values.tolist()
+    assert rep.passed
+
+
+def test_equivalence_marginals_and_conditionals_match_exact_sums():
+    # 12 qubit devices alternating Z and X: 4,096 joint outcomes, none zero.
+    labels = [f"M{i}" for i in range(1, 13)]
+    text = QUBIT_ZX + "".join(
+        f"device {dev} measures {'ZX'[i % 2]}\n" for i, dev in enumerate(labels)
+    )
+    s = dsl.parse_scenario(text)
+    chain = engine.build_chain(s)
+    rep = collapse_equivalence_report(s, chain)
+    table = joint_distribution(chain, labels).table
+
+    def exact(fixed):
+        index = [slice(None)] * table.ndim
+        for axis, k in fixed:
+            index[axis] = k
+        return math.fsum(table[tuple(index)].ravel().tolist())
+
+    # The typical round-off of a sum of N terms grows as sqrt(N) units of eps.
+    bound = math.sqrt(table.size) * np.finfo(float).eps
+    values = dict(zip(rep.queries, rep.chain_values.tolist()))
+    assert len(values) == table.size + 12 * 2 + 66 * 2 * 2
+    for i, dev in enumerate(labels):
+        for k in (1, 2):
+            assert abs(values[f"marginal {dev}={k}"] - exact([(i, k - 1)])) <= bound
+    for i, j in itertools.combinations(range(12), 2):
+        for e in (1, 2):
+            given = exact([(i, e - 1)])
+            for k in (1, 2):
+                got = values[f"conditional {labels[j]}={k} given {labels[i]}={e}"]
+                assert abs(got - exact([(i, e - 1), (j, k - 1)]) / given) <= bound
