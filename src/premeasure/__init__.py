@@ -34,13 +34,10 @@ from .chain import (
     build_weak_unitary,
     init_chain,
     make_reader_device,
-    pointer_shift,
 )
 from .collapse import (
-    Branch,
     Evolve,
     Measure,
-    collapse_branches,
     oracle_sequence_distribution,
     unknown_result_mixture,
 )
@@ -52,7 +49,7 @@ from .dsl import (
     parse_scenario,
     validate_scenario,
 )
-from .linalg import hermitian_evolution, partial_trace
+from .linalg import hermitian_evolution
 from .model import (
     DensityState,
     DeviceSpec,
@@ -71,7 +68,6 @@ from .verify import (
 )
 
 __all__ = [
-    "Branch",
     "ChainState",
     "DensityState",
     "DeviceSpec",
@@ -94,7 +90,6 @@ __all__ = [
     "build_weak_unitary",
     "bundled_scenario_path",
     "bundled_scenario_names",
-    "collapse_branches",
     "collapse_equivalence_report",
     "conditional_probability",
     "format_scenario",
@@ -109,9 +104,7 @@ __all__ = [
     "marginal_distribution",
     "oracle_sequence_distribution",
     "parse_scenario",
-    "partial_trace",
     "partial_trace_check",
-    "pointer_shift",
     "reduced_system_state",
     "repeatability_matrix",
     "total_probability",

@@ -42,19 +42,16 @@ def clamp_probability(p: float) -> float:
 
 
 class Distribution:
-    """Probabilities over joint outcome tuples of the named devices.
+    """Probabilities over joint outcome tuples, one table axis per device.
 
     ``table[k1 - 1, ..., kn - 1]`` is p(k1, ..., kn).  Entries are clamped
     and must sum to 1 within ``DISTRIBUTION_SUM_TOL``.
     """
 
-    __slots__ = ("devices", "table")
+    __slots__ = ("table",)
 
-    def __init__(self, devices, table):
-        devices = tuple(str(d) for d in devices)
+    def __init__(self, table):
         table = np.asarray(table, dtype=np.float64)
-        if table.ndim != len(devices):
-            raise ValueError(f"table of shape {table.shape} does not match devices {devices}")
         bad = ~((table >= -PROB_SLACK) & (table <= 1.0 + PROB_SLACK))
         if bad.any():
             clamp_probability(float(table[bad][0]))  # raises, naming the value
@@ -63,7 +60,6 @@ class Distribution:
         if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         table.setflags(write=False)
-        self.devices = devices
         self.table = table
 
     @property
@@ -141,10 +137,10 @@ def conditional_probability(chain: ChainState, target: OutcomeEvent, given) -> f
 
 def joint_distribution(chain: ChainState, device_labels) -> Distribution:
     """Full joint distribution over the listed devices' outcomes."""
-    labels = list(device_labels)
-    events = [OutcomeEvent(lbl, 1) for lbl in labels]  # checks the labels: 1 is always valid
+    # Outcome 1 is always valid, so this only checks the labels.
+    events = [OutcomeEvent(lbl, 1) for lbl in device_labels]
     axes = [axis for axis, _ in _event_positions(chain, events)]
-    return Distribution(labels, table=sum_to_axes(chain.pointer_probabilities, axes))
+    return Distribution(sum_to_axes(chain.pointer_probabilities, axes))
 
 
 def marginal_distribution(chain: ChainState, device_label: str) -> Distribution:

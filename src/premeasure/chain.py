@@ -71,24 +71,20 @@ from .tolerances import DEFAULT_TOL
 
 @dataclass(frozen=True, eq=False)
 class Disturbance:
-    """Per-outcome unitaries applied to the system inside recorded branches."""
+    """Per-outcome unitaries applied to the system inside recorded branches.
+
+    Each is checked unitary here; their count and dimension are checked
+    against the observable where the disturbance is used.
+    """
 
     unitaries: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         mats = tuple(
-            as_unitary(u, f"disturbance {i}") for i, u in enumerate(self.unitaries, start=1)
+            readonly(as_unitary(u, f"disturbance {i}"))
+            for i, u in enumerate(self.unitaries, start=1)
         )
-        if not mats:
-            raise ValueError("disturbance needs at least one unitary")
-        d = mats[0].shape[0]
-        for i, u in enumerate(mats, start=1):
-            if u.shape != (d, d):
-                raise ValueError(f"disturbance {i} has shape {u.shape}, expected {(d, d)}")
-        object.__setattr__(self, "unitaries", tuple(readonly(u) for u in mats))
-
-    def __len__(self) -> int:
-        return len(self.unitaries)
+        object.__setattr__(self, "unitaries", mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +124,6 @@ class ChainState:
         object.__setattr__(self, "initial_system_state", readonly(self.initial_system_state))
 
     @property
-    def is_pure(self) -> bool:
-        """True unless the chain started from a mixed state."""
-        return self.state.ndim == len(self.devices) + 1
-
-    @property
     def system_dim(self) -> int:
         return self.state.shape[0]
 
@@ -166,8 +157,6 @@ class ChainState:
 
 def pointer_shift(dim: int) -> np.ndarray:
     """Cyclic add-1 shift on a ``dim``-dimensional pointer basis."""
-    if dim < 1:
-        raise ValueError("pointer dimension must be positive")
     return np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
 
 
@@ -185,9 +174,9 @@ def build_ideal_unitary(obs: Observable, dev: DeviceSpec) -> np.ndarray:
 
 
 def _check_disturbance(obs: Observable, dist: Disturbance) -> None:
-    if len(dist) != obs.outcome_count:
+    if len(dist.unitaries) != obs.outcome_count:
         raise ValueError(
-            f"need {obs.outcome_count} disturbance unitaries, got {len(dist)}"
+            f"need {obs.outcome_count} disturbance unitaries, got {len(dist.unitaries)}"
         )
     for u in dist.unitaries:
         if u.shape[0] != obs.dim:

@@ -114,8 +114,9 @@ def _measure(index: np.ndarray, weights: np.ndarray, states: np.ndarray, obs: Ob
     matrix.  Outcome k of branch b is dropped when its own probability p is
     at most 1e-12, whatever the branch's weight: a rare branch keeps its
     likely children, and one step drops at most K * 1e-12 of the total
-    weight.  Besides the frontier passed in, a step holds the K * B projected
-    states and one copy of the kept ones, renormalized in place.
+    weight.  Besides the frontier passed in, a step holds a checked copy of
+    it and the K * B projected states, renormalized in place; only a step
+    that prunes copies the kept ones out of them.
     """
     if states.shape[1] != obs.dim:
         raise ValueError(f"state dimension {states.shape[1]} does not match {obs.dim}")
@@ -134,12 +135,16 @@ def _measure(index: np.ndarray, weights: np.ndarray, states: np.ndarray, obs: Ob
     over = p > 1.0 + PROB_SLACK
     if over.any():
         clamp_probability(float(p[over][0]))  # raises, naming the value
-    grown = weights * np.minimum(p, 1.0)
-    k, b = np.nonzero(p > PRUNE_TOL)
-    kept = p[k, b]
-    post = post[k, b]
-    post /= np.sqrt(kept)[:, None] if pure else kept[:, None, None]
-    return index[b] * len(proj) + k, grown[k, b], post
+    # Row-major (k, b) is the stack's own order, so the flat stack is a view.
+    leaves = (index * len(proj) + np.arange(len(proj))[:, None]).reshape(-1)
+    flat = p.reshape(-1)
+    grown = (weights * np.minimum(p, 1.0)).reshape(-1)
+    post = post.reshape(flat.size, *post.shape[2:])
+    keep = flat > PRUNE_TOL
+    if not keep.all():
+        leaves, flat, grown, post = leaves[keep], flat[keep], grown[keep], post[keep]
+    post /= np.sqrt(flat)[:, None] if pure else flat[:, None, None]
+    return leaves, grown, post
 
 
 def collapse_branches(state, obs: Observable) -> list[Branch]:
@@ -162,26 +167,17 @@ def unknown_result_mixture(state, obs: Observable) -> DensityState:
     return DensityState(obs.space_label, mix)
 
 
-def oracle_sequence_distribution(initial_state, steps, labels=None) -> Distribution:
+def oracle_sequence_distribution(initial_state, steps) -> Distribution:
     """Joint outcome distribution for a sequence of Measure / Evolve steps.
 
-    Outcome tuples are ordered by measure step; ``labels`` optionally names
-    the tuple positions (defaults to m1, m2, ...).  An outcome of local
-    probability at most 1e-12 is pruned, so the reported weights undershoot 1
-    by at most 1e-12 times the summed outcome counts of the measure steps.
+    Axis i of the table is the outcome of the i-th measure step.  An outcome
+    of local probability at most 1e-12 is pruned, so the reported weights
+    undershoot 1 by at most 1e-12 times the summed outcome counts of the
+    measure steps.
     """
     steps = list(steps)
-    measure_count = sum(1 for s in steps if isinstance(s, Measure))
-    if measure_count == 0:
+    if not any(isinstance(s, Measure) for s in steps):
         raise ValueError("sequence contains no measure steps")
-    if labels is None:
-        labels = tuple(f"m{i}" for i in range(1, measure_count + 1))
-    else:
-        labels = tuple(labels)
-        if len(labels) != measure_count:
-            raise ValueError(
-                f"{len(labels)} labels for {measure_count} measure steps"
-            )
 
     states = _coerce(initial_state)[None]
     index = np.zeros(1, dtype=np.intp)
@@ -207,4 +203,4 @@ def oracle_sequence_distribution(initial_state, steps, labels=None) -> Distribut
     # comparisons align by position.
     table = np.zeros(outcome_ranges)
     table.reshape(-1)[index] = weights
-    return Distribution(labels, table=table)
+    return Distribution(table)

@@ -129,11 +129,10 @@ Mat = tuple[Row, ...]
 class ParseError(Exception):
     """Lexical or syntax error with a 1-based source position."""
 
-    def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, line: int, col: int):
         self.message = message
         self.line = line
         self.col = col
-        self.expected = tuple(expected)
         super().__init__(f"{line}:{col}: {message}")
 
 
@@ -324,32 +323,11 @@ class Scenario:
         return None
 
     @property
-    def system_dim(self) -> int | None:
-        decl = self.system_decl
-        return decl.dim if decl else None
-
-    @property
     def state_decl(self):
         for s in self.statements:
             if isinstance(s, (PureStateDecl, MixedStateDecl)):
                 return s
         return None
-
-    @property
-    def observables(self) -> dict[str, EigenObservableDecl | ProjectorObservableDecl]:
-        return {
-            s.name: s
-            for s in self.statements
-            if isinstance(s, (EigenObservableDecl, ProjectorObservableDecl))
-        }
-
-    @property
-    def device_decls(self) -> dict[str, MeasureDeviceDecl | ReaderDeviceDecl]:
-        return {
-            s.name: s
-            for s in self.statements
-            if isinstance(s, (MeasureDeviceDecl, ReaderDeviceDecl))
-        }
 
     @property
     def events(self) -> tuple[EventDecl, ...]:
@@ -363,12 +341,6 @@ class Scenario:
             RepeatabilityQuery, EquivalenceQuery,
         )
         return tuple(s for s in self.statements if isinstance(s, kinds))
-
-    def has_weak_device(self) -> bool:
-        return any(
-            isinstance(s, MeasureDeviceDecl) and s.weak is not None
-            for s in self.statements
-        )
 
     @cached_property
     def program(self) -> Program:
@@ -401,9 +373,7 @@ class _Parser:
         tok = self.peek()
         shown = tok.text if tok.kind != "eof" else "end of input"
         wanted = " or ".join(expected)
-        raise ParseError(
-            f"expected {wanted}, got {shown!r}", tok.line, tok.col, expected
-        )
+        raise ParseError(f"expected {wanted}, got {shown!r}", tok.line, tok.col)
 
     def accept(self, word: str) -> bool:
         """Consume the keyword ``word`` if it comes next."""
@@ -429,8 +399,7 @@ class _Parser:
             self.fail((role,))
         if tok.text in KEYWORDS:
             raise ParseError(
-                f"keyword {tok.text!r} cannot be used as {role}",
-                tok.line, tok.col, (role,),
+                f"keyword {tok.text!r} cannot be used as {role}", tok.line, tok.col
             )
         return self.advance()
 
@@ -442,7 +411,7 @@ class _Parser:
         if len(digits) > MAX_INT_DIGITS:
             raise ParseError(
                 f"{role} has {len(digits)} digits, more than {MAX_INT_DIGITS}",
-                tok.line, tok.col, (role,),
+                tok.line, tok.col,
             )
         self.advance()
         value = int(digits or "0")
@@ -454,8 +423,7 @@ class _Parser:
             self.fail((role,))
         if tok.value.imag != 0.0:
             raise ParseError(
-                f"expected {role}, got complex literal {tok.text!r}",
-                tok.line, tok.col, (role,),
+                f"expected {role}, got complex literal {tok.text!r}", tok.line, tok.col
             )
         return float(self.advance().value.real)
 
@@ -748,6 +716,19 @@ def _np_mat(mat: Mat, name: str) -> np.ndarray:
     return as_complex_matrix(np.array(mat, dtype=np.complex128), name)
 
 
+# What a statement's float64 checks compute from its literals, named in the
+# diagnostic when they overflow.
+_CHECKED_QUANTITY = {
+    PureStateDecl: "state norm",
+    MixedStateDecl: "mixed state trace or spectrum",
+    EigenObservableDecl: "eigenbasis row norm",
+    ProjectorObservableDecl: "projector product",
+    HamiltonianDecl: "hamiltonian hermiticity residual",
+    MeasureDeviceDecl: "disturbance unitarity residual",
+    EvolveUnitaryDecl: "evolution unitarity residual",
+}
+
+
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def compile_scenario(scenario: Scenario) -> Program:
     """Compile ``scenario`` in one pass in file order; prefer the memoized
@@ -765,7 +746,8 @@ def compile_scenario(scenario: Scenario) -> Program:
     ``MAX_ORACLE_BYTES`` of oracle leaf states and projectors.
     User input is normalized (state norm or trace, eigenbasis rows) and
     handed to the constructors that check the rest.  Their ValueErrors, and
-    float overflows while checking, become diagnostics at the statement.
+    float overflows while checking (named by the quantity that overflows),
+    become diagnostics at the statement.
     """
     diags: list[Diagnostic] = []
 
@@ -909,8 +891,12 @@ def compile_scenario(scenario: Scenario) -> Program:
             elif isinstance(stmt, EvolveUnitaryDecl):
                 u = as_unitary(system_matrix(stmt.matrix, "evolution"), "evolution")
                 events.append(Evolution(u))
-        except (ValueError, FloatingPointError) as exc:
+        except ValueError as exc:
             add(str(exc), stmt.pos)
+        except FloatingPointError as exc:
+            quantity = _CHECKED_QUANTITY.get(type(stmt), "checked value")
+            problem = "overflows" if "overflow" in str(exc) else "cannot be evaluated in"
+            add(f"{quantity} {problem} float64", stmt.pos)
         if isinstance(stmt, MarginalQuery):
             _check_device_ref(stmt.device, devices, stmt.pos, add)
         elif isinstance(stmt, JointQuery):

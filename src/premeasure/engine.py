@@ -14,6 +14,10 @@ from .collapse import Evolve, Measure
 from .model import Observable
 
 
+class WeakDeviceError(ValueError):
+    """Raised when an equivalence claim is requested for a weak device."""
+
+
 def _program(scenario: dsl.Scenario) -> dsl.Program:
     """The scenario's compiled program; ValueError if it has diagnostics."""
     compiled = scenario.program
@@ -43,7 +47,8 @@ def oracle_plan(scenario: dsl.Scenario):
 
     Ideal system devices become Measure steps and evolutions become Evolve
     steps; reader devices have no collapse-side counterpart and are skipped.
-    Weak devices are outside the oracle's remit and are rejected.
+    Weak devices are outside the oracle's remit: the first one raises
+    ``WeakDeviceError``.
     """
     compiled = _program(scenario)
     steps = []
@@ -52,9 +57,9 @@ def oracle_plan(scenario: dsl.Scenario):
         if isinstance(event, dsl.Evolution):
             steps.append(Evolve(event.unitary))
         elif event.disturbance is not None:
-            raise ValueError(
-                f"device {event.device.label!r} is weak; the collapse oracle only "
-                "models ideal measurements"
+            raise WeakDeviceError(
+                "equivalence with the collapse postulate is only claimed for ideal "
+                "premeasurements; this scenario attaches a weak device"
             )
         elif event.device.target is None:
             steps.append(Measure(event.device.observable))

@@ -37,7 +37,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_state_vector(v, name: str = "state") -> np.ndarray:
+def as_state_vector(v) -> np.ndarray:
     """Coerce ``v`` to a unit-norm 1-d complex128 array.
 
     Norm deviations below ``RENORM_WINDOW`` are repaired by renormalizing;
@@ -45,16 +45,14 @@ def as_state_vector(v, name: str = "state") -> np.ndarray:
     """
     arr = np.asarray(v, dtype=np.complex128)
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
+        raise ValueError(f"state must be 1-dimensional, got shape {arr.shape}")
     if arr.size == 0:
-        raise ValueError(f"{name} is empty")
+        raise ValueError("state is empty")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("state contains non-finite entries")
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) >= RENORM_WINDOW:
-        raise ValueError(
-            f"{name} has norm {norm:.12g}; expected 1 within {RENORM_WINDOW:g}"
-        )
+        raise ValueError(f"state has norm {norm:.12g}; expected 1 within {RENORM_WINDOW:g}")
     return arr / norm
 
 

@@ -48,8 +48,6 @@ class Observable:
 
     def __post_init__(self):
         eigenvalues = tuple(float(a) for a in self.eigenvalues)
-        if len(eigenvalues) == 0:
-            raise ValueError("observable needs at least one outcome")
         if not all(np.isfinite(eigenvalues)):
             raise ValueError("eigenvalues contain non-finite entries")
         vals = sorted(eigenvalues)

@@ -42,10 +42,6 @@ class PropFailure:
 
 @dataclass
 class PropSummary:
-    seed: int
-    trials: int
-    max_dim: int
-    max_depth: int
     checks_run: int = 0
     max_deviation: float = 0.0
     failures: list[PropFailure] = field(default_factory=list)
@@ -56,7 +52,7 @@ class PropSummary:
 
 
 def run_property_suite(seed: int, trials: int, max_dim: int, max_depth: int) -> PropSummary:
-    summary = PropSummary(seed, trials, max_dim, max_depth)
+    summary = PropSummary()
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         scenario = sampling.random_scenario(rng, max_dim=max_dim, max_depth=max_depth)
@@ -65,7 +61,7 @@ def run_property_suite(seed: int, trials: int, max_dim: int, max_depth: int) -> 
 
 
 def _record(summary: PropSummary, trial: int, scenario: dsl.Scenario, check: str,
-            deviation: float, tol: float, detail: str = "") -> None:
+            deviation: float, tol: float) -> None:
     summary.checks_run += 1
     summary.max_deviation = max(summary.max_deviation, deviation)
     if deviation > tol:
@@ -74,7 +70,7 @@ def _record(summary: PropSummary, trial: int, scenario: dsl.Scenario, check: str
                 trial,
                 check,
                 deviation,
-                detail or f"deviation {deviation:.3e} exceeds {tol:g}",
+                f"deviation {deviation:.3e} exceeds {tol:g}",
                 dsl.format_scenario(scenario),
             )
         )

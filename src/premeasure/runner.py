@@ -22,7 +22,6 @@ from .tolerances import REPORT_TOL
 from .verify import (
     EquivalenceReport,
     RepeatabilityReport,
-    WeakDeviceError,
     collapse_equivalence_report,
     repeatability_matrix,
 )
@@ -100,7 +99,7 @@ def run_scenario(
             answers.append(QueryAnswer(index, kind, text, payload))
         except ZeroProbabilityError as exc:
             answers.append(QueryAnswer(index, kind, text, None, str(exc), "zero-probability"))
-        except WeakDeviceError as exc:
+        except engine.WeakDeviceError as exc:
             answers.append(QueryAnswer(index, kind, text, None, str(exc), "weak-equivalence"))
         except ValueError as exc:
             answers.append(QueryAnswer(index, kind, text, None, str(exc), "runtime"))

@@ -18,11 +18,9 @@ def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """Random mixture of ``rank`` random pure states (full rank by default)."""
-    if rank is None:
-        rank = dim
-    weights = rng.random(rank) + 0.1
+def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random full-rank mixture of ``dim`` random pure states."""
+    weights = rng.random(dim) + 0.1
     weights = weights / weights.sum()
     rho = np.zeros((dim, dim), dtype=np.complex128)
     for w in weights:

@@ -10,6 +10,8 @@ Three kinds of report:
   caller passes in the chain it built, so each scenario is built once.  Both
   joint tables are contracted once against the one-hot indicator of the
   joint outcomes; every marginal and pair table is a block of that product.
+  A scenario with a weak device is refused by ``engine.oracle_plan``, which
+  raises ``WeakDeviceError`` (re-exported here).
 * partial trace: the system marginal of a one-device chain compared against
   the unknown-result mixture of the projected branches.
 
@@ -33,11 +35,8 @@ from .born import clamp_probability, joint_distribution, reduced_system_state
 from .chain import ChainState
 from .collapse import oracle_sequence_distribution, unknown_result_mixture
 from .dsl import Scenario
+from .engine import WeakDeviceError  # noqa: F401 - re-exported
 from .tolerances import PROB_SLACK, REPORT_TOL
-
-
-class WeakDeviceError(ValueError):
-    """Raised when an equivalence claim is requested for a weak device."""
 
 
 class QueryRecord(NamedTuple):
@@ -187,20 +186,16 @@ def collapse_equivalence_report(
     and pairwise conditional of the scenario's ideal system devices.
 
     ``chain`` is the scenario's built chain (``engine.build_chain(scenario)``).
+    A weak device raises ``WeakDeviceError`` from ``engine.oracle_plan``.
     The chain's and the oracle's joint tables are contracted together once
     (``_pair_tables``); every marginal and pair conditional is read from that
     one result.  A conditional given an outcome of probability <= 1e-12 on
     either side is left out.
     """
-    if scenario.has_weak_device():
-        raise WeakDeviceError(
-            "equivalence with the collapse postulate is only claimed for ideal "
-            "premeasurements; this scenario attaches a weak device"
-        )
     initial, steps, labels = engine.oracle_plan(scenario)
     if not labels:
         raise ValueError("scenario attaches no system devices; nothing to compare")
-    oracle = oracle_sequence_distribution(initial, steps, labels=labels).table
+    oracle = oracle_sequence_distribution(initial, steps).table
     tables = (joint_distribution(chain, labels).table, oracle)
     pairs = _pair_tables(tables)
     marginals = np.diagonal(pairs, axis1=1, axis2=2)

@@ -100,7 +100,7 @@ def test_disturbance_rejects_nonunitary():
 
 def test_attach_grows_space():
     chain = init_chain(np.array([0.6, 0.8], dtype=complex))
-    assert chain.is_pure
+    assert chain.state.shape == (2,)  # no ancilla axis
     chain = attach_device(chain, make_device("M1", _z_obs()))
     assert chain.device_labels == ("M1",)
     # The device axis stores its two recorded pointer states, not the ready one.
@@ -152,7 +152,7 @@ def test_attach_density_route_matches_pure():
     pure = attach_device(init_chain(v), make_device("M1", _z_obs()))
     rho = np.outer(v, v.conj())
     dens = attach_device(init_chain(rho), make_device("M1", _z_obs()))
-    assert pure.is_pure and not dens.is_pure
+    assert pure.state.shape == (2, 2) and dens.state.shape == (2, 1, 2)  # rank-1 ancilla
     for k in (1, 2):
         ev = [OutcomeEvent("M1", k)]
         assert_allclose(joint_probability(dens, ev), joint_probability(pure, ev), atol=1e-13)
@@ -203,12 +203,11 @@ def test_apply_evolution_on_system_factor():
 def test_init_chain_accepts_density_state():
     ds = DensityState("S", np.diag([0.25, 0.75]).astype(complex))
     chain = init_chain(ds)
-    assert not chain.is_pure
     assert chain.system_dim == 2
     assert chain.state.shape == (2, 2)  # system, ancilla
     assert_allclose(reduced_system_state(chain).matrix, ds.matrix, atol=1e-15)
     chain = attach_device(chain, make_device("M1", _z_obs()))
-    assert not chain.is_pure
+    assert chain.state.shape == (2, 2, 2)  # system, ancilla, M1
     assert_allclose(marginal_distribution(chain, "M1").probability((1,)), 0.25, atol=1e-15)
     assert_allclose(marginal_distribution(chain, "M1").probability((2,)), 0.75, atol=1e-15)
 
@@ -228,7 +227,7 @@ def test_state_shape_is_the_factor_layout():
         assert chain.state.shape == lead + (3, 4)
         chain = apply_evolution(chain, np.eye(3)[[1, 2, 0]])
         assert chain.state.shape == lead + (3, 4)
-        assert chain.is_pure == (lead == (3,))
+        assert chain.state.ndim - len(chain.devices) == len(lead)
     devices = chain.devices
     with pytest.raises(ValueError, match="outcome counts"):
         ChainState(np.zeros((3, 3, 4, 3)), devices, chain.initial_system_state)

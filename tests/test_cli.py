@@ -310,7 +310,7 @@ def test_prop_max_dim_cap_follows_the_size_limit(monkeypatch, capsys):
     # 16 * (4 * d**4 + 2 * d**3) fits under dsl.MAX_ORACLE_BYTES at d = 45,
     # not at d = 46.
     calls = []
-    fake = PropSummary(seed=0, trials=1, max_dim=45, max_depth=3)
+    fake = PropSummary()
     monkeypatch.setattr(cli, "run_property_suite", lambda *a: calls.append(a) or fake)
     assert cli.main(["prop", "--trials", "1", "--max-dim", "45"]) == 0
     assert calls == [(0, 1, 45, 3)]
@@ -414,10 +414,7 @@ def test_prop_violation_exits_3_and_writes_reproducer(tmp_path, monkeypatch, cap
         message="conditional matrix deviates from identity by 0.25",
         scenario_text="system dim 2\nstate pure [1, 0]\n",
     )
-    fake = PropSummary(
-        seed=9, trials=5, max_dim=6, max_depth=3,
-        checks_run=5, max_deviation=0.25, failures=[failure],
-    )
+    fake = PropSummary(checks_run=5, max_deviation=0.25, failures=[failure])
     monkeypatch.setattr(cli, "run_property_suite", lambda *a, **k: fake)
     code = cli.main(
         ["prop", "--seed", "9", "--trials", "5", "--out-dir", str(tmp_path)]
@@ -473,10 +470,7 @@ def test_prop_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
         trial=1, check="equivalence", deviation=0.5, message="deviation",
         scenario_text="system dim 2\nstate pure [1, 0]\n",
     )
-    fake = PropSummary(
-        seed=3, trials=2, max_dim=6, max_depth=3,
-        checks_run=2, max_deviation=0.5, failures=[failure],
-    )
+    fake = PropSummary(checks_run=2, max_deviation=0.5, failures=[failure])
     monkeypatch.setattr(cli, "run_property_suite", lambda *a, **k: fake)
     missing = tmp_path / "no" / "such" / "dir"
     code = cli.main(["prop", "--seed", "3", "--trials", "2", "--out-dir", str(missing)])

@@ -71,7 +71,6 @@ def test_oracle_sequence_with_evolution():
     dist = oracle_sequence_distribution(
         np.array([1.0, 0.0], dtype=complex),
         [Measure(_z_obs()), Evolve(flip), Measure(_z_obs())],
-        labels=["M1", "M2"],
     )
     assert_allclose(dist.probability((1, 2)), 1.0, atol=1e-12)
     assert dist.probability((1, 1)) <= 1e-14
@@ -90,8 +89,8 @@ def test_oracle_sequence_weights_sum_to_one():
     psi = psi / np.linalg.norm(psi)
     dist = oracle_sequence_distribution(psi, [Measure(obs_a), Measure(obs_b)])
     assert_allclose(sum(p for _, p in dist.entries), 1.0, atol=1e-10)
-    # default labels are m1, m2, ...
-    assert dist.devices == ("m1", "m2")
+    # one table axis per measure step, in step order
+    assert dist.table.shape == (4, 4)
 
 
 def test_oracle_repeated_measurement_is_diagonal():

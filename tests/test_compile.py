@@ -59,8 +59,15 @@ NON_FINITE = {
     "weak": ("device MW measures Z weak [[X, 0], [0, 1]] [[1, 0], [0, 1]]", 4),
     "evolve unitary": ("evolve unitary [[X, 0], [0, 1]]", 4),
 }
-# Finite literals whose checks overflow float64.
-OVERFLOWING = ("state pure", "eigenbasis", "projectors", "weak", "evolve unitary")
+# Finite literals whose checks overflow float64, and the quantity the
+# diagnostic names.
+OVERFLOWING = {
+    "state pure": "state norm",
+    "eigenbasis": "eigenbasis row norm",
+    "projectors": "projector product",
+    "weak": "disturbance unitarity residual",
+    "evolve unitary": "evolution unitarity residual",
+}
 
 
 BASE = (
@@ -95,6 +102,25 @@ def test_extreme_literals_are_positioned_validation_errors(kind, literal, tmp_pa
     assert captured.out == ""
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith(f"{path}:{NON_FINITE[kind][1]}:1: ")
+    assert "encountered" not in captured.err
+    if literal == "1e200":
+        assert captured.err.endswith(f": {OVERFLOWING[kind]} overflows float64\n")
+
+
+@pytest.mark.parametrize(
+    "statement, quantity",
+    [
+        ("state pure [1e308, 1e308]", "state norm"),
+        ("state mixed [[1e308, 0], [0, 1e308]]", "mixed state trace or spectrum"),
+        ("state mixed [[0.5, 1e308], [1e308, 0.5]]", "mixed state trace or spectrum"),
+        ("hamiltonian H [[0, 1e308], [-1e308, 0]]", "hamiltonian hermiticity residual"),
+    ],
+)
+def test_overflow_names_the_quantity(statement, quantity):
+    state = [] if statement.startswith("state") else ["state pure [1, 0]"]
+    lines = ["system dim 2", *state, statement]
+    diags = dsl.validate_scenario(dsl.parse_scenario("\n".join(lines) + "\n"))
+    assert [str(d) for d in diags] == [f"{len(lines)}:1: {quantity} overflows float64"]
 
 
 @pytest.mark.parametrize(

@@ -25,11 +25,15 @@ query equivalence
 
 def test_parse_basic_structure():
     s = dsl.parse_scenario(GOOD)
-    assert s.system_dim == 2
-    assert list(s.observables) == ["Z"]
-    assert list(s.device_decls) == ["M1", "M2"]
+    assert s.system_decl.dim == 2
+    assert [type(st).__name__ for st in s.statements[:3]] == [
+        "SystemDecl", "PureStateDecl", "EigenObservableDecl",
+    ]
+    assert s.statements[2].name == "Z"
+    assert [(e.name, e.observable, e.weak) for e in s.events] == [
+        ("M1", "Z", None), ("M2", "Z", None),
+    ]
     assert len(s.queries) == 6
-    assert not s.has_weak_device()
 
 
 def test_complex_literal_forms():
@@ -50,7 +54,7 @@ def test_newlines_insignificant_inside_brackets():
     s = dsl.parse_scenario(
         "system dim 2\nobservable A eigen [1,\n-1] basis [[1, 0],\n [0, 1]]\n"
     )
-    assert s.observables["A"].eigenvalues == (1.0, -1.0)
+    assert s.statements[1].eigenvalues == (1.0, -1.0)
 
 
 # (text, tokens as (kind, text, line, col, value)); the closing newline and
@@ -94,7 +98,7 @@ def test_unexpected_character_position(text, line, col, char):
 
 def test_eigenvalue_accepts_zero_imaginary_part_only():
     s = dsl.parse_scenario("observable A eigen [0i, 1] basis [[1, 0], [0, 1]]\n")
-    assert s.observables["A"].eigenvalues == (0.0, 1.0)
+    assert s.statements[0].eigenvalues == (0.0, 1.0)
     with pytest.raises(dsl.ParseError, match="complex literal '1i'"):
         dsl.parse_scenario("observable A eigen [1i, 1] basis [[1, 0], [0, 1]]\n")
 
@@ -143,10 +147,9 @@ def test_device_statement_forms():
         "device MW measures Z weak [[1,0],[0,1]] [[0,1],[1,0]]\n"
         "device R reads MW\n"
     )
-    assert s.has_weak_device()
-    weak = s.device_decls["MW"]
-    assert weak.weak is not None and len(weak.weak) == 2
-    assert s.device_decls["R"].target == "MW"
+    weak, reader = s.events
+    assert (weak.name, len(weak.weak)) == ("MW", 2)
+    assert (reader.name, reader.target) == ("R", "MW")
 
 
 def test_format_round_trip_bundled_corpus():

@@ -18,13 +18,13 @@ SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def test_as_state_vector_renormalizes_near_unit():
-    v = as_state_vector([0.70710678, 0.70710678], "v")
+    v = as_state_vector([0.70710678, 0.70710678])
     assert_allclose(np.linalg.norm(v), 1.0, atol=1e-15)
 
 
 def test_as_state_vector_rejects_far_from_unit():
     with pytest.raises(ValueError, match="norm"):
-        as_state_vector([0.7, 0.7], "v")
+        as_state_vector([0.7, 0.7])
 
 
 def test_as_complex_matrix_rejects_nonmatrix():

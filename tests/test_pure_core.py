@@ -241,6 +241,14 @@ def _density_reference(rho, steps):
     return rho, dims, labels
 
 
+def _rank_one_density(rng, d):
+    """A random pure state as a density matrix, drawn as a one-term mixture
+    (the weight, then the state) like ``random_density_matrix``."""
+    rng.random(1)  # the weight, normalized to 1
+    v = random_state_vector(rng, d)
+    return np.outer(v, v.conj())
+
+
 def _reference_probability(rho, dims, labels, events):
     diag = np.real(np.diag(rho)).reshape(dims)
     idx = [slice(None)] * len(dims)
@@ -253,12 +261,12 @@ def _reference_probability(rho, dims, labels, events):
 @pytest.mark.parametrize("seed,d", [(5, 2), (6, 3)])
 def test_purified_chain_matches_density_reference(seed, d, rank):
     rng = np.random.default_rng(seed)
-    rho = random_density_matrix(rng, d, rank)
+    rho = random_density_matrix(rng, d) if rank is None else _rank_one_density(rng, d)
     steps = _steps(rng, d)
     chain = init_chain(DensityState("S", rho))
     for step in steps:
         chain = _attach(chain, step)
-    assert not chain.is_pure
+    assert chain.state.ndim == len(chain.devices) + 2  # an ancilla axis
     # System, ancilla (one state per nonzero eigenvalue), MA, MW, R.
     system, ancilla, *pointers = chain.state.shape
     assert (system, pointers) == (d, [d, d, d + 1])

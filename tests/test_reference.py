@@ -47,8 +47,11 @@ def _check(scenario: dsl.Scenario, name: str):
 
 
 def _composite_dim(scenario: dsl.Scenario) -> int:
-    outcomes = {n: len(o.eigenvalues) for n, o in scenario.observables.items()}
-    total = scenario.system_dim
+    observables = (dsl.EigenObservableDecl, dsl.ProjectorObservableDecl)
+    outcomes = {
+        o.name: len(o.eigenvalues) for o in scenario.statements if isinstance(o, observables)
+    }
+    total = scenario.system_decl.dim
     for s in scenario.events:
         if isinstance(s, dsl.MeasureDeviceDecl):
             outcomes[s.name] = outcomes[s.observable]
