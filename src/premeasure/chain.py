@@ -313,7 +313,7 @@ def apply_evolution(chain: ChainState, u_system) -> ChainState:
         raise ValueError(
             f"evolution has shape {u.shape}, system dimension is {chain.system_dim}"
         )
-    if not is_unitary(u, DEFAULT_TOL):
+    if not is_unitary(u):
         raise ValueError("evolution operator is not unitary")
     d = chain.system_dim
     new_state = np.empty_like(chain.state)

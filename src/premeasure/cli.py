@@ -3,8 +3,8 @@
 Three subcommands:
 
 * ``run SCENARIO``     answer the scenario's queries (json, csv or text);
-* ``verify SCENARIO``  evaluate its repeatability / equivalence queries and
-  exit 0 only if every equivalence report passes;
+* ``verify SCENARIO``  answer its queries, report the repeatability /
+  equivalence ones and exit 0 only if every equivalence report passes;
 * ``prop``             run the randomized invariant suite.
 
 Exit codes: 0 success; 1 usage, parse or validation failure (including an

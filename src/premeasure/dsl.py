@@ -930,11 +930,18 @@ def compile_scenario(scenario: Scenario) -> Program:
 def equivalence_problem(dim: int, mixed: bool, joint_outcomes: int, outcome_counts) -> str | None:
     """Why a ``query equivalence`` of this size is refused, or None.
 
-    The collapse oracle's peak is estimated from its last measure step,
-    which holds about four stacks of one complex128 state per joint outcome
-    (a ``dim`` vector, or a density matrix for a mixed start), plus the
-    (K, dim, dim) projector stack of each measured observable;
-    ``outcome_counts`` lists K for each distinct observable.
+    The collapse oracle's peak is priced at three stacks of one complex128
+    state per joint outcome (a ``dim`` vector, or a density matrix for a
+    mixed start), plus the (K, dim, dim) projector stack of each measured
+    observable; ``outcome_counts`` lists K for each distinct observable.
+    Three stacks is the worst step: a measure step on B branches holds its
+    B incoming states, the K * B projected ones and at most K * B more (a
+    density matrix's matmul temporary, or the kept copy of a step that
+    prunes), and with K = 1 the incoming states are as many as the
+    projected ones; an evolve step on density matrices holds the frontier,
+    a temporary and the result.  The few 8-byte index
+    and weight values per joint outcome are left out: ``MAX_JOINT_OUTCOMES``
+    bounds them to about 16 MB.
     """
     if joint_outcomes > MAX_JOINT_OUTCOMES:
         return (
@@ -942,7 +949,7 @@ def equivalence_problem(dim: int, mixed: bool, joint_outcomes: int, outcome_coun
             f"past the limit of {MAX_JOINT_OUTCOMES}"
         )
     leaf = dim * dim if mixed else dim
-    needed = 16 * (4 * joint_outcomes * leaf + sum(outcome_counts) * dim * dim)
+    needed = 16 * (3 * joint_outcomes * leaf + sum(outcome_counts) * dim * dim)
     if needed > MAX_ORACLE_BYTES:
         return (
             f"query equivalence needs about {needed} bytes of collapse-oracle "

@@ -90,12 +90,12 @@ def as_unitary(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``m^† m`` equals the identity entrywise within ``tol``."""
+def is_unitary(m) -> bool:
+    """True when ``m^† m`` equals the identity entrywise within ``DEFAULT_TOL``."""
     arr = as_complex_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"is_unitary requires a square matrix, got shape {arr.shape}")
-    return unitarity_residual(arr) <= tol
+    return unitarity_residual(arr) <= DEFAULT_TOL
 
 
 def apply_operator(op, axes, dims, state) -> np.ndarray:

@@ -297,14 +297,14 @@ def test_criterion_10_unitarity_sweep(capsys):
         dev = make_device("M", obs)
         u_ideal = build_ideal_unitary(obs, dev)
         count += 1
-        if not is_unitary(u_ideal, 1e-10):
+        if not is_unitary(u_ideal):
             bad += 1
         dist = Disturbance(
             tuple(random_unitary(rng, dim) for _ in range(obs.outcome_count))
         )
         u_weak = build_weak_unitary(obs, dev, dist)
         count += 1
-        if not is_unitary(u_weak, 1e-10):
+        if not is_unitary(u_weak):
             bad += 1
     ok = bad == 0
     _report(capsys, 10, "measurement unitaries are unitary", ok, f"{count} checked, {bad} bad")

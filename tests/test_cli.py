@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -242,6 +243,30 @@ def test_verify_keeps_the_likely_children_of_a_rare_row(tmp_path, capsys):
     assert report["max_deviation"] <= 1e-14
 
 
+def test_verify_renormalizes_after_a_near_unitary_evolution(tmp_path, capsys):
+    # The evolution is admitted as unitary, yet it scales the norm by
+    # 1 + 5e-11; without renormalizing the evolved frontier the oracle's
+    # next probability would be 1 + 5e-11, past the 1e-12 slack.
+    c = math.sqrt((1 + 5e-11) / 2)
+    h = 0.5**0.5
+    scn = tmp_path / "near_unitary.scn"
+    scn.write_text(
+        "system dim 2\n"
+        "state pure [1, 1]\n"
+        "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+        f"observable X eigen [1, -1] basis [[{h!r}, {h!r}], [{h!r}, {-h!r}]]\n"
+        "device M1 measures Z\n"
+        f"evolve unitary [[{c!r}, {c!r}], [{c!r}, {-c!r}]]\n"
+        "device M2 measures X\n"
+        "query equivalence\n"
+    )
+    code, doc = _run_json(capsys, ["verify", str(scn)])
+    assert code == 0
+    (report,) = doc["reports"]
+    assert report["passed"] is True
+    assert report["max_deviation"] == pytest.approx(2.5e-11, rel=1e-3)
+
+
 def test_verify_without_verification_queries_exits_1(capsys):
     code = cli.main(["verify", str(ZERO)])
     assert code == 1
@@ -307,16 +332,16 @@ def test_prop_bad_arguments_exit_1_with_one_line(monkeypatch, capsys, argv):
 def test_prop_max_dim_cap_follows_the_size_limit(monkeypatch, capsys):
     # The smallest pure trial at d stores d**4 amplitudes and compares d**3
     # joint outcomes.  Its equivalence query binds first: the oracle estimate
-    # 16 * (4 * d**4 + 2 * d**3) fits under dsl.MAX_ORACLE_BYTES at d = 45,
-    # not at d = 46.
+    # 16 * (3 * d**4 + 2 * d**3) fits under dsl.MAX_ORACLE_BYTES at d = 48,
+    # not at d = 49.
     calls = []
     fake = PropSummary()
     monkeypatch.setattr(cli, "run_property_suite", lambda *a: calls.append(a) or fake)
-    assert cli.main(["prop", "--trials", "1", "--max-dim", "45"]) == 0
-    assert calls == [(0, 1, 45, 3)]
+    assert cli.main(["prop", "--trials", "1", "--max-dim", "48"]) == 0
+    assert calls == [(0, 1, 48, 3)]
     assert capsys.readouterr().err == ""
-    assert cli.main(["prop", "--trials", "1", "--max-dim", "46"]) == 1
-    assert "289671936 bytes" in capsys.readouterr().err
+    assert cli.main(["prop", "--trials", "1", "--max-dim", "49"]) == 1
+    assert "280475216 bytes" in capsys.readouterr().err
     assert cli.main(["prop", "--trials", "1", "--max-dim", "91"]) == 1
     assert "68574961 amplitudes" in capsys.readouterr().err
     assert len(calls) == 1

@@ -1,10 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from premeasure import collapse
 from premeasure.collapse import (
     Evolve,
     Measure,
@@ -12,7 +12,8 @@ from premeasure.collapse import (
     oracle_sequence_distribution,
     unknown_result_mixture,
 )
-from premeasure.model import DensityState, make_degenerate_observable, make_observable
+from premeasure.linalg import as_state_vector
+from premeasure.model import DensityState, Observable, make_degenerate_observable, make_observable
 from premeasure.sampling import (
     random_degenerate_observable,
     random_density_matrix,
@@ -173,20 +174,90 @@ def test_branch_below_the_cumulative_weight_floor_is_kept():
     assert_allclose(dist.table[1, 1], e * (1 - e), rtol=1e-9)
 
 
+def _library_message(bad) -> str:
+    """What ``as_state_vector`` or ``DensityState`` says about ``bad``."""
+    with pytest.raises(ValueError) as caught:
+        as_state_vector(bad) if bad.ndim == 1 else DensityState("S", bad)
+    return str(caught.value)
+
+
+_ENTRY_POINTS = {
+    "sequence": lambda s: oracle_sequence_distribution(s, [Measure(_z_obs())]),
+    "sequence-evolve-first": lambda s: oracle_sequence_distribution(
+        s, [Evolve(np.eye(2)), Measure(_z_obs())]
+    ),
+    "branches": lambda s: collapse_branches(s, _z_obs()),
+    "mixture": lambda s: unknown_result_mixture(s, _z_obs()),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
 @pytest.mark.parametrize(
     "bad",
     [
+        np.array([1.0, np.nan]),
+        np.array([0.6, 0.6]),  # norm outside RENORM_WINDOW
+        np.array([], dtype=complex),
+        np.array([[0.5, np.inf], [0.0, 0.5]]),
         np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),  # not Hermitian
         np.diag([0.6, 0.6]).astype(complex),  # trace outside RENORM_WINDOW
+        np.diag([1.5, -0.5]).astype(complex),  # negative eigenvalue
+        np.zeros((0, 0), dtype=complex),
+        np.full((2, 3), 0.5),
+    ],
+    ids=[
+        "vector-nan", "norm", "vector-empty", "matrix-inf", "hermitian", "trace",
+        "negative", "matrix-empty", "not-square",
     ],
 )
-def test_measure_step_rejects_a_bad_density_matrix_in_the_stack(bad):
-    with pytest.raises(ValueError) as today:
-        DensityState("S", bad)
-    stack = np.stack([np.diag([0.25, 0.75]).astype(complex), bad])
-    index, weights = np.zeros(2, dtype=np.intp), np.array([0.5, 0.5])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(today.value))}$"):
-        collapse._measure(index, weights, stack, _z_obs())
+def test_a_bad_start_is_refused_once_with_the_library_message(entry, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(_library_message(bad))}$"):
+        _ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_a_3d_start_is_neither_a_vector_nor_a_density_matrix(entry):
+    with pytest.raises(ValueError, match="^state must be a vector or a density matrix$"):
+        _ENTRY_POINTS[entry](np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("entry", ["sequence", "branches", "mixture"])
+def test_a_start_of_the_wrong_dimension_names_both_dimensions(entry):
+    with pytest.raises(ValueError, match="^state dimension 3 does not match 2$"):
+        _ENTRY_POINTS[entry](np.array([1.0, 0.0, 0.0]))
+
+
+def _hadamard(d):
+    h = np.ones((1, 1))
+    while len(h) < d:
+        h = np.block([[h, h], [h, -h]])
+    return h / np.sqrt(d)
+
+
+def test_oracle_peak_stays_under_the_incoming_and_projected_stacks():
+    # Twelve 2-outcome devices alternating between the two halves of the
+    # standard and of the Hadamard basis keep all 2**12 branches of a d = 64
+    # start.  The last step holds its 2**11-branch input and the 2**12
+    # projected states, 1.5 final frontiers; a per-step copy of the input
+    # would reach 2.
+    d, devices = 64, 12
+    halves = np.repeat([1, 2], d // 2)
+    obs = [
+        Observable("Z", "S", (1.0, -1.0), np.eye(d), halves),
+        Observable("X", "S", (1.0, -1.0), _hadamard(d), halves),
+    ]
+    steps = [Measure(obs[i % 2]) for i in range(devices)]
+    for o in obs:
+        o.projectors  # built on first read, outside the measured peak
+    tracemalloc.start()
+    try:
+        dist = oracle_sequence_distribution(np.ones(d) / np.sqrt(d), steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(dist.table) == 2**devices
+    final = 16 * 2**devices * d
+    assert peak <= 1.75 * final
 
 
 def _loop_oracle(state, steps):

@@ -354,6 +354,17 @@ def test_validator_bounds_the_equivalence_oracle():
     assert not _diag_positions(text(3))
 
 
+def test_oracle_estimate_prices_three_stacks_per_joint_outcome():
+    # A pure d = 256 start with fourteen 2-outcome devices: the oracle's
+    # final frontier is 67 MB and its peak about 1.5 times that, priced at
+    # three frontiers plus the projectors.  A fifteenth device doubles it.
+    assert dsl.equivalence_problem(256, False, 2**14, [2, 2]) is None
+    assert dsl.equivalence_problem(256, False, 2**15, [2, 2]) == (
+        "query equivalence needs about 406847488 bytes of collapse-oracle "
+        "states, past the limit of 268435456"
+    )
+
+
 def test_validator_reports_an_early_equivalence_query_in_file_order():
     # The query comes before the devices it compares; its diagnostic keeps
     # its place ahead of a later one.
