@@ -160,10 +160,9 @@ def pointer_shift(dim: int) -> np.ndarray:
     return np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
 
 
-def build_ideal_unitary(obs: Observable, dev: DeviceSpec) -> np.ndarray:
+def build_ideal_unitary(dev: DeviceSpec) -> np.ndarray:
     """Premeasurement unitary on (measured factor) x (pointer factor)."""
-    if dev.observable is not obs:
-        raise ValueError(f"device {dev.label!r} does not measure observable {obs.label!r}")
+    obs = dev.observable
     shift = pointer_shift(dev.pointer_dim)
     u = np.zeros((obs.dim * dev.pointer_dim,) * 2, dtype=np.complex128)
     step = np.eye(dev.pointer_dim, dtype=np.complex128)
@@ -185,8 +184,9 @@ def _check_disturbance(obs: Observable, dist: Disturbance) -> None:
             )
 
 
-def build_weak_unitary(obs: Observable, dev: DeviceSpec, dist: Disturbance) -> np.ndarray:
+def build_weak_unitary(dev: DeviceSpec, dist: Disturbance) -> np.ndarray:
     """Ideal premeasurement followed by the pointer-controlled disturbance."""
+    obs = dev.observable
     _check_disturbance(obs, dist)
     d_p = dev.pointer_dim
     v = np.zeros((obs.dim * d_p,) * 2, dtype=np.complex128)
@@ -197,7 +197,7 @@ def build_weak_unitary(obs: Observable, dev: DeviceSpec, dist: Disturbance) -> n
     ready = np.zeros((d_p, d_p), dtype=np.complex128)
     ready[0, 0] = 1.0
     v += np.kron(np.eye(obs.dim, dtype=np.complex128), ready)
-    return v @ build_ideal_unitary(obs, dev)
+    return v @ build_ideal_unitary(dev)
 
 
 def pointer_basis_observable(label: str, target_spec: DeviceSpec) -> Observable:

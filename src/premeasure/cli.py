@@ -15,6 +15,11 @@ a run that exhausts memory or a standard output closed by its reader;
 counts as a ``build`` failure, so it too exits 3).  ``prop`` exits 1 for a
 negative seed or a ``--max-dim`` past the size limits, and 2 when it cannot
 write a reproducer file into ``--out-dir``.
+``run`` and ``verify`` share one precedence among failed answers: an
+equivalence query on a weak device exits 1, even when an earlier answer
+failed; otherwise the first failed answer exits 2 (``verify`` looks only at
+its repeatability and equivalence answers).  ``run`` prints its document
+before either exit; ``verify`` prints none.
 ``PREMEASURE_TOL`` overrides the default report tolerance of 1e-10.
 """
 
@@ -35,6 +40,7 @@ from .tolerances import REPORT_TOL
 
 SCHEMA_VERSION = 1
 ENV_TOL = "PREMEASURE_TOL"
+VERIFIED_KINDS = ("repeatability", "equivalence")  # the query kinds verify reports
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -61,12 +67,9 @@ def _default_tol() -> float:
     if raw is None:
         return REPORT_TOL
     try:
-        tol = float(raw)
-    except ValueError:
+        return _positive_float(raw)
+    except argparse.ArgumentTypeError:
         raise SystemExit(f"invalid {ENV_TOL} value {raw!r}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise SystemExit(f"invalid {ENV_TOL} value {raw!r}")
-    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,10 +122,6 @@ def _load_scenario(path: str) -> dsl.Scenario | None:
     return scenario
 
 
-def _resolve_tol(tol: float | None) -> float:
-    return _default_tol() if tol is None else tol
-
-
 def _run_answers(scenario: dsl.Scenario, tol: float, scenario_id: str):
     """(answers, elapsed seconds), or None after reporting a chain that
     could not be built (a runtime failure)."""
@@ -135,8 +134,29 @@ def _run_answers(scenario: dsl.Scenario, tol: float, scenario_id: str):
     return answers, time.perf_counter() - started
 
 
+def _print_doc(kind: str, **fields) -> None:
+    """Print one JSON output document: ``fields`` under the common header."""
+    header = {"kind": kind, "schema_version": SCHEMA_VERSION, "tool_version": __version__}
+    print(json.dumps({**header, **fields}, indent=2, sort_keys=True))
+
+
+def _failure(answers) -> int:
+    """Exit code of a list of answers, printing one stderr line for a failure:
+    1 for an equivalence query on a weak device, whichever answer failed
+    first; else 2 for the first failed answer; else 0."""
+    weak = [a for a in answers if a.error_kind == "weak-equivalence"]
+    if weak:
+        print(f"premeasure: {weak[0].error}", file=sys.stderr)
+        return 1
+    for a in answers:
+        if a.error is not None:
+            print(f"premeasure: {a.query}: {a.error}", file=sys.stderr)
+            return 2
+    return 0
+
+
 def cmd_run(args) -> int:
-    tol = _resolve_tol(args.tol)
+    tol = _default_tol() if args.tol is None else args.tol
     scenario = _load_scenario(args.scenario)
     if scenario is None:
         return 1
@@ -146,31 +166,14 @@ def cmd_run(args) -> int:
     answers, elapsed = outcome
 
     if args.format == "json":
-        doc = {
-            "kind": "run",
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "scenario": args.scenario,
-            "tolerance": tol,
-            "elapsed_s": elapsed,
-            "results": runner.answers_to_jsonable(answers),
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_doc("run", scenario=args.scenario, tolerance=tol, elapsed_s=elapsed,
+                   results=runner.answers_to_jsonable(answers))
     elif args.format == "csv":
         print(_answers_csv(answers), end="")
     else:
         for line in _answers_text(answers):
             print(line)
-
-    for a in answers:
-        if a.error_kind == "weak-equivalence":
-            print(f"premeasure: {a.error}", file=sys.stderr)
-            return 1
-    for a in answers:
-        if a.error is not None:
-            print(f"premeasure: {a.query}: {a.error}", file=sys.stderr)
-            return 2
-    return 0
+    return _failure(answers)
 
 
 def _answers_csv(answers) -> str:
@@ -252,15 +255,11 @@ def _answers_text(answers) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    tol = _resolve_tol(args.tol)
+    tol = _default_tol() if args.tol is None else args.tol
     scenario = _load_scenario(args.scenario)
     if scenario is None:
         return 1
-    wanted = [
-        q for q in scenario.queries
-        if isinstance(q, (dsl.RepeatabilityQuery, dsl.EquivalenceQuery))
-    ]
-    if not wanted:
+    if not any(q.kind in VERIFIED_KINDS for q in scenario.queries):
         print(
             f"premeasure: {args.scenario} contains no repeatability or "
             "equivalence query; nothing to verify",
@@ -271,34 +270,17 @@ def cmd_verify(args) -> int:
     if outcome is None:
         return 2
     answers, elapsed = outcome
-    reports = []
-    failed = False
-    for a in answers:
-        if a.kind not in ("repeatability", "equivalence"):
-            continue
-        if a.error_kind == "weak-equivalence":
-            print(f"premeasure: {a.error}", file=sys.stderr)
-            return 1
-        if a.error is not None:
-            print(f"premeasure: {a.query}: {a.error}", file=sys.stderr)
-            return 2
-        reports.append({"type": a.kind, "query": a.query, **a.payload})
-        # Repeatability matrices are findings either way; only equivalence
-        # reports gate the exit status.
-        if a.kind == "equivalence" and not a.payload["passed"]:
-            failed = True
-    doc = {
-        "kind": "verify",
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "scenario": args.scenario,
-        "tolerance": tol,
-        "elapsed_s": elapsed,
-        "reports": reports,
-        "passed": not failed,
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    return 1 if failed else 0
+    answers = [a for a in answers if a.kind in VERIFIED_KINDS]
+    code = _failure(answers)
+    if code:
+        return code
+    # Repeatability matrices are findings either way; only equivalence
+    # reports gate the exit status.
+    passed = all(a.payload["passed"] for a in answers if a.kind == "equivalence")
+    reports = [{"type": a.kind, "query": a.query, **a.payload} for a in answers]
+    _print_doc("verify", scenario=args.scenario, tolerance=tol, elapsed_s=elapsed,
+               reports=reports, passed=passed)
+    return 0 if passed else 1
 
 
 def run_property_suite(*args):
@@ -355,20 +337,9 @@ def cmd_prop(args) -> int:
                 "scenario_file": str(path),
             }
         )
-    doc = {
-        "kind": "prop",
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "seed": args.seed,
-        "trials": args.trials,
-        "max_dim": args.max_dim,
-        "max_depth": args.max_depth,
-        "checks_run": summary.checks_run,
-        "max_deviation": summary.max_deviation,
-        "failures": failures,
-        "passed": summary.passed,
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _print_doc("prop", seed=args.seed, trials=args.trials, max_dim=args.max_dim,
+               max_depth=args.max_depth, checks_run=summary.checks_run,
+               max_deviation=summary.max_deviation, failures=failures, passed=summary.passed)
     return 0 if summary.passed else 3
 
 

@@ -270,34 +270,38 @@ class EventRef(_Node):
 
 @dataclass(frozen=True)
 class MarginalQuery(_Node):
+    kind = "marginal"
     device: str
 
 
 @dataclass(frozen=True)
 class JointQuery(_Node):
+    kind = "joint"
     events: tuple[EventRef, ...]
 
 
 @dataclass(frozen=True)
 class ConditionalQuery(_Node):
+    kind = "conditional"
     target: EventRef
     given: tuple[EventRef, ...]
 
 
 @dataclass(frozen=True)
 class ReducedQuery(_Node):
-    pass
+    kind = "reduced"
 
 
 @dataclass(frozen=True)
 class RepeatabilityQuery(_Node):
+    kind = "repeatability"
     first: str
     second: str
 
 
 @dataclass(frozen=True)
 class EquivalenceQuery(_Node):
-    pass
+    kind = "equivalence"
 
 
 EventDecl = MeasureDeviceDecl | ReaderDeviceDecl | EvolveNamedDecl | EvolveUnitaryDecl
@@ -331,16 +335,11 @@ class Scenario:
 
     @property
     def events(self) -> tuple[EventDecl, ...]:
-        kinds = (MeasureDeviceDecl, ReaderDeviceDecl, EvolveNamedDecl, EvolveUnitaryDecl)
-        return tuple(s for s in self.statements if isinstance(s, kinds))
+        return tuple(s for s in self.statements if isinstance(s, EventDecl))
 
     @property
     def queries(self) -> tuple[QueryDecl, ...]:
-        kinds = (
-            MarginalQuery, JointQuery, ConditionalQuery, ReducedQuery,
-            RepeatabilityQuery, EquivalenceQuery,
-        )
-        return tuple(s for s in self.statements if isinstance(s, kinds))
+        return tuple(s for s in self.statements if isinstance(s, QueryDecl))
 
     @cached_property
     def program(self) -> Program:

@@ -107,7 +107,7 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     # repeat devices that share A's are checked once.
     specs = {id(ad.spec.observable): ad.spec for ad in chain.devices if ad.mode != "weak"}
     residual = max(
-        (unitarity_residual(build_ideal_unitary(spec.observable, spec)) for spec in specs.values()),
+        (unitarity_residual(build_ideal_unitary(spec)) for spec in specs.values()),
         default=0.0,
     )
     _record(summary, trial, scenario, "unitarity", residual, STRUCT_TOL)

@@ -93,7 +93,7 @@ def run_scenario(
     answers = []
     for index, q in enumerate(scenario.queries):
         text = dsl.format_statement(q)
-        kind = _query_kind(q)
+        kind = q.kind
         try:
             payload = _answer(scenario, chain, q, tol, scenario_id)
             answers.append(QueryAnswer(index, kind, text, payload))
@@ -104,17 +104,6 @@ def run_scenario(
         except ValueError as exc:
             answers.append(QueryAnswer(index, kind, text, None, str(exc), "runtime"))
     return answers
-
-
-def _query_kind(q) -> str:
-    return {
-        dsl.MarginalQuery: "marginal",
-        dsl.JointQuery: "joint",
-        dsl.ConditionalQuery: "conditional",
-        dsl.ReducedQuery: "reduced",
-        dsl.RepeatabilityQuery: "repeatability",
-        dsl.EquivalenceQuery: "equivalence",
-    }[type(q)]
 
 
 def _answer(scenario, chain, q, tol: float, scenario_id: str) -> dict:

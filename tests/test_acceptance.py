@@ -295,14 +295,14 @@ def test_criterion_10_unitarity_sweep(capsys):
         else:
             obs = random_observable(rng, dim, "A")
         dev = make_device("M", obs)
-        u_ideal = build_ideal_unitary(obs, dev)
+        u_ideal = build_ideal_unitary(dev)
         count += 1
         if not is_unitary(u_ideal):
             bad += 1
         dist = Disturbance(
             tuple(random_unitary(rng, dim) for _ in range(obs.outcome_count))
         )
-        u_weak = build_weak_unitary(obs, dev, dist)
+        u_weak = build_weak_unitary(dev, dist)
         count += 1
         if not is_unitary(u_weak):
             bad += 1

@@ -44,7 +44,7 @@ def test_pointer_shift_cycles():
 def test_ideal_unitary_moves_ready_pointer():
     obs = _z_obs()
     dev = make_device("M", obs)
-    u = build_ideal_unitary(obs, dev)
+    u = build_ideal_unitary(dev)
     assert unitarity_residual(u) <= 1e-12
     # |j> (x) |ready> -> |j> (x) |j+1>
     for j, target in ((0, 1), (1, 2)):
@@ -62,7 +62,7 @@ def test_ideal_unitary_matches_projector_sum():
     q, _ = np.linalg.qr(g)
     obs = make_observable("A", "S", [0.5, 1.5, 2.5], [q[:, k] for k in range(3)])
     dev = make_device("M", obs)
-    u = build_ideal_unitary(obs, dev)
+    u = build_ideal_unitary(dev)
     shift = pointer_shift(4)
     expected = sum(
         np.kron(obs.projectors[k - 1], np.linalg.matrix_power(shift, k))
@@ -76,7 +76,7 @@ def test_weak_unitary_flips_branch():
     obs = _z_obs()
     dev = make_device("M", obs)
     dist = Disturbance((np.eye(2, dtype=complex), SX))
-    u = build_weak_unitary(obs, dev, dist)
+    u = build_weak_unitary(dev, dist)
     assert unitarity_residual(u) <= 1e-12
     # |1> (x) ready -> flip: |0> (x) pointer 2
     vin = np.zeros(6, dtype=complex)
@@ -90,7 +90,7 @@ def test_weak_unitary_wrong_count():
     obs = _z_obs()
     dev = make_device("M", obs)
     with pytest.raises(ValueError, match="disturbance"):
-        build_weak_unitary(obs, dev, Disturbance((np.eye(2, dtype=complex),)))
+        build_weak_unitary(dev, Disturbance((np.eye(2, dtype=complex),)))
 
 
 def test_disturbance_rejects_nonunitary():

@@ -188,6 +188,71 @@ def test_env_var_rejects_garbage(monkeypatch, capsys):
         cli.main(["run", str(ZX)])
 
 
+@pytest.mark.parametrize("raw", ["banana", "nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_env_var_refusal_names_the_value(monkeypatch, capsys, raw, command):
+    monkeypatch.setenv("PREMEASURE_TOL", raw)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(REPEAT)])
+    assert exc.value.code == f"invalid PREMEASURE_TOL value {raw!r}"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        ("-3", "must be positive and finite, got -3"),
+        ("inf", "must be positive and finite, got inf"),
+        ("banana", "not a number: 'banana'"),
+    ],
+)
+def test_bad_tol_message(capsys, raw, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(ZX), "--tol", raw])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"premeasure run: error: argument --tol: {message}"
+
+
+WEAK_AFTER_ZERO = (
+    "system dim 2\nstate pure [1, 0]\n"
+    "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+    "device M1 measures Z\n"
+    "device MW measures Z weak [[1, 0], [0, 1]] [[0, 1], [1, 0]]\n"
+    "query conditional MW=1 given M1=2\n"
+    "query repeatability M1 MW\n"
+    "query equivalence\n"
+)
+WEAK_LINE = (
+    "premeasure: equivalence with the collapse postulate is only claimed for ideal "
+    "premeasurements; this scenario attaches a weak device"
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_run_weak_equivalence_outranks_an_earlier_failure(tmp_path, capsys, fmt):
+    # The zero-probability conditional fails first, yet the weak device sets
+    # the exit code; the document is printed all the same.
+    path = tmp_path / "weak_after_zero.scn"
+    path.write_text(WEAK_AFTER_ZERO)
+    assert cli.main(["run", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [WEAK_LINE]
+    assert "query conditional MW=1 given M1=2" in captured.out
+    if fmt == "json":
+        kinds = [r.get("error_kind") for r in json.loads(captured.out)["results"]]
+        assert kinds == ["zero-probability", None, "weak-equivalence"]
+
+
+def test_verify_weak_equivalence_prints_no_document(tmp_path, capsys):
+    path = tmp_path / "weak_after_zero.scn"
+    path.write_text(WEAK_AFTER_ZERO)
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [WEAK_LINE]
+
+
 def test_verify_passes_on_ideal_scenario(capsys):
     code, doc = _run_json(capsys, ["verify", str(REPEAT)])
     assert code == 0

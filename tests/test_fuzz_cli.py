@@ -1,9 +1,14 @@
 """Seeded token mutations of the bundled scenarios, run through ``cli.main``.
 
-Every mutated file must end in exit code 0, 1 or 2 without an exception
-escaping, and a refusal (exit 1) must say why on stderr.  The mutations drop,
-duplicate and swap tokens, or put in extreme numbers, stray brackets and
-out-of-range outcome indices.  No timings are asserted.
+Each mutated file goes through ``run`` (json, csv or text) or ``verify``,
+and must end in a documented exit without a traceback: exit 0 with an empty
+stderr, exit 2 with exactly one ``premeasure: `` line, or exit 1 with at
+least one stderr line, each one a ``FILE:`` diagnostic or a ``premeasure: ``
+line.  Exit 1 may print more than one line (validation reports every
+problem) and may follow a printed document (``run`` on a weak device's
+equivalence query).  The mutations drop, duplicate and swap tokens, or put
+in extreme numbers, stray brackets and out-of-range outcome indices.  No
+timings are asserted.
 """
 
 import random
@@ -15,7 +20,13 @@ import premeasure
 from premeasure import cli
 
 NAMES = premeasure.bundled_scenario_names()
-MUTATIONS_PER_SCENARIO = 25
+MUTATIONS_PER_SCENARIO = 170
+COMMANDS = (
+    ("run",),
+    ("run", "--format", "csv"),
+    ("run", "--format", "text"),
+    ("verify",),
+)
 TOKEN = re.compile(r"\s+|[\[\],=]|[^\s\[\],=]+")
 STRAY = ("1e308", "nan", "[", "]", "-1", "0", "99")
 
@@ -51,10 +62,17 @@ def test_mutated_scenarios_end_in_a_documented_exit(name, tmp_path, capsys):
     for n in range(MUTATIONS_PER_SCENARIO):
         text = _mutate(original, rng)
         path.write_text(text, encoding="utf-8")
-        command = rng.choice(("run", "verify"))
-        code = cli.main([command, str(path)])
+        command, *options = rng.choice(COMMANDS)
+        code = cli.main([command, str(path), *options])
         err = capsys.readouterr().err
-        context = f"mutation {n} of {name} ({command}):\n{text}\nstderr:\n{err}"
-        assert code in (0, 1, 2), context
-        if code == 1:
-            assert err.strip(), context
+        lines = err.splitlines()
+        context = f"mutation {n} of {name} ({command} {options}):\n{text}\nstderr:\n{err}"
+        assert "Traceback" not in err, context
+        if code == 0:
+            assert err == "", context
+        elif code == 2:
+            assert len(lines) == 1 and lines[0].startswith("premeasure: "), context
+        else:
+            assert code == 1, context
+            assert lines, context
+            assert all(line.startswith((f"{path}:", "premeasure: ")) for line in lines), context

@@ -83,8 +83,8 @@ def _attach(chain, step):
 def _interaction(step):
     kind, dev, extra = step
     if kind == "weak":
-        return build_weak_unitary(dev.observable, dev, extra)
-    return build_ideal_unitary(dev.observable, dev)
+        return build_weak_unitary(dev, extra)
+    return build_ideal_unitary(dev)
 
 
 def _dense_attach(chain, step):
