@@ -35,8 +35,9 @@ each branch straight into the new state, in its final axis order: O(D*d)
 time for composite dimension D and measured dimension d, and O(d^2) scratch
 per outcome besides the new state.  ``apply_evolution`` is one product on
 the system axis.  The dense U of ``build_ideal_unitary`` /
-``build_weak_unitary`` acts on the full K + 1 pointer space; it is the
-reference that the property suite and the tests check this against.
+``build_weak_unitary`` acts on the full K + 1 pointer space; the property
+suite checks that it is unitary, and ``test_pure_core.py`` checks the attach
+against it.
 
 A mixed initial state rho = sum_i w_i |e_i><e_i| is simulated by its
 purification sum_i sqrt(w_i) |e_i>|i> on the system and an ancilla axis

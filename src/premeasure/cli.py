@@ -186,7 +186,7 @@ def _answers_csv(answers) -> str:
             continue
         p = a.payload
         if a.kind == "marginal":
-            for k, v in sorted(p["distribution"].items(), key=lambda kv: int(kv[0])):
+            for k, v in p["distribution"].items():
                 writer.writerow([a.index, a.kind, a.query, f"{p['device']}={k}", repr(v)])
         elif a.kind == "joint":
             writer.writerow([a.index, a.kind, a.query, "probability", repr(p["probability"])])
@@ -223,10 +223,7 @@ def _answers_text(answers) -> list[str]:
             continue
         p = a.payload
         if a.kind == "marginal":
-            pairs = ", ".join(
-                f"{k} -> {v!r}"
-                for k, v in sorted(p["distribution"].items(), key=lambda kv: int(kv[0]))
-            )
+            pairs = ", ".join(f"{k} -> {v!r}" for k, v in p["distribution"].items())
             lines.append(f"{a.query}: {pairs}")
         elif a.kind == "joint":
             lines.append(f"{a.query} -> {p['probability']!r}")

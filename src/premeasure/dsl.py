@@ -24,12 +24,15 @@ wrap.  Keywords are lowercase and reserved.
     cvec        := "[" complex ("," complex)* "]"
     cmat        := "[" cvec ("," cvec)* "]"
 
-The lexer is one regular expression with an alternative per token kind.  A
-number is ``[+-]mag (i | [+-]mag i)?`` with no internal whitespace, where
-``mag`` is a decimal magnitude with an optional exponent: ``a``, ``bi``,
-``a+bi`` and ``a-bi``.  ``1+2`` without the ``i`` is two numbers, ``1`` and
-``+2``.  Device and evolve statements are the chain's events, in file order;
-queries are answered from the final chain state.
+``GRAMMAR`` is the one table of these statement forms, a row each: the parser
+reads a statement by its rows, the formatter writes it by the same row, and
+``KEYWORDS`` are the words its rows hold.  The lexer is one regular
+expression with an alternative per token kind; any other character is an
+error.  A number is ``[+-]mag (i | [+-]mag i)?`` with no internal whitespace,
+where ``mag`` is a decimal magnitude with an optional exponent: ``a``,
+``bi``, ``a+bi`` and ``a-bi``.  ``1+2`` without the ``i`` is two numbers,
+``1`` and ``+2``.  Device and evolve statements are the chain's events, in
+file order; queries are answered from the final chain state.
 
 ``compile_scenario`` checks a parsed scenario in one pass and builds the
 objects the engine runs (a ``Program``: initial state, observables, device
@@ -47,7 +50,7 @@ ignored by equality).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -71,15 +74,6 @@ from .model import (
     make_observable,
 )
 from .tolerances import NORM_FLOOR
-
-KEYWORDS = frozenset(
-    {
-        "system", "dim", "state", "pure", "mixed", "observable", "eigen",
-        "basis", "projectors", "hamiltonian", "device", "measures", "weak",
-        "reads", "evolve", "unitary", "t", "query", "marginal", "joint",
-        "conditional", "given", "reduced", "repeatability", "equivalence",
-    }
-)
 
 # Largest final chain state a scenario may ask for: 2**26 complex128
 # amplitudes, 1 GiB, counting what the chain stores (the system, any
@@ -119,6 +113,7 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
     ("equals", "="),
     ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
     ("number", rf"(?P<re>[+-]?{_MAG})(?:(?P<i>i)|(?P<im>[+-]{_MAG})i)?"),
+    ("bad", "."),  # any other character
 )))
 
 Pos = tuple[int, int]
@@ -160,18 +155,13 @@ def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     line, line_start = 1, 0
     depth = 0
-    i, n = 0, len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        col = i - line_start + 1
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        i = m.end()
+        col = m.start() - line_start + 1
         if kind == "newline":
             if depth == 0 and toks and toks[-1].kind != "newline":
                 toks.append(Token(kind, "\n", line, col))
-            line, line_start = line + 1, i
+            line, line_start = line + 1, m.end()
         elif kind == "number":
             first = float(m["re"])
             if m["i"]:
@@ -179,6 +169,8 @@ def _tokenize(text: str) -> list[Token]:
             else:
                 value = complex(first, float(m["im"]) if m["im"] else 0.0)
             toks.append(Token(kind, m[0], line, col, value))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line, col)
         elif kind != "blank":
             if kind == "lbracket":
                 depth += 1
@@ -186,7 +178,7 @@ def _tokenize(text: str) -> list[Token]:
                 depth = max(0, depth - 1)
             toks.append(Token(kind, m[0], line, col))
 
-    col = n - line_start + 1
+    col = len(text) - line_start + 1
     if toks and toks[-1].kind != "newline":
         toks.append(Token("newline", "\n", line, col))
     toks.append(Token("eof", "", line, col))
@@ -353,20 +345,12 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
-        self.observables: set[str] = set()
-        self.hamiltonians: set[str] = set()
-        self.devices: set[str] = set()
-        self.have_system = False
-        self.have_state = False
+        # What each statement declared, as its duplicate names it: "system
+        # declaration", "state declaration" or "device name 'M1'".
+        self.names: set[str] = set()
 
     def peek(self) -> Token:
         return self.toks[self.i]
-
-    def advance(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
 
     def fail(self, expected: tuple[str, ...]):
         tok = self.peek()
@@ -386,21 +370,25 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             self.fail((what,))
-        return self.advance()
+        self.i += 1
+        return tok
 
-    def expect_keyword(self, word: str) -> None:
-        if not self.accept(word):
-            self.fail((f"'{word}'",))
-
-    def expect_name(self, role: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "word":
-            self.fail((role,))
+    def expect_name(self, role: str) -> str:
+        tok = self.expect_kind("word", role)
         if tok.text in KEYWORDS:
-            raise ParseError(
-                f"keyword {tok.text!r} cannot be used as {role}", tok.line, tok.col
-            )
-        return self.advance()
+            raise ParseError(f"keyword {tok.text!r} cannot be used as {role}", tok.line, tok.col)
+        return tok.text
+
+    def new_name(self, role: str) -> str:
+        """A name the statement declares; a second declaration is an error."""
+        tok = self.peek()
+        self.declare(f"{role} {self.expect_name(role)!r}", tok)
+        return tok.text
+
+    def declare(self, what: str, tok: Token):
+        if what in self.names:
+            raise ParseError(f"duplicate {what}", tok.line, tok.col)
+        self.names.add(what)
 
     def expect_int(self, role: str) -> int:
         tok = self.peek()
@@ -412,31 +400,19 @@ class _Parser:
                 f"{role} has {len(digits)} digits, more than {MAX_INT_DIGITS}",
                 tok.line, tok.col,
             )
-        self.advance()
+        self.i += 1
         value = int(digits or "0")
         return -value if tok.text.startswith("-") else value
 
     def expect_real(self, role: str) -> float:
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail((role,))
+        tok = self.expect_kind("number", role)
         if tok.value.imag != 0.0:
-            raise ParseError(
-                f"expected {role}, got complex literal {tok.text!r}", tok.line, tok.col
-            )
-        return float(self.advance().value.real)
+            message = f"expected {role}, got complex literal {tok.text!r}"
+            raise ParseError(message, tok.line, tok.col)
+        return tok.value.real
 
     def expect_complex(self) -> complex:
-        if self.peek().kind != "number":
-            self.fail(("number",))
-        return self.advance().value
-
-    def end_statement(self):
-        tok = self.peek()
-        if tok.kind == "newline":
-            self.advance()
-        elif tok.kind != "eof":
-            self.fail(("end of line",))
+        return self.expect_kind("number", "number").value
 
     # literals
 
@@ -445,7 +421,7 @@ class _Parser:
         self.expect_kind("lbracket", "'['")
         out = [item()]
         while self.peek().kind == "comma":
-            self.advance()
+            self.i += 1
             out.append(item())
         self.expect_kind("rbracket", "']' or ','")
         return tuple(out)
@@ -466,9 +442,10 @@ class _Parser:
         return tuple(mats)
 
     def event(self) -> EventRef:
-        name = self.expect_name("device name")
+        tok = self.peek()
+        device = self.expect_name("device name")
         self.expect_kind("equals", "'='")
-        return EventRef(name.text, self.expect_int("outcome index"), pos=(name.line, name.col))
+        return EventRef(device, self.expect_int("outcome index"), pos=(tok.line, tok.col))
 
     def events(self) -> tuple[EventRef, ...]:
         events = [self.event()]
@@ -478,109 +455,118 @@ class _Parser:
 
     # statements
 
-    def declare(self, registry: set[str], tok: Token, kind: str):
-        if tok.text in registry:
-            raise ParseError(f"duplicate {kind} name {tok.text!r}", tok.line, tok.col)
-        registry.add(tok.text)
-
     def statement(self) -> Statement:
+        """One statement, read by the ``GRAMMAR`` rows of its first keyword."""
         tok = self.peek()
         if tok.kind != "word":
             self.fail(("statement keyword",))
-        pos = (tok.line, tok.col)
-        if self.accept("system"):
-            if self.have_system:
-                raise ParseError("duplicate system declaration", tok.line, tok.col)
-            self.have_system = True
-            self.expect_keyword("dim")
-            return SystemDecl(self.expect_int("integer dimension"), pos=pos)
-        if self.accept("state"):
-            if self.have_state:
-                raise ParseError("duplicate state declaration", tok.line, tok.col)
-            self.have_state = True
-            if self.accept("pure"):
-                return PureStateDecl(self.cvec(), pos=pos)
-            if self.accept("mixed"):
-                return MixedStateDecl(self.cmat(), pos=pos)
-            self.fail(("'pure'", "'mixed'"))
-        if self.accept("observable"):
-            name = self.expect_name("observable name")
-            self.declare(self.observables, name, "observable")
-            if self.accept("eigen"):
-                eigenvalues = self.rvec()
-                self.expect_keyword("basis")
-                return EigenObservableDecl(name.text, eigenvalues, self.cmat(), pos=pos)
-            if self.accept("projectors"):
-                return ProjectorObservableDecl(name.text, self.rvec(), self.cmat_list(), pos=pos)
-            self.fail(("'eigen'", "'projectors'"))
-        if self.accept("hamiltonian"):
-            name = self.expect_name("hamiltonian name")
-            self.declare(self.hamiltonians, name, "hamiltonian")
-            return HamiltonianDecl(name.text, self.cmat(), pos=pos)
-        if self.accept("device"):
-            name = self.expect_name("device name")
-            self.declare(self.devices, name, "device")
-            if self.accept("measures"):
-                obs = self.expect_name("observable name")
-                weak = self.cmat_list() if self.accept("weak") else None
-                return MeasureDeviceDecl(name.text, obs.text, weak, pos=pos)
-            if self.accept("reads"):
-                target = self.expect_name("device name")
-                return ReaderDeviceDecl(name.text, target.text, pos=pos)
-            self.fail(("'measures'", "'reads'"))
-        if self.accept("evolve"):
-            if self.accept("unitary"):
-                return EvolveUnitaryDecl(self.cmat(), pos=pos)
-            name = self.expect_name("hamiltonian name")
-            self.expect_keyword("t")
-            return EvolveNamedDecl(name.text, self.expect_real("time"), pos=pos)
-        if self.accept("query"):
-            return self.query(pos)
-        self.fail((
-            "'system'", "'state'", "'observable'", "'hamiltonian'",
-            "'device'", "'evolve'", "'query'",
-        ))
+        if tok.text not in _FORMS:
+            self.fail(tuple(f"'{word}'" for word in _FORMS))
+        self.i += 1
+        if tok.text in ("system", "state"):
+            self.declare(f"{tok.text} declaration", tok)
+        shared, branches, rest = _FORMS[tok.text]
+        values = self.walk(shared)
+        nxt = self.peek()
+        if nxt.text in branches:
+            self.i += 1
+            rest = branches[nxt.text]
+        elif rest is None:
+            label = tok.text == "query" and nxt.kind != "word"
+            self.fail(("query kind",) if label else tuple(f"'{word}'" for word in branches))
+        cls, steps = rest
+        return cls(*values, *self.walk(steps), pos=(tok.line, tok.col))
 
-    def query(self, pos: Pos) -> QueryDecl:
-        if self.peek().kind != "word":
-            self.fail(("query kind",))
-        if self.accept("marginal"):
-            return MarginalQuery(self.expect_name("device name").text, pos=pos)
-        if self.accept("joint"):
-            return JointQuery(self.events(), pos=pos)
-        if self.accept("conditional"):
-            target = self.event()
-            self.expect_keyword("given")
-            return ConditionalQuery(target, self.events(), pos=pos)
-        if self.accept("reduced"):
-            return ReducedQuery(pos=pos)
-        if self.accept("repeatability"):
-            first = self.expect_name("device name")
-            second = self.expect_name("device name")
-            return RepeatabilityQuery(first.text, second.text, pos=pos)
-        if self.accept("equivalence"):
-            return EquivalenceQuery(pos=pos)
-        self.fail((
-            "'marginal'", "'joint'", "'conditional'", "'reduced'",
-            "'repeatability'", "'equivalence'",
-        ))
+    def walk(self, steps) -> list:
+        """The fields that ``steps``, (keyword, reader, role) triples, read."""
+        values = []
+        for word, read, role in steps:
+            if read is None:
+                if not self.accept(word):
+                    self.fail((f"'{word}'",))
+            elif word is None or self.accept(word):
+                values.append(read(self) if role is None else read(self, role))
+            else:
+                values.append(None)
+        return values
 
     def scenario(self) -> Scenario:
         statements = []
-        while self.peek().kind == "newline":
-            self.advance()
-        while self.peek().kind != "eof":
-            statements.append(self.statement())
-            self.end_statement()
+        while True:
             while self.peek().kind == "newline":
-                self.advance()
-        return Scenario(tuple(statements))
+                self.i += 1
+            if self.peek().kind == "eof":
+                return Scenario(tuple(statements))
+            statements.append(self.statement())
+            if self.peek().kind != "newline":  # a newline token always precedes eof
+                self.fail(("end of line",))
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises :class:`ParseError` with a position on any
     lexical or syntax error, including duplicate names."""
     return _Parser(_tokenize(text)).scenario()
+
+
+# --- grammar -----------------------------------------------------------------
+
+# One row per statement form: its node class, then its keywords and fields in
+# source order.  A field is (reader, role): the ``_Parser`` method that reads
+# it and the role its parse errors name (None where they name a bracket or a
+# number).  A field (keyword, reader, role) is optional, None without its
+# keyword.  Rows with one first keyword share their items up to where they
+# part; there each goes on with its own keyword, or one of them with a field.
+_P = _Parser
+GRAMMAR = (
+    (SystemDecl, "system", "dim", (_P.expect_int, "integer dimension")),
+    (PureStateDecl, "state", "pure", (_P.cvec, None)),
+    (MixedStateDecl, "state", "mixed", (_P.cmat, None)),
+    (EigenObservableDecl, "observable", (_P.new_name, "observable name"),
+     "eigen", (_P.rvec, None), "basis", (_P.cmat, None)),
+    (ProjectorObservableDecl, "observable", (_P.new_name, "observable name"),
+     "projectors", (_P.rvec, None), (_P.cmat_list, None)),
+    (HamiltonianDecl, "hamiltonian", (_P.new_name, "hamiltonian name"), (_P.cmat, None)),
+    (MeasureDeviceDecl, "device", (_P.new_name, "device name"),
+     "measures", (_P.expect_name, "observable name"), ("weak", _P.cmat_list, None)),
+    (ReaderDeviceDecl, "device", (_P.new_name, "device name"),
+     "reads", (_P.expect_name, "device name")),
+    (EvolveNamedDecl, "evolve", (_P.expect_name, "hamiltonian name"),
+     "t", (_P.expect_real, "time")),
+    (EvolveUnitaryDecl, "evolve", "unitary", (_P.cmat, None)),
+    (MarginalQuery, "query", "marginal", (_P.expect_name, "device name")),
+    (JointQuery, "query", "joint", (_P.events, None)),
+    (ConditionalQuery, "query", "conditional", (_P.event, None), "given", (_P.events, None)),
+    (ReducedQuery, "query", "reduced"),
+    (RepeatabilityQuery, "query", "repeatability",
+     (_P.expect_name, "device name"), (_P.expect_name, "device name")),
+    (EquivalenceQuery, "query", "equivalence"),
+)
+
+
+def _steps(items) -> tuple:
+    """Grammar items as the (keyword, reader, role) triples ``walk`` reads."""
+    return tuple((i, None, None) if isinstance(i, str) else i if len(i) == 3 else (None, *i)
+                 for i in items)
+
+
+def _forms() -> dict:
+    """First keyword -> (the steps its rows share, {next keyword: (class, the
+    steps after it)}, (class, steps) of the row going on with a field, or None)."""
+    forms: dict[str, list] = {}
+    for cls, first, *items in GRAMMAR:
+        forms.setdefault(first, []).append((cls, _steps(items)))
+    for first, rows in forms.items():
+        n = 0
+        while len(rows) > 1 and len({steps[n] for _, steps in rows}) == 1:
+            n += 1
+        branches = {s[n][0]: (cls, s[n + 1:]) for cls, s in rows if s[n][1] is None}
+        rest = [(cls, s[n:]) for cls, s in rows if s[n][1] is not None]
+        forms[first] = (rows[0][1][:n], branches, rest[0] if rest else None)
+    return forms
+
+
+_FORMS = _forms()
+KEYWORDS = frozenset(word for _, *items in GRAMMAR for word, _, _ in _steps(items) if word)
 
 
 # --- canonical formatter -----------------------------------------------------
@@ -604,60 +590,48 @@ def _fmt_cvec(row) -> str:
     return "[" + ", ".join(format_complex(z) for z in row) + "]"
 
 
-def _fmt_rvec(vals) -> str:
-    return "[" + ", ".join(format_real(v) for v in vals) + "]"
-
-
 def _fmt_cmat(mat) -> str:
     return "[" + ", ".join(_fmt_cvec(row) for row in mat) + "]"
 
 
-def _fmt_event(ev: EventRef) -> str:
-    return f"{ev.device}={ev.outcome}"
+# The canonical text of what each reader reads.
+_WRITERS = {
+    _P.expect_int: str,
+    _P.expect_name: str,
+    _P.new_name: str,
+    _P.expect_real: format_real,
+    _P.cvec: _fmt_cvec,
+    _P.rvec: lambda vals: "[" + ", ".join(format_real(v) for v in vals) + "]",
+    _P.cmat: _fmt_cmat,
+    _P.cmat_list: lambda mats: " ".join(_fmt_cmat(m) for m in mats),
+    _P.event: lambda ev: f"{ev.device}={ev.outcome}",
+    _P.events: lambda evs: " ".join(f"{ev.device}={ev.outcome}" for ev in evs),
+}
+
+
+def _format_plan(cls, steps) -> tuple[tuple, str]:
+    """A row as ``format_statement`` writes it: (text before the field, field
+    name, writer) triples, then the text after the last field."""
+    names = iter(f.name for f in fields(cls) if f.name != "pos")
+    plan, text = [], steps[0][0]
+    for word, read, _ in steps[1:]:
+        if read is None:
+            text += f" {word}"
+            continue
+        write = _WRITERS[read]
+        if word is not None:  # optional: " word value", or nothing for None
+            write = lambda value, word=word, w=write: "" if value is None else f" {word} {w(value)}"
+        plan.append((text if word else text + " ", next(names), write))
+        text = ""
+    return tuple(plan), text
+
+
+_PLANS = {cls: _format_plan(cls, _steps(items)) for cls, *items in GRAMMAR}
 
 
 def format_statement(stmt: Statement) -> str:
-    if isinstance(stmt, SystemDecl):
-        return f"system dim {stmt.dim}"
-    if isinstance(stmt, PureStateDecl):
-        return f"state pure {_fmt_cvec(stmt.amplitudes)}"
-    if isinstance(stmt, MixedStateDecl):
-        return f"state mixed {_fmt_cmat(stmt.rows)}"
-    if isinstance(stmt, EigenObservableDecl):
-        return (
-            f"observable {stmt.name} eigen {_fmt_rvec(stmt.eigenvalues)} "
-            f"basis {_fmt_cmat(stmt.basis)}"
-        )
-    if isinstance(stmt, ProjectorObservableDecl):
-        mats = " ".join(_fmt_cmat(m) for m in stmt.projectors)
-        return f"observable {stmt.name} projectors {_fmt_rvec(stmt.eigenvalues)} {mats}"
-    if isinstance(stmt, HamiltonianDecl):
-        return f"hamiltonian {stmt.name} {_fmt_cmat(stmt.matrix)}"
-    if isinstance(stmt, MeasureDeviceDecl):
-        base = f"device {stmt.name} measures {stmt.observable}"
-        if stmt.weak is not None:
-            base += " weak " + " ".join(_fmt_cmat(m) for m in stmt.weak)
-        return base
-    if isinstance(stmt, ReaderDeviceDecl):
-        return f"device {stmt.name} reads {stmt.target}"
-    if isinstance(stmt, EvolveNamedDecl):
-        return f"evolve {stmt.hamiltonian} t {format_real(stmt.time)}"
-    if isinstance(stmt, EvolveUnitaryDecl):
-        return f"evolve unitary {_fmt_cmat(stmt.matrix)}"
-    if isinstance(stmt, MarginalQuery):
-        return f"query marginal {stmt.device}"
-    if isinstance(stmt, JointQuery):
-        return "query joint " + " ".join(_fmt_event(e) for e in stmt.events)
-    if isinstance(stmt, ConditionalQuery):
-        given = " ".join(_fmt_event(e) for e in stmt.given)
-        return f"query conditional {_fmt_event(stmt.target)} given {given}"
-    if isinstance(stmt, ReducedQuery):
-        return "query reduced"
-    if isinstance(stmt, RepeatabilityQuery):
-        return f"query repeatability {stmt.first} {stmt.second}"
-    if isinstance(stmt, EquivalenceQuery):
-        return "query equivalence"
-    raise TypeError(f"unknown statement {stmt!r}")
+    plan, tail = _PLANS[type(stmt)]
+    return "".join([text + write(getattr(stmt, name)) for text, name, write in plan]) + tail
 
 
 def format_scenario(scenario: Scenario) -> str:
@@ -740,9 +714,10 @@ def compile_scenario(scenario: Scenario) -> Program:
     device's outcome count, times the system dim again for a mixed state's
     ancilla) stays within ``MAX_AMPLITUDES`` and the chain within
     ``MAX_DEVICES`` devices, counted before any device is built.  A ``query
-    equivalence`` on a chain that fits must stay within
-    ``MAX_JOINT_OUTCOMES`` joint outcomes of the system devices and
-    ``MAX_ORACLE_BYTES`` of oracle leaf states and projectors.
+    equivalence`` needs a ``device ... measures`` statement to compare, and on
+    a chain that fits must stay within ``MAX_JOINT_OUTCOMES`` joint outcomes
+    of the system devices and ``MAX_ORACLE_BYTES`` of oracle leaf states and
+    projectors.
     User input is normalized (state norm or trace, eigenbasis rows) and
     handed to the constructors that check the rest.  Their ValueErrors, and
     float overflows while checking (named by the quantity that overflows),
@@ -916,13 +891,15 @@ def compile_scenario(scenario: Scenario) -> Program:
         elif isinstance(stmt, EquivalenceQuery):
             equivalence_queries.append(stmt.pos)
 
-    if equivalence_queries and amplitudes is not None:
+    measures = any(isinstance(s, MeasureDeviceDecl) for s in scenario.statements)
+    problem = None if measures else "scenario attaches no system devices; nothing to compare"
+    if equivalence_queries and measures and amplitudes is not None:
         mixed = isinstance(state, MixedStateDecl)
         problem = equivalence_problem(dim, mixed, joint_outcomes, measured.values())
-        if problem:
-            for pos in equivalence_queries:
-                add(problem, pos)
-            diags.sort(key=lambda d: (d.line, d.col))
+    if equivalence_queries and problem:
+        for pos in equivalence_queries:
+            add(problem, pos)
+        diags.sort(key=lambda d: (d.line, d.col))
     return Program(initial, observables, tuple(events), tuple(diags))
 
 

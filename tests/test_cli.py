@@ -253,6 +253,20 @@ def test_verify_weak_equivalence_prints_no_document(tmp_path, capsys):
     assert captured.err.splitlines() == [WEAK_LINE]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"], ["run", "--format", "csv"], ["run", "--format", "text"], ["verify"],
+])
+def test_equivalence_with_no_measuring_device_is_a_validation_error(tmp_path, capsys, argv):
+    path = tmp_path / "bare.scn"
+    path.write_text("system dim 2\nstate pure [1, 0]\nquery equivalence\n")
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{path}:3:1: scenario attaches no system devices; nothing to compare"
+    ]
+
+
 def test_verify_passes_on_ideal_scenario(capsys):
     code, doc = _run_json(capsys, ["verify", str(REPEAT)])
     assert code == 0

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -379,3 +380,143 @@ def test_validator_reports_an_early_equivalence_query_in_file_order():
     assert [(line, col) for line, col, _ in diags] == [(4, 1), (24, 1)]
     assert "524288 joint outcomes" in diags[0][2]
     assert "undefined observable" in diags[1][2]
+
+
+# One row per parse-error branch: (text, str(ParseError)).  The tokenizer
+# closes every file with a newline token, so a statement cut off at the end
+# of the input reports the '\n' it runs into.
+PARSE_ERRORS = [
+    ("5", "1:1: expected statement keyword, got '5'"),
+    ("]", "1:1: expected statement keyword, got ']'"),
+    ("foo", "1:1: expected 'system' or 'state' or 'observable' or 'hamiltonian' or "
+            "'device' or 'evolve' or 'query', got 'foo'"),
+    ("system 2", "1:8: expected 'dim', got '2'"),
+    ("system dim", "1:11: expected integer dimension, got '\\n'"),
+    ("system dim 2.5", "1:12: expected integer dimension, got '2.5'"),
+    ("system dim 1" + "0" * 100, "1:12: integer dimension has 101 digits, more than 100"),
+    ("system dim 2\nsystem dim 3", "2:1: duplicate system declaration"),
+    ("state [1]", "1:7: expected 'pure' or 'mixed', got '['"),
+    ("state pure 1", "1:12: expected '[', got '1'"),
+    ("state pure [a]", "1:13: expected number, got 'a'"),
+    ("state pure [1 2]", "1:15: expected ']' or ',', got '2'"),
+    ("state pure [1, 0", "1:17: expected ']' or ',', got '\\n'"),
+    ("state mixed [1]", "1:14: expected '[', got '1'"),
+    ("state pure [1]\nstate mixed [[1]]", "2:1: duplicate state declaration"),
+    ("state pure [1]\nstate [1]", "2:1: duplicate state declaration"),
+    ("observable 5", "1:12: expected observable name, got '5'"),
+    ("observable state", "1:12: keyword 'state' cannot be used as observable name"),
+    ("observable A basis", "1:14: expected 'eigen' or 'projectors', got 'basis'"),
+    ("observable A eigen [x]", "1:21: expected eigenvalue, got 'x'"),
+    ("observable A eigen [1i]", "1:21: expected eigenvalue, got complex literal '1i'"),
+    ("observable A eigen [1] [[1]]", "1:24: expected 'basis', got '['"),
+    ("observable A projectors [1] 5", "1:29: expected '[', got '5'"),
+    ("observable A projectors [1] [[1]]\nobservable A eigen [1] basis [[1]]",
+     "2:12: duplicate observable name 'A'"),
+    ("observable A projectors [1] [[1]]\nobservable A 5", "2:12: duplicate observable name 'A'"),
+    ("hamiltonian 5", "1:13: expected hamiltonian name, got '5'"),
+    ("hamiltonian H 5", "1:15: expected '[', got '5'"),
+    ("hamiltonian H [[1]]\nhamiltonian H [[1]]", "2:13: duplicate hamiltonian name 'H'"),
+    ("device 5", "1:8: expected device name, got '5'"),
+    ("device M 5", "1:10: expected 'measures' or 'reads', got '5'"),
+    ("device M measures 5", "1:19: expected observable name, got '5'"),
+    ("device M measures Z weak 5", "1:26: expected '[', got '5'"),
+    ("device M measures Z 5", "1:21: expected end of line, got '5'"),
+    ("device R reads 5", "1:16: expected device name, got '5'"),
+    ("device M reads A\ndevice M measures Z", "2:8: duplicate device name 'M'"),
+    ("evolve 5", "1:8: expected hamiltonian name, got '5'"),
+    ("evolve query", "1:8: keyword 'query' cannot be used as hamiltonian name"),
+    ("evolve H 5", "1:10: expected 't', got '5'"),
+    ("evolve H t x", "1:12: expected time, got 'x'"),
+    ("evolve H t 1i", "1:12: expected time, got complex literal '1i'"),
+    ("evolve unitary 5", "1:16: expected '[', got '5'"),
+    ("query 5", "1:7: expected query kind, got '5'"),
+    ("query foo", "1:7: expected 'marginal' or 'joint' or 'conditional' or 'reduced' or "
+                  "'repeatability' or 'equivalence', got 'foo'"),
+    ("query marginal 5", "1:16: expected device name, got '5'"),
+    ("query joint 5", "1:13: expected device name, got '5'"),
+    ("query joint M 1", "1:15: expected '=', got '1'"),
+    ("query joint M=x", "1:15: expected outcome index, got 'x'"),
+    ("query joint M=1.5", "1:15: expected outcome index, got '1.5'"),
+    ("query joint state=1", "1:13: keyword 'state' cannot be used as device name"),
+    ("query conditional M=1 M=2", "1:23: expected 'given', got 'M'"),
+    ("query conditional M=1 given 5", "1:29: expected device name, got '5'"),
+    ("query repeatability M 5", "1:23: expected device name, got '5'"),
+    ("query reduced 5", "1:15: expected end of line, got '5'"),
+    ("query equivalence [", "1:19: expected end of line, got '['"),
+    ("dim +", "1:5: unexpected character '+'"),
+    ("system dim 2 # ok\n\x0c", "2:1: unexpected character '\\x0c'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_text_and_position(text, message):
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_scenario(text)
+    assert str(exc.value) == message
+
+
+# Every statement form, written loosely, and its canonical line.  One file
+# holds one state declaration, so the mixed form replaces the pure one.
+FORMS = [
+    ("system  dim 2 # a qubit", "system dim 2"),
+    ("state pure [0.5,\n 5e-1i]", "state pure [0.5, 0.5i]"),
+    ("observable Z eigen [1, -1.0] basis [[1, 0], [0, 1]]",
+     "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]"),
+    ("observable P projectors [0.5, -2] [[1, 0], [0, 0]]\t[[0, 0], [0, 1]]",
+     "observable P projectors [0.5, -2] [[1, 0], [0, 0]] [[0, 0], [0, 1]]"),
+    ("hamiltonian H [[0, -1i], [+1i, 0]]", "hamiltonian H [[0, -1i], [1i, 0]]"),
+    ("device M1 measures Z", "device M1 measures Z"),
+    ("device MW measures Z weak [[1,0],[0,1]] [[0,1],[1,0]]",
+     "device MW measures Z weak [[1, 0], [0, 1]] [[0, 1], [1, 0]]"),
+    ("device R reads M1", "device R reads M1"),
+    ("evolve H t 2.5e-1", "evolve H t 0.25"),
+    ("evolve unitary [[0, 1], [1, 0]]", "evolve unitary [[0, 1], [1, 0]]"),
+    ("query marginal M1", "query marginal M1"),
+    ("query joint M1=1 MW=2", "query joint M1=1 MW=2"),
+    ("query conditional R=1 given M1=+1 MW=2", "query conditional R=1 given M1=1 MW=2"),
+    ("query reduced", "query reduced"),
+    ("query repeatability M1 R", "query repeatability M1 R"),
+    ("query equivalence", "query equivalence"),
+]
+MIXED_FORM = ("state mixed [[0.5, 0.25-0.5i], [0.25+0.5i, 0.5]]",
+              "state mixed [[0.5, 0.25-0.5i], [0.25+0.5i, 0.5]]")
+
+
+def test_every_statement_form_round_trips_to_its_canonical_line():
+    seen = set()
+    for state in (FORMS[1], MIXED_FORM):
+        forms = [FORMS[0], state, *FORMS[2:]]
+        s = dsl.parse_scenario("\n".join(loose for loose, _ in forms))
+        text = dsl.format_scenario(s)
+        assert text.splitlines() == [canonical for _, canonical in forms]
+        assert dsl.parse_scenario(text) == s
+        assert dsl.format_scenario(dsl.parse_scenario(text)) == text
+        seen.update(type(st) for st in s.statements)
+    assert seen == {
+        dsl.SystemDecl, dsl.PureStateDecl, dsl.MixedStateDecl, dsl.EigenObservableDecl,
+        dsl.ProjectorObservableDecl, dsl.HamiltonianDecl, dsl.MeasureDeviceDecl,
+        dsl.ReaderDeviceDecl, dsl.EvolveNamedDecl, dsl.EvolveUnitaryDecl, dsl.MarginalQuery,
+        dsl.JointQuery, dsl.ConditionalQuery, dsl.ReducedQuery, dsl.RepeatabilityQuery,
+        dsl.EquivalenceQuery,
+    }
+
+
+def test_equivalence_queries_need_a_measuring_device():
+    # A reader cannot be declared without a measuring device, and an
+    # evolution compares nothing; every equivalence query is reported.
+    text = (
+        "system dim 2\nstate pure [1, 0]\nquery equivalence\n"
+        "hamiltonian H [[0, 1], [1, 0]]\nevolve H t 1\nquery equivalence\n"
+    )
+    assert _diag_positions(text) == [
+        (3, 1, "scenario attaches no system devices; nothing to compare"),
+        (6, 1, "scenario attaches no system devices; nothing to compare"),
+    ]
+    text += "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\ndevice M measures Z\n"
+    assert _diag_positions(text) == []
+
+
+def test_grammar_has_one_row_per_form_and_the_docstring_quotes_its_keywords():
+    classes = [row[0] for row in dsl.GRAMMAR]
+    assert len(classes) == len(set(classes)) == 16
+    assert set(re.findall(r'"([a-z]+)"', dsl.__doc__)) == dsl.KEYWORDS

@@ -1,4 +1,5 @@
-"""Seeded token mutations of the bundled scenarios, run through ``cli.main``.
+"""Seeded token mutations of the bundled and of sampled scenarios, run
+through ``cli.main``.
 
 Each mutated file goes through ``run`` (json, csv or text) or ``verify``,
 and must end in a documented exit without a traceback: exit 0 with an empty
@@ -14,13 +15,19 @@ timings are asserted.
 import random
 import re
 
+import numpy as np
 import pytest
 
 import premeasure
 from premeasure import cli
+from premeasure.dsl import format_scenario
+from premeasure.sampling import random_scenario
 
 NAMES = premeasure.bundled_scenario_names()
 MUTATIONS_PER_SCENARIO = 170
+SAMPLED_SEED = 11
+SAMPLED_SCENARIOS = 60
+MUTATIONS_PER_SAMPLED = 10
 COMMANDS = (
     ("run",),
     ("run", "--format", "csv"),
@@ -53,20 +60,15 @@ def _mutate(text: str, rng: random.Random) -> str:
     return "".join(tokens)
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_mutated_scenarios_end_in_a_documented_exit(name, tmp_path, capsys):
-    assert len(NAMES) == 12
-    original = premeasure.bundled_scenario_path(name).read_text(encoding="utf-8")
-    rng = random.Random(f"fuzz-{name}")
-    path = tmp_path / name
-    for n in range(MUTATIONS_PER_SCENARIO):
+def _check_mutations(original: str, mutations: int, rng, path, capsys) -> None:
+    for n in range(mutations):
         text = _mutate(original, rng)
         path.write_text(text, encoding="utf-8")
         command, *options = rng.choice(COMMANDS)
         code = cli.main([command, str(path), *options])
         err = capsys.readouterr().err
         lines = err.splitlines()
-        context = f"mutation {n} of {name} ({command} {options}):\n{text}\nstderr:\n{err}"
+        context = f"mutation {n} of {path.name} ({command} {options}):\n{text}\nstderr:\n{err}"
         assert "Traceback" not in err, context
         if code == 0:
             assert err == "", context
@@ -76,3 +78,19 @@ def test_mutated_scenarios_end_in_a_documented_exit(name, tmp_path, capsys):
             assert code == 1, context
             assert lines, context
             assert all(line.startswith((f"{path}:", "premeasure: ")) for line in lines), context
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_mutated_scenarios_end_in_a_documented_exit(name, tmp_path, capsys):
+    assert len(NAMES) == 12
+    original = premeasure.bundled_scenario_path(name).read_text(encoding="utf-8")
+    rng = random.Random(f"fuzz-{name}")
+    _check_mutations(original, MUTATIONS_PER_SCENARIO, rng, tmp_path / name, capsys)
+
+
+@pytest.mark.parametrize("trial", range(SAMPLED_SCENARIOS))
+def test_mutated_sampled_scenarios_end_in_a_documented_exit(trial, tmp_path, capsys):
+    scenario = random_scenario(np.random.default_rng([SAMPLED_SEED, trial]), max_dim=4, max_depth=3)
+    rng = random.Random(f"fuzz-sampled-{trial}")
+    path = tmp_path / f"sampled-{trial}.scn"
+    _check_mutations(format_scenario(scenario), MUTATIONS_PER_SAMPLED, rng, path, capsys)
