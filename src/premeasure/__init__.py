@@ -30,8 +30,6 @@ from .chain import (
     Disturbance,
     apply_evolution,
     attach_device,
-    build_ideal_unitary,
-    build_weak_unitary,
     init_chain,
     make_reader_device,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "__version__",
     "apply_evolution",
     "attach_device",
-    "build_ideal_unitary",
-    "build_weak_unitary",
     "bundled_scenario_path",
     "bundled_scenario_names",
     "collapse_equivalence_report",

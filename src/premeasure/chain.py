@@ -34,10 +34,8 @@ axis of length K per device in attachment order.  ``attach_device`` writes
 each branch straight into the new state, in its final axis order: O(D*d)
 time for composite dimension D and measured dimension d, and O(d^2) scratch
 per outcome besides the new state.  ``apply_evolution`` is one product on
-the system axis.  The dense U of ``build_ideal_unitary`` /
-``build_weak_unitary`` acts on the full K + 1 pointer space; the property
-suite checks that it is unitary, and ``test_pure_core.py`` checks the attach
-against it.
+the system axis.  ``test_pure_core.py`` checks the attach against the dense
+U on the full K + 1 pointer space that ``tests/reference.py`` builds.
 
 A mixed initial state rho = sum_i w_i |e_i><e_i| is simulated by its
 purification sum_i sqrt(w_i) |e_i>|i> on the system and an ancilla axis
@@ -156,23 +154,6 @@ class ChainState:
         return probs
 
 
-def pointer_shift(dim: int) -> np.ndarray:
-    """Cyclic add-1 shift on a ``dim``-dimensional pointer basis."""
-    return np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
-
-
-def build_ideal_unitary(dev: DeviceSpec) -> np.ndarray:
-    """Premeasurement unitary on (measured factor) x (pointer factor)."""
-    obs = dev.observable
-    shift = pointer_shift(dev.pointer_dim)
-    u = np.zeros((obs.dim * dev.pointer_dim,) * 2, dtype=np.complex128)
-    step = np.eye(dev.pointer_dim, dtype=np.complex128)
-    for p in obs.projectors:
-        step = step @ shift
-        u += np.kron(p, step)
-    return u
-
-
 def _check_disturbance(obs: Observable, dist: Disturbance) -> None:
     if len(dist.unitaries) != obs.outcome_count:
         raise ValueError(
@@ -183,22 +164,6 @@ def _check_disturbance(obs: Observable, dist: Disturbance) -> None:
             raise ValueError(
                 f"disturbance dimension {u.shape[0]} does not match system dimension {obs.dim}"
             )
-
-
-def build_weak_unitary(dev: DeviceSpec, dist: Disturbance) -> np.ndarray:
-    """Ideal premeasurement followed by the pointer-controlled disturbance."""
-    obs = dev.observable
-    _check_disturbance(obs, dist)
-    d_p = dev.pointer_dim
-    v = np.zeros((obs.dim * d_p,) * 2, dtype=np.complex128)
-    for k, r in enumerate(dist.unitaries, start=1):
-        e = np.zeros((d_p, d_p), dtype=np.complex128)
-        e[k, k] = 1.0
-        v += np.kron(r, e)
-    ready = np.zeros((d_p, d_p), dtype=np.complex128)
-    ready[0, 0] = 1.0
-    v += np.kron(np.eye(obs.dim, dtype=np.complex128), ready)
-    return v @ build_ideal_unitary(dev)
 
 
 def pointer_basis_observable(label: str, target_spec: DeviceSpec) -> Observable:

@@ -354,9 +354,9 @@ class _Parser:
 
     def fail(self, expected: tuple[str, ...]):
         tok = self.peek()
-        shown = tok.text if tok.kind != "eof" else "end of input"
+        shown = "end of line" if tok.kind == "newline" else repr(tok.text)
         wanted = " or ".join(expected)
-        raise ParseError(f"expected {wanted}, got {shown!r}", tok.line, tok.col)
+        raise ParseError(f"expected {wanted}, got {shown}", tok.line, tok.col)
 
     def accept(self, word: str) -> bool:
         """Consume the keyword ``word`` if it comes next."""

@@ -3,7 +3,7 @@
 Each trial draws one random scenario and asserts, through the full engine
 path, the invariants the package is built around:
 
-* every constructed interaction is unitary,
+* every attach map is an isometry,
 * repeated ideal measurements agree (identity conditional matrix, and all
   repeat devices show the same outcome with probability 1),
 * the chain's joint / marginal / conditional statistics match the collapse
@@ -24,9 +24,10 @@ import numpy as np
 
 from . import dsl, engine, sampling
 from .born import joint_distribution, total_probability
-from .chain import attach_device, build_ideal_unitary, init_chain, make_device
+from .chain import ChainState, Disturbance, attach_device, init_chain, make_device
 from .collapse import unknown_result_mixture
 from .linalg import unitarity_residual
+from .model import DeviceSpec
 from .tolerances import DYNAMIC_TOL, STRUCT_TOL
 from .verify import collapse_equivalence_report, partial_trace_check, repeatability_matrix
 
@@ -58,6 +59,24 @@ def run_property_suite(seed: int, trials: int, max_dim: int, max_depth: int) -> 
         scenario = sampling.random_scenario(rng, max_dim=max_dim, max_depth=max_depth)
         _run_trial(trial, scenario, summary)
     return summary
+
+
+def attach_residual(
+    spec: DeviceSpec, disturbance: Disturbance | None = None, target: DeviceSpec | None = None
+) -> float:
+    """Distance from an isometry of ``spec``'s attach map as ``attach_device``
+    runs it; a reader's ``target`` is attached first.
+
+    The start is the identity on (system, ancilla), so each ancilla column is
+    a system basis state and the grown state, ancilla axis last, is the map's
+    matrix W: (d * prod K, d).
+    """
+    d = (target or spec).observable.dim
+    chain = ChainState(np.eye(d, dtype=complex), (), np.eye(d) / d)
+    if target is not None:
+        chain = attach_device(chain, target)
+    chain = attach_device(chain, spec, disturbance=disturbance)
+    return unitarity_residual(np.moveaxis(chain.state, 1, -1).reshape(-1, d))
 
 
 def _record(summary: PropSummary, trial: int, scenario: dsl.Scenario, check: str,
@@ -102,12 +121,18 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     )
     dynamic_tol = DYNAMIC_TOL if has_evolution else STRUCT_TOL
 
-    # Interaction unitarity, re-derived from the specs rather than trusting
-    # the attach path.  A device's U depends on its observable alone, so the
-    # repeat devices that share A's are checked once.
-    specs = {id(ad.spec.observable): ad.spec for ad in chain.devices if ad.mode != "weak"}
+    # Each attach map, as production runs it, must be an isometry.  A map
+    # depends on its observable and disturbance alone, so the repeat devices
+    # that share A's are checked once.
+    attaches = {
+        (id(e.device.observable), id(e.disturbance)): e
+        for e in scenario.program.events
+        if isinstance(e, dsl.Attach)
+    }
+    specs = {ad.spec.label: ad.spec for ad in chain.devices}
     residual = max(
-        (unitarity_residual(build_ideal_unitary(spec)) for spec in specs.values()),
+        (attach_residual(e.device, e.disturbance, specs.get(e.device.target))
+         for e in attaches.values()),
         default=0.0,
     )
     _record(summary, trial, scenario, "unitarity", residual, STRUCT_TOL)

@@ -12,6 +12,8 @@ physics in plain numpy, the slow and obvious way.
   ``U = sum_k P_k (x) 1 (x) Shift^k`` on that space, followed for a weak
   device by ``V = sum_k R_k (x) 1 (x) |k><k| + 1 (x) 1 (x) |0><0|``.  A
   reader's projectors are the pointer states of its target, ready state last.
+  ``interaction`` builds U and V; the chain tests call it on the measured
+  factor and one pointer alone.
 * ``evolve H t`` is ``exp(-iHt)`` from ``eigh``; the state evolves as
   ``U rho U^dagger`` and is never purified.
 * Born numbers are ``tr(rho Pi)`` for the pointer projectors ``Pi``.
@@ -61,6 +63,25 @@ def _on(ops: dict[int, np.ndarray], dims: list[int]) -> np.ndarray:
     return out
 
 
+def interaction(ops, dims: list[int], measured: int, new: int, weak=None) -> np.ndarray:
+    """Dense premeasurement unitary on the factors ``dims``:
+    ``U = sum_k ops[k-1] (x) Shift^k`` on factors ``measured`` and ``new``,
+    followed, given the per-outcome system unitaries ``weak``, by
+    ``V = sum_k R_k (x) |k><k| + 1 (x) |0><0|`` on factors 0 and ``new``."""
+    p = dims[new]
+    u = sum(
+        _on({measured: op, new: np.linalg.matrix_power(_shift(p), k)}, dims)
+        for k, op in enumerate(ops, start=1)
+    )
+    if weak is not None:
+        v = _on({new: _state_projector(0, p)}, dims) + sum(
+            _on({0: _mat(r), new: _state_projector(k, p)}, dims)
+            for k, r in enumerate(weak, start=1)
+        )
+        u = v @ u
+    return u
+
+
 class Reference:
     """Final density matrix and projection-postulate plan of one scenario."""
 
@@ -103,12 +124,13 @@ class Reference:
                 self.steps.append(("evolve", u))
             elif isinstance(s, (dsl.MeasureDeviceDecl, dsl.ReaderDeviceDecl)):
                 if isinstance(s, dsl.MeasureDeviceDecl):
-                    measured, ops = 0, projectors[s.observable]
-                    self.kind[s.name] = "ideal" if s.weak is None else "weak"
+                    measured, ops, weak = 0, projectors[s.observable], s.weak
+                    self.kind[s.name] = "ideal" if weak is None else "weak"
                 else:
                     measured = self.factor[s.target]
                     p_t = self.dims[measured]
                     ops = [_state_projector(k, p_t) for k in list(range(1, p_t)) + [0]]
+                    weak = None
                     self.kind[s.name] = "reader"
                 n = len(ops)
                 p = n + 1
@@ -116,16 +138,7 @@ class Reference:
                 self.outcomes[s.name] = n
                 self.dims.append(p)
                 rho = np.kron(rho, _state_projector(0, p))
-                u = sum(
-                    _on({measured: op, new: np.linalg.matrix_power(_shift(p), k)}, self.dims)
-                    for k, op in enumerate(ops, start=1)
-                )
-                if self.kind[s.name] == "weak":
-                    v = _on({new: _state_projector(0, p)}, self.dims) + sum(
-                        _on({0: _mat(r), new: _state_projector(k, p)}, self.dims)
-                        for k, r in enumerate(s.weak, start=1)
-                    )
-                    u = v @ u
+                u = interaction(ops, self.dims, measured, new, weak)
                 rho = u @ rho @ u.conj().T
                 if self.kind[s.name] == "ideal":
                     self.steps.append(("measure", s.name, ops))

@@ -23,14 +23,13 @@ from premeasure.chain import (
     Disturbance,
     apply_evolution,
     attach_device,
-    build_ideal_unitary,
-    build_weak_unitary,
     init_chain,
     make_reader_device,
 )
 from premeasure.collapse import unknown_result_mixture
-from premeasure.linalg import hermitian_evolution, is_unitary
+from premeasure.linalg import hermitian_evolution
 from premeasure.model import make_device, make_observable
+from premeasure.propsuite import attach_residual
 from premeasure.sampling import (
     distinct_eigenvalues,
     random_degenerate_observable,
@@ -42,6 +41,8 @@ from premeasure.sampling import (
     random_unitary,
 )
 from premeasure.verify import partial_trace_check, repeatability_matrix
+
+from reference import interaction
 
 PROB_SLACK = 1e-12
 
@@ -285,7 +286,11 @@ def test_criterion_09_dsl_round_trip(capsys):
 
 
 def test_criterion_10_unitarity_sweep(capsys):
-    bad = 0
+    # The couplings as production attaches them: the ideal device, a weak one
+    # and a reader of the ideal one.  Each attach map must be an isometry,
+    # and the ideal and weak ones the reference's dense U (then V) on the
+    # ready pointer.
+    worst = 0.0
     count = 0
     for trial in range(40):
         rng = np.random.default_rng([10, trial])
@@ -295,16 +300,25 @@ def test_criterion_10_unitarity_sweep(capsys):
         else:
             obs = random_observable(rng, dim, "A")
         dev = make_device("M", obs)
-        u_ideal = build_ideal_unitary(dev)
-        count += 1
-        if not is_unitary(u_ideal):
-            bad += 1
         dist = Disturbance(
             tuple(random_unitary(rng, dim) for _ in range(obs.outcome_count))
         )
-        u_weak = build_weak_unitary(dev, dist)
-        count += 1
-        if not is_unitary(u_weak):
-            bad += 1
-    ok = bad == 0
-    _report(capsys, 10, "measurement unitaries are unitary", ok, f"{count} checked, {bad} bad")
+        deviations = [
+            attach_residual(dev),
+            attach_residual(dev, dist),
+            attach_residual(make_reader_device("R", dev), target=dev),
+        ]
+        p = dev.pointer_dim
+        for disturbance in (None, dist):
+            weak = None if disturbance is None else disturbance.unitaries
+            dense = interaction(obs.projectors, [dim, p], 0, 1, weak).reshape(dim, p, dim, p)
+            grown = [
+                attach_device(init_chain(e), dev, disturbance=disturbance).state
+                for e in np.eye(dim)
+            ]
+            deviations.append(float(np.max(np.abs(np.stack(grown, axis=-1) - dense[:, 1:, :, 0]))))
+        count += len(deviations)
+        worst = max(worst, *deviations)
+    ok = worst <= 1e-12
+    _report(capsys, 10, "every attach map is an isometry and matches the dense U", ok,
+            f"{count} checked, max dev {worst:.3e}")

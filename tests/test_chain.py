@@ -16,15 +16,14 @@ from premeasure.chain import (
     Disturbance,
     apply_evolution,
     attach_device,
-    build_ideal_unitary,
-    build_weak_unitary,
     init_chain,
     make_reader_device,
     pointer_basis_observable,
-    pointer_shift,
 )
 from premeasure.linalg import unitarity_residual
 from premeasure.model import DensityState, make_device, make_observable
+
+from reference import interaction
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
@@ -33,18 +32,18 @@ def _z_obs():
     return make_observable("Z", "S", [1.0, -1.0], np.eye(2, dtype=complex))
 
 
-def test_pointer_shift_cycles():
-    s = pointer_shift(3)
-    e0 = np.array([1, 0, 0], dtype=complex)
-    assert_allclose(s @ e0, [0, 1, 0])
-    assert_allclose(s @ s @ e0, [0, 0, 1])
-    assert_allclose(np.linalg.matrix_power(s, 3), np.eye(3), atol=1e-15)
+def _dense(dev, dist=None):
+    """The reference's dense U, then V for a weak device, on (measured
+    factor) x (pointer factor)."""
+    obs = dev.observable
+    weak = None if dist is None else dist.unitaries
+    return interaction(obs.projectors, [obs.dim, dev.pointer_dim], 0, 1, weak)
 
 
 def test_ideal_unitary_moves_ready_pointer():
     obs = _z_obs()
     dev = make_device("M", obs)
-    u = build_ideal_unitary(dev)
+    u = _dense(dev)
     assert unitarity_residual(u) <= 1e-12
     # |j> (x) |ready> -> |j> (x) |j+1>
     for j, target in ((0, 1), (1, 2)):
@@ -57,26 +56,24 @@ def test_ideal_unitary_moves_ready_pointer():
 
 
 def test_ideal_unitary_matches_projector_sum():
+    # The attach is sum_k P_k (x) Shift^k on the ready pointer: its branch k
+    # is the dense U's column block from ready to pointer state k.
     rng = np.random.default_rng(17)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     q, _ = np.linalg.qr(g)
     obs = make_observable("A", "S", [0.5, 1.5, 2.5], [q[:, k] for k in range(3)])
     dev = make_device("M", obs)
-    u = build_ideal_unitary(dev)
-    shift = pointer_shift(4)
-    expected = sum(
-        np.kron(obs.projectors[k - 1], np.linalg.matrix_power(shift, k))
-        for k in (1, 2, 3)
-    )
-    assert_allclose(u, expected, atol=1e-13)
-    assert unitarity_residual(u) <= 1e-12
+    u = _dense(dev).reshape(3, 4, 3, 4)
+    for j in range(3):
+        grown = attach_device(init_chain(np.eye(3)[j]), dev)
+        assert_allclose(grown.state, u[:, 1:, j, 0], rtol=0, atol=1e-15)
 
 
 def test_weak_unitary_flips_branch():
     obs = _z_obs()
     dev = make_device("M", obs)
     dist = Disturbance((np.eye(2, dtype=complex), SX))
-    u = build_weak_unitary(dev, dist)
+    u = _dense(dev, dist)
     assert unitarity_residual(u) <= 1e-12
     # |1> (x) ready -> flip: |0> (x) pointer 2
     vin = np.zeros(6, dtype=complex)
@@ -84,13 +81,8 @@ def test_weak_unitary_flips_branch():
     expect = np.zeros(6, dtype=complex)
     expect[0 * 3 + 2] = 1.0
     assert_allclose(u @ vin, expect, atol=1e-14)
-
-
-def test_weak_unitary_wrong_count():
-    obs = _z_obs()
-    dev = make_device("M", obs)
-    with pytest.raises(ValueError, match="disturbance"):
-        build_weak_unitary(dev, Disturbance((np.eye(2, dtype=complex),)))
+    grown = attach_device(init_chain(np.array([0, 1])), dev, disturbance=dist)
+    assert_allclose(grown.state, [[0, 1], [0, 0]], atol=1e-15)
 
 
 def test_disturbance_rejects_nonunitary():
@@ -138,8 +130,21 @@ def test_attach_rejects_duplicate_label():
             None,
             "observable dimension 2 does not match dimension 3 of the measured factor 'M1'",
         ),
+        (
+            make_device("M2", _z_obs()),
+            Disturbance((np.eye(2),)),
+            "need 2 disturbance unitaries, got 1",
+        ),
+        (
+            make_device("M2", _z_obs()),
+            Disturbance((np.eye(3),) * 2),
+            "disturbance dimension 3 does not match system dimension 2",
+        ),
     ],
-    ids=["system-label", "reader-disturbed", "system-dim", "reader-dim"],
+    ids=[
+        "system-label", "reader-disturbed", "system-dim", "reader-dim",
+        "disturbance-count", "disturbance-dim",
+    ],
 )
 def test_attach_rejects_a_device_its_factor_cannot_take(dev, disturbance, message):
     chain = attach_device(init_chain(np.array([1, 0], dtype=complex)), make_device("M1", _z_obs()))

@@ -391,7 +391,7 @@ PARSE_ERRORS = [
     ("foo", "1:1: expected 'system' or 'state' or 'observable' or 'hamiltonian' or "
             "'device' or 'evolve' or 'query', got 'foo'"),
     ("system 2", "1:8: expected 'dim', got '2'"),
-    ("system dim", "1:11: expected integer dimension, got '\\n'"),
+    ("system dim", "1:11: expected integer dimension, got end of line"),
     ("system dim 2.5", "1:12: expected integer dimension, got '2.5'"),
     ("system dim 1" + "0" * 100, "1:12: integer dimension has 101 digits, more than 100"),
     ("system dim 2\nsystem dim 3", "2:1: duplicate system declaration"),
@@ -399,7 +399,7 @@ PARSE_ERRORS = [
     ("state pure 1", "1:12: expected '[', got '1'"),
     ("state pure [a]", "1:13: expected number, got 'a'"),
     ("state pure [1 2]", "1:15: expected ']' or ',', got '2'"),
-    ("state pure [1, 0", "1:17: expected ']' or ',', got '\\n'"),
+    ("state pure [1, 0", "1:17: expected ']' or ',', got end of line"),
     ("state mixed [1]", "1:14: expected '[', got '1'"),
     ("state pure [1]\nstate mixed [[1]]", "2:1: duplicate state declaration"),
     ("state pure [1]\nstate [1]", "2:1: duplicate state declaration"),

@@ -3,9 +3,9 @@ observable's eigenbasis, one branch per outcome, and mixed starts are
 purified onto an ancilla.
 
 Both are checked against the routes they replace: the full interaction
-applied to the ready-extended vector, restricted to the recorded pointer
-states the chain stores, and a density matrix evolved as ``U rho U^dagger``
-with every operator written out as Kronecker products.  The ready slab that
+(``reference.interaction``) applied to the ready-extended vector, restricted
+to the recorded pointer states the chain stores, and a density matrix evolved
+as ``U rho U^dagger`` with every operator written out as Kronecker products.  The ready slab that
 the chain drops is exactly zero on the dense route.  The attach is also held
 to its memory bound: no dense interaction, and a peak below twice the new
 state.
@@ -28,8 +28,6 @@ from premeasure.chain import (
     Disturbance,
     apply_evolution,
     attach_device,
-    build_ideal_unitary,
-    build_weak_unitary,
     init_chain,
     make_reader_device,
 )
@@ -42,6 +40,8 @@ from premeasure.sampling import (
     random_state_vector,
     random_unitary,
 )
+
+from reference import interaction
 
 
 def _obs(rng, label, d):
@@ -81,10 +81,11 @@ def _attach(chain, step):
 
 
 def _interaction(step):
+    """The reference's dense U (then V) on (measured factor) x (new pointer)."""
     kind, dev, extra = step
-    if kind == "weak":
-        return build_weak_unitary(dev, extra)
-    return build_ideal_unitary(dev)
+    obs = dev.observable
+    weak = extra.unitaries if kind == "weak" else None
+    return interaction(obs.projectors, [obs.dim, dev.pointer_dim], 0, 1, weak)
 
 
 def _dense_attach(chain, step):

@@ -1,9 +1,11 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from premeasure import dsl, engine
+from premeasure import dsl, engine, propsuite
+from premeasure.chain import ChainState, Disturbance, attach_device, make_reader_device
 from premeasure.linalg import unitarity_residual
-from premeasure.propsuite import run_property_suite
+from premeasure.model import make_device
+from premeasure.propsuite import attach_residual, run_property_suite
 from premeasure.sampling import (
     distinct_eigenvalues,
     random_degenerate_observable,
@@ -84,3 +86,30 @@ def test_property_suite_runs_clean():
     assert summary.max_deviation <= 1e-9
     again = run_property_suite(seed=13, trials=8, max_dim=5, max_depth=3)
     assert again == summary
+
+
+def test_attach_residual_covers_every_mode():
+    # random_scenario draws no weak device, so prop alone never checks one.
+    rng = np.random.default_rng(3)
+    ideal = make_device("M", random_observable(rng, 3, "A"))
+    degenerate = make_device("MD", random_degenerate_observable(rng, 4, "D"))
+    assert degenerate.observable.outcome_count < 4
+    weak = Disturbance(tuple(random_unitary(rng, 3) for _ in range(3)))
+    reader = make_reader_device("R", ideal)
+    assert attach_residual(ideal) <= 1e-13
+    assert attach_residual(degenerate) <= 1e-13
+    assert attach_residual(ideal, weak) <= 1e-13
+    assert attach_residual(reader, target=ideal) <= 1e-13
+
+
+def test_a_non_isometric_attach_fails_unitarity(monkeypatch):
+    # Outcome 1's branch scaled by 1 + 1e-9 after every per-branch check.
+    def scaled(chain, dev, **kwargs):
+        grown = attach_device(chain, dev, **kwargs)
+        state = np.array(grown.state)
+        state[..., 0] *= 1 + 1e-9
+        return ChainState(state, grown.devices, grown.initial_system_state)
+
+    monkeypatch.setattr(propsuite, "attach_device", scaled)
+    summary = run_property_suite(1, 5, 6, 3)
+    assert {f.trial for f in summary.failures if f.check == "unitarity"} == set(range(5))
