@@ -10,7 +10,6 @@ to numerical precision.
 from __future__ import annotations
 
 import gc
-from importlib import resources
 
 __version__ = "0.1.0"
 
@@ -118,7 +117,8 @@ gc.freeze()
 
 def bundled_scenario_names() -> list[str]:
     """Names of the scenario files shipped with the package."""
-    root = resources.files(__name__) / "scenarios"
+    from importlib.resources import files  # imported here: only these two need it
+    root = files(__name__) / "scenarios"
     return sorted(p.name for p in root.iterdir() if p.name.endswith(".scn"))
 
 
@@ -126,7 +126,8 @@ def bundled_scenario_path(name: str):
     """Filesystem path of a bundled scenario file."""
     if not name.endswith(".scn"):
         name = name + ".scn"
-    path = resources.files(__name__) / "scenarios" / name
+    from importlib.resources import files
+    path = files(__name__) / "scenarios" / name
     if not path.is_file():
         known = ", ".join(bundled_scenario_names())
         raise KeyError(f"no bundled scenario {name!r}; available: {known}")

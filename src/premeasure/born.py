@@ -13,12 +13,11 @@ and a joint distribution keeps its devices' axes and sums the rest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainState
-from .model import SYSTEM_LABEL, DensityState
+from .model import SYSTEM_LABEL, DensityState, Record
 from .tolerances import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, PROB_SLACK
 
 
@@ -26,8 +25,7 @@ class ZeroProbabilityError(ValueError):
     """Conditioning on an event whose probability is numerically zero."""
 
 
-@dataclass(frozen=True)
-class OutcomeEvent:
+class OutcomeEvent(Record, eq=True):
     """Device ``device_label`` shows outcome ``outcome_index`` (1-based)."""
 
     device_label: str

@@ -51,7 +51,6 @@ values are immutable, every operation returns a new one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,12 +63,11 @@ from .linalg import (
     readonly,
     unitarity_residual,
 )
-from .model import SYSTEM_LABEL, DensityState, DeviceSpec, Observable, make_device, make_observable
+from .model import SYSTEM_LABEL, DensityState, DeviceSpec, Observable, Record, make_observable
 from .tolerances import DEFAULT_TOL
 
 
-@dataclass(frozen=True, eq=False)
-class Disturbance:
+class Disturbance(Record):
     """Per-outcome unitaries applied to the system inside recorded branches.
 
     Each is checked unitary here; their count and dimension are checked
@@ -79,21 +77,17 @@ class Disturbance:
     unitaries: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(
-            readonly(as_unitary(u, f"disturbance {i}"))
-            for i, u in enumerate(self.unitaries, start=1)
-        )
+        mats = tuple(readonly(as_unitary(u, f"disturbance {i}"))
+                     for i, u in enumerate(self.unitaries, start=1))
         object.__setattr__(self, "unitaries", mats)
 
 
-@dataclass(frozen=True, eq=False)
-class AttachedDevice:
+class AttachedDevice(Record):
     spec: DeviceSpec
     mode: str  # "ideal" | "weak" | "reader"
 
 
-@dataclass(frozen=True, eq=False)
-class ChainState:
+class ChainState(Record):
     """Immutable snapshot of system + devices.
 
     ``state`` has one axis per factor: the system, the purifying ancilla of
@@ -181,8 +175,7 @@ def pointer_basis_observable(label: str, target_spec: DeviceSpec) -> Observable:
 
 def make_reader_device(label: str, target_spec: DeviceSpec) -> DeviceSpec:
     """Device that records the pointer value of an earlier device."""
-    obs = pointer_basis_observable(f"pointer[{target_spec.label}]", target_spec)
-    return make_device(label, obs)
+    return DeviceSpec(label, pointer_basis_observable(f"pointer[{target_spec.label}]", target_spec))
 
 
 def init_chain(state) -> ChainState:

@@ -26,7 +26,6 @@ before either exit; ``verify`` prints none.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -177,6 +176,7 @@ def cmd_run(args) -> int:
 
 
 def _answers_csv(answers) -> str:
+    import csv  # imported here: only this output format needs it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "kind", "query", "item", "value"])

@@ -22,18 +22,15 @@ reference the chain is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .born import Distribution, clamp_probability
 from .linalg import as_complex_matrix, as_state_vector, is_unitary
-from .model import SYSTEM_LABEL, DensityState, Observable
+from .model import SYSTEM_LABEL, DensityState, Observable, Record
 from .tolerances import PROB_SLACK, PRUNE_TOL
 
 
-@dataclass(frozen=True, eq=False)
-class Branch:
+class Branch(Record):
     """One collapse outcome: 1-based index, Born weight, renormalized state."""
 
     outcome_index: int
@@ -41,13 +38,11 @@ class Branch:
     post_state: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Measure:
+class Measure(Record):
     observable: Observable
 
 
-@dataclass(frozen=True, eq=False)
-class Evolve:
+class Evolve(Record):
     unitary: np.ndarray
 
 

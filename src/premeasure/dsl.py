@@ -50,7 +50,6 @@ ignored by equality).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -69,6 +68,7 @@ from .model import (
     DensityState,
     DeviceSpec,
     Observable,
+    Record,
     make_degenerate_observable,
     make_device,
     make_observable,
@@ -131,8 +131,7 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record, eq=True):
     """Validation problem at a 1-based source position."""
 
     message: str
@@ -187,111 +186,94 @@ def _tokenize(text: str) -> list[Token]:
 
 # --- AST -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(Record, eq=True):
     """Base of every statement and event node.  The source position is
     keyword-only and ignored by equality; equal nodes have the same type."""
 
-    pos: Pos = field(default=(0, 0), compare=False, kw_only=True)
+    _keywords = ("pos",)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SystemDecl(_Node):
     dim: int
 
 
-@dataclass(frozen=True)
 class PureStateDecl(_Node):
     amplitudes: Row
 
 
-@dataclass(frozen=True)
 class MixedStateDecl(_Node):
     rows: Mat
 
 
-@dataclass(frozen=True)
 class EigenObservableDecl(_Node):
     name: str
     eigenvalues: tuple[float, ...]
     basis: Mat
 
 
-@dataclass(frozen=True)
 class ProjectorObservableDecl(_Node):
     name: str
     eigenvalues: tuple[float, ...]
     projectors: tuple[Mat, ...]
 
 
-@dataclass(frozen=True)
 class HamiltonianDecl(_Node):
     name: str
     matrix: Mat
 
 
-@dataclass(frozen=True)
 class MeasureDeviceDecl(_Node):
     name: str
     observable: str
     weak: tuple[Mat, ...] | None = None
 
 
-@dataclass(frozen=True)
 class ReaderDeviceDecl(_Node):
     name: str
     target: str
 
 
-@dataclass(frozen=True)
 class EvolveNamedDecl(_Node):
     hamiltonian: str
     time: float
 
 
-@dataclass(frozen=True)
 class EvolveUnitaryDecl(_Node):
     matrix: Mat
 
 
-@dataclass(frozen=True)
 class EventRef(_Node):
     device: str
     outcome: int
 
 
-@dataclass(frozen=True)
 class MarginalQuery(_Node):
     kind = "marginal"
     device: str
 
 
-@dataclass(frozen=True)
 class JointQuery(_Node):
     kind = "joint"
     events: tuple[EventRef, ...]
 
 
-@dataclass(frozen=True)
 class ConditionalQuery(_Node):
     kind = "conditional"
     target: EventRef
     given: tuple[EventRef, ...]
 
 
-@dataclass(frozen=True)
 class ReducedQuery(_Node):
     kind = "reduced"
 
 
-@dataclass(frozen=True)
 class RepeatabilityQuery(_Node):
     kind = "repeatability"
     first: str
     second: str
 
 
-@dataclass(frozen=True)
 class EquivalenceQuery(_Node):
     kind = "equivalence"
 
@@ -305,25 +287,10 @@ Statement = SystemDecl | PureStateDecl | MixedStateDecl | EigenObservableDecl | 
     ProjectorObservableDecl | HamiltonianDecl | EventDecl | QueryDecl
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record, eq=True):
     """Parsed scenario; statement order is the chain's event order."""
 
     statements: tuple[Statement, ...]
-
-    @property
-    def system_decl(self) -> SystemDecl | None:
-        for s in self.statements:
-            if isinstance(s, SystemDecl):
-                return s
-        return None
-
-    @property
-    def state_decl(self):
-        for s in self.statements:
-            if isinstance(s, (PureStateDecl, MixedStateDecl)):
-                return s
-        return None
 
     @property
     def events(self) -> tuple[EventDecl, ...]:
@@ -612,7 +579,7 @@ _WRITERS = {
 def _format_plan(cls, steps) -> tuple[tuple, str]:
     """A row as ``format_statement`` writes it: (text before the field, field
     name, writer) triples, then the text after the last field."""
-    names = iter(f.name for f in fields(cls) if f.name != "pos")
+    names = iter(cls._fields)
     plan, text = [], steps[0][0]
     for word, read, _ in steps[1:]:
         if read is None:
@@ -641,8 +608,7 @@ def format_scenario(scenario: Scenario) -> str:
 
 # --- compiler ----------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Attach:
+class Attach(Record):
     """Attach ``device``, weakly when it has a ``disturbance``; a reader's
     device names its target itself (``DeviceSpec.target``)."""
 
@@ -650,8 +616,7 @@ class Attach:
     disturbance: Disturbance | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class Evolution:
+class Evolution(Record):
     """Evolve the system by the unitary ``matrix``, or, given a ``time``, by
     ``exp(-i matrix time)`` of the Hermitian ``matrix``."""
 
@@ -667,8 +632,7 @@ class Evolution:
         return hermitian_evolution(self.matrix, self.time)
 
 
-@dataclass(frozen=True, eq=False)
-class Program:
+class Program(Record):
     """A scenario compiled into the objects the engine runs.
 
     ``initial_state`` is a unit vector or a unit-trace density matrix and
@@ -728,7 +692,7 @@ def compile_scenario(scenario: Scenario) -> Program:
     def add(msg: str, pos: Pos):
         diags.append(Diagnostic(msg, pos[0], pos[1]))
 
-    system = scenario.system_decl
+    system = next((s for s in scenario.statements if isinstance(s, SystemDecl)), None)
     dim = None
     if system is None:
         add("no system declaration", (1, 1))
@@ -737,7 +701,8 @@ def compile_scenario(scenario: Scenario) -> Program:
     else:
         dim = system.dim
 
-    state = scenario.state_decl
+    states = (PureStateDecl, MixedStateDecl)
+    state = next((s for s in scenario.statements if isinstance(s, states)), None)
     if state is None:
         add("no state declaration", (1, 1))
 

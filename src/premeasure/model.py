@@ -10,8 +10,8 @@ throughout; index ``k`` refers to the k-th eigenvalue / projector pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,8 +28,61 @@ from .tolerances import DEFAULT_TOL, EIGENVALUE_SEPARATION, RENORM_WINDOW
 SYSTEM_LABEL = "S"
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
+class Record:
+    """Frozen record.  Fields are its annotations after its bases'; an omitted
+    one reads its default, the class attribute of its name.  ``_keywords``
+    names keyword-only fields, with defaults and not compared.  ``eq=True``
+    records compare and hash by type and fields, others by identity."""
+
+    _fields: tuple[str, ...] = ()  # positional, compared
+    _keywords: tuple[str, ...] = ()  # keyword-only, not compared
+
+    def __init_subclass__(cls, eq=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        annotations = vars(cls).get("__annotations__", ())
+        cls._fields += tuple(name for name in annotations if name not in cls._keywords)
+        cls._names = frozenset(cls._fields + cls._keywords)
+        cls._required = frozenset(name for name in cls._names if not hasattr(cls, name))
+        cls._key = staticmethod(attrgetter(*cls._fields) if cls._fields else lambda record: ())
+        if eq:
+            cls.__eq__, cls.__hash__ = Record._eq, Record._hash
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) != len(names) or kwargs and tuple(kwargs) != self._keywords:
+            got = dict(zip(names, args))  # defaults or fields by keyword, or a bad call
+            if len(args) > len(names) or not kwargs.keys() <= self._names or not (
+                    got.keys().isdisjoint(kwargs) and self._required <= got.keys() | kwargs.keys()):
+                raise TypeError(f"bad call of {type(self).__qualname__}{names + self._keywords}")
+            got.update(kwargs)
+            names, args = got, got.values()
+        elif kwargs:  # every keyword-only field, in order
+            names, args = names + self._keywords, args + tuple(kwargs.values())
+        # One at a time, as generated code does: keeps CPython's compact instance storage.
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._fields + self._keywords)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def _eq(self, other):
+        return self._key(self) == other._key(other) if type(other) is type(self) else NotImplemented
+
+    def _hash(self):
+        return hash((type(self), self._key(self)))
+
+
+class Observable(Record):
     """Spectral decomposition of a Hermitian operator on one labelled factor.
 
     ``basis`` column ``j`` is an eigenvector with eigenvalue
@@ -148,8 +201,7 @@ def make_degenerate_observable(label: str, space_label: str, eigenvalues, projec
     return Observable(label, space_label, eigenvalues, basis, outcomes)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityState:
+class DensityState(Record):
     """Unit-trace positive semidefinite operator on one labelled factor.
 
     Trace deviations below the renormalization window are repaired; Hermiticity
@@ -175,8 +227,7 @@ class DensityState:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DeviceSpec:
+class DeviceSpec(Record):
     """A pointer device for one observable.
 
     The observable's ``space_label`` names the factor the device measures:

@@ -18,22 +18,19 @@ byte-for-byte reproducible and single trials can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import dsl, engine, sampling
 from .born import joint_distribution, total_probability
-from .chain import ChainState, Disturbance, attach_device, init_chain, make_device
+from .chain import ChainState, Disturbance, attach_device, init_chain
 from .collapse import unknown_result_mixture
 from .linalg import unitarity_residual
-from .model import DeviceSpec
+from .model import DeviceSpec, Record, make_device
 from .tolerances import DYNAMIC_TOL, STRUCT_TOL
 from .verify import collapse_equivalence_report, partial_trace_check, repeatability_matrix
 
 
-@dataclass(frozen=True)
-class PropFailure:
+class PropFailure(Record, eq=True):
     trial: int
     check: str
     deviation: float
@@ -41,11 +38,14 @@ class PropFailure:
     scenario_text: str
 
 
-@dataclass
 class PropSummary:
-    checks_run: int = 0
-    max_deviation: float = 0.0
-    failures: list[PropFailure] = field(default_factory=list)
+    def __init__(self, checks_run: int = 0, max_deviation: float = 0.0, failures=None):
+        self.checks_run = checks_run
+        self.max_deviation = max_deviation
+        self.failures: list[PropFailure] = [] if failures is None else failures
+
+    def __eq__(self, other):
+        return type(other) is PropSummary and vars(other) == vars(self)
 
     @property
     def passed(self) -> bool:

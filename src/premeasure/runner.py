@@ -7,8 +7,6 @@ serialized as two-element [re, im] arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dsl, engine
 from .born import (
     OutcomeEvent,
@@ -18,6 +16,7 @@ from .born import (
     marginal_distribution,
     reduced_system_state,
 )
+from .model import Record
 from .tolerances import REPORT_TOL
 from .verify import (
     EquivalenceReport,
@@ -27,8 +26,7 @@ from .verify import (
 )
 
 
-@dataclass(frozen=True)
-class QueryAnswer:
+class QueryAnswer(Record, eq=True):
     index: int
     kind: str
     query: str

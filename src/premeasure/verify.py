@@ -24,7 +24,6 @@ are excluded from reports rather than counted as failures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -36,6 +35,7 @@ from .chain import ChainState
 from .collapse import oracle_sequence_distribution, unknown_result_mixture
 from .dsl import Scenario
 from .engine import WeakDeviceError  # noqa: F401 - re-exported
+from .model import Record
 from .tolerances import PROB_SLACK, REPORT_TOL
 
 
@@ -131,8 +131,7 @@ def _pair_tables(tables) -> np.ndarray:
     return out.reshape(width, count, width).transpose(1, 0, 2)
 
 
-@dataclass(frozen=True)
-class RepeatabilityReport:
+class RepeatabilityReport(Record, eq=True):
     """Rows are conditional distributions of the second device given the
     first; a ``None`` row marks a conditioning outcome of zero probability."""
 

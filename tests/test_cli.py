@@ -603,6 +603,21 @@ def test_prop_unbuildable_scenario_is_a_build_failure(tmp_path, monkeypatch, cap
     assert (tmp_path / "prop-failure-5-1.scn").exists()
 
 
+def test_cli_import_loads_only_what_a_run_needs():
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import premeasure.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "premeasure.cli" in added
+    assert not added & {"dataclasses", "csv", "premeasure.propsuite", "premeasure.sampling"}
+
+
 def test_run_and_verify_do_not_import_the_property_suite():
     code = (
         "import sys\n"

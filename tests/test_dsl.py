@@ -26,7 +26,7 @@ query equivalence
 
 def test_parse_basic_structure():
     s = dsl.parse_scenario(GOOD)
-    assert s.system_decl.dim == 2
+    assert s.statements[0].dim == 2
     assert [type(st).__name__ for st in s.statements[:3]] == [
         "SystemDecl", "PureStateDecl", "EigenObservableDecl",
     ]
@@ -41,14 +41,14 @@ def test_complex_literal_forms():
     s = dsl.parse_scenario(
         "system dim 2\nstate pure [0.5-0.5i, 0.70710678i]\n"
     )
-    amps = s.state_decl.amplitudes
+    amps = s.statements[1].amplitudes
     assert amps[0] == pytest.approx(0.5 - 0.5j)
     assert amps[1] == pytest.approx(0.70710678j)
 
 
 def test_scientific_notation():
     s = dsl.parse_scenario("system dim 2\nstate pure [1e0, 1.0e-12+2E-3i]\n")
-    assert s.state_decl.amplitudes[1] == pytest.approx(1e-12 + 2e-3j)
+    assert s.statements[1].amplitudes[1] == pytest.approx(1e-12 + 2e-3j)
 
 
 def test_newlines_insignificant_inside_brackets():
@@ -109,6 +109,9 @@ def test_nodes_compare_by_type_and_fields_not_position():
     assert dsl.ReducedQuery() != dsl.EquivalenceQuery()
     assert dsl.SystemDecl(2, pos=(1, 1)) == dsl.SystemDecl(2, pos=(7, 3))
     assert dsl.EventRef("M", 1, pos=(1, 1)) == dsl.EventRef("M", 1)
+    assert hash(dsl.SystemDecl(2, pos=(1, 1))) == hash(dsl.SystemDecl(2, pos=(7, 3)))
+    assert hash(dsl.MarginalQuery("A")) != hash(dsl.EvolveUnitaryDecl("A"))
+    assert repr(dsl.EventRef("M", 1, pos=(2, 3))) == "EventRef(device='M', outcome=1, pos=(2, 3))"
     with pytest.raises(TypeError):
         dsl.SystemDecl(2, (1, 1))
     with pytest.raises(TypeError):
@@ -182,7 +185,7 @@ def test_formatter_keeps_float64_precision():
     # 17 significant digits round-trip any float64 exactly
     z = complex(1 / 3, -np.pi)
     s = dsl.parse_scenario(f"system dim 1\nstate pure [{dsl.format_complex(z)}]\n")
-    assert s.state_decl.amplitudes[0] == z
+    assert s.statements[1].amplitudes[0] == z
 
 
 def _diags(text):

@@ -51,7 +51,7 @@ def _composite_dim(scenario: dsl.Scenario) -> int:
     outcomes = {
         o.name: len(o.eigenvalues) for o in scenario.statements if isinstance(o, observables)
     }
-    total = scenario.system_decl.dim
+    total = next(s.dim for s in scenario.statements if isinstance(s, dsl.SystemDecl))
     for s in scenario.events:
         if isinstance(s, dsl.MeasureDeviceDecl):
             outcomes[s.name] = outcomes[s.observable]
