@@ -7,8 +7,6 @@ the textbook projection rule step by step so the two routes can be compared
 to numerical precision.
 """
 
-from __future__ import annotations
-
 import gc
 
 __version__ = "0.1.0"
@@ -69,6 +67,7 @@ __all__ = [
     "DensityState",
     "DeviceSpec",
     "Diagnostic",
+    "Disturbance",
     "Distribution",
     "EquivalenceReport",
     "Evolve",

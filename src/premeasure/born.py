@@ -81,30 +81,32 @@ def sum_to_axes(table: np.ndarray, axes) -> np.ndarray:
 
 
 def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
-    """(pointer-tensor axis, axis index ``k - 1``) of each event of a checked
-    list."""
+    """(pointer-tensor axis, axis index ``k - 1``) of each (device label,
+    outcome ``k``) pair of a checked list."""
     events = list(events)
     if not events:
         raise ValueError("need at least one outcome event")
     seen = set()
     out = []
-    for ev in events:
-        n = chain.outcome_count(ev.device_label)
-        if ev.outcome_index == 0:
+    for label, k in events:
+        n = chain.outcome_count(label)
+        if k == 0:
             raise ValueError(
-                f"pointer index 0 of device {ev.device_label!r} is the ready state, "
+                f"pointer index 0 of device {label!r} is the ready state, "
                 "not a measurement outcome"
             )
-        if not 1 <= ev.outcome_index <= n:
-            raise ValueError(
-                f"outcome index {ev.outcome_index} out of range 1..{n} "
-                f"for device {ev.device_label!r}"
-            )
-        if ev.device_label in seen:
-            raise ValueError(f"duplicate device {ev.device_label!r} in event list")
-        seen.add(ev.device_label)
-        out.append((chain.device_labels.index(ev.device_label), ev.outcome_index - 1))
+        if not 1 <= k <= n:
+            raise ValueError(f"outcome index {k} out of range 1..{n} for device {label!r}")
+        if label in seen:
+            raise ValueError(f"duplicate device {label!r} in event list")
+        seen.add(label)
+        out.append((chain.device_labels.index(label), k - 1))
     return out
+
+
+def _pairs(events) -> list[tuple[str, int]]:
+    """(device label, outcome index) of each ``OutcomeEvent``."""
+    return [(ev.device_label, ev.outcome_index) for ev in events]
 
 
 def _events_probability(chain: ChainState, positions) -> float:
@@ -116,7 +118,7 @@ def _events_probability(chain: ChainState, positions) -> float:
 
 def joint_probability(chain: ChainState, events) -> float:
     """Probability that every listed device shows its listed outcome."""
-    return _events_probability(chain, _event_positions(chain, events))
+    return _events_probability(chain, _event_positions(chain, _pairs(events)))
 
 
 def conditional_probability(chain: ChainState, target: OutcomeEvent, given) -> float:
@@ -124,7 +126,7 @@ def conditional_probability(chain: ChainState, target: OutcomeEvent, given) -> f
     given = list(given)
     if not given:
         raise ValueError("conditional needs at least one conditioning event")
-    positions = _event_positions(chain, given + [target])
+    positions = _event_positions(chain, _pairs(given + [target]))
     p_given = _events_probability(chain, positions[:-1])
     if p_given <= PROB_SLACK:
         raise ZeroProbabilityError(
@@ -136,8 +138,7 @@ def conditional_probability(chain: ChainState, target: OutcomeEvent, given) -> f
 def joint_distribution(chain: ChainState, device_labels) -> Distribution:
     """Full joint distribution over the listed devices' outcomes."""
     # Outcome 1 is always valid, so this only checks the labels.
-    events = [OutcomeEvent(lbl, 1) for lbl in device_labels]
-    axes = [axis for axis, _ in _event_positions(chain, events)]
+    axes = [axis for axis, _ in _event_positions(chain, [(lbl, 1) for lbl in device_labels])]
     return Distribution(sum_to_axes(chain.pointer_probabilities, axes))
 
 

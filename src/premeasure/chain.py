@@ -33,9 +33,12 @@ layout: the system, then the ancilla of a mixed start (below), then one
 axis of length K per device in attachment order.  ``attach_device`` writes
 each branch straight into the new state, in its final axis order: O(D*d)
 time for composite dimension D and measured dimension d, and O(d^2) scratch
-per outcome besides the new state.  ``apply_evolution`` is one product on
-the system axis.  ``test_pure_core.py`` checks the attach against the dense
-U on the full K + 1 pointer space that ``tests/reference.py`` builds.
+per outcome besides the new state.  Its loop over outcomes only computes:
+``Observable`` bounds the Gram matrix of every ``V_k`` (a set of its basis
+columns), ``_check_disturbance`` checks each weak ``R_k V_k``, and a reader's
+projectors are checked diagonal before the loop.  ``apply_evolution`` is one
+product on the system axis.  ``test_pure_core.py`` checks the attach against
+the dense U on the full K + 1 pointer space that ``tests/reference.py`` builds.
 
 A mixed initial state rho = sum_i w_i |e_i><e_i| is simulated by its
 purification sum_i sqrt(w_i) |e_i>|i> on the system and an ancilla axis
@@ -103,18 +106,18 @@ class ChainState(Record):
     initial_system_state: np.ndarray
 
     def __post_init__(self):
-        state = np.asarray(self.state, dtype=np.complex128)
+        for name in ("state", "initial_system_state"):
+            arr = np.asarray(getattr(self, name), dtype=np.complex128)
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = readonly(arr)
+            object.__setattr__(self, name, arr)
         counts = tuple(ad.spec.observable.outcome_count for ad in self.devices)
-        lead = state.ndim - len(counts)
-        if lead not in (1, 2) or state.shape[lead:] != counts:
+        lead = self.state.ndim - len(counts)
+        if lead not in (1, 2) or self.state.shape[lead:] != counts:
             raise ValueError(
-                f"state of shape {state.shape} does not end in the devices' "
+                f"state of shape {self.state.shape} does not end in the devices' "
                 f"outcome counts {counts}"
             )
-        if state.flags.writeable or not state.flags.owndata:
-            state = readonly(state)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "initial_system_state", readonly(self.initial_system_state))
 
     @property
     def system_dim(self) -> int:
@@ -148,7 +151,9 @@ class ChainState(Record):
         return probs
 
 
-def _check_disturbance(obs: Observable, dist: Disturbance) -> None:
+def _check_disturbance(obs: Observable, dist: Disturbance, columns) -> list[np.ndarray]:
+    """``R_k V_k`` for each outcome's basis ``columns`` ``V_k``, checked an isometry:
+    ``R_k`` and ``V_k`` may each pass their own check while the product does not."""
     if len(dist.unitaries) != obs.outcome_count:
         raise ValueError(
             f"need {obs.outcome_count} disturbance unitaries, got {len(dist.unitaries)}"
@@ -158,6 +163,10 @@ def _check_disturbance(obs: Observable, dist: Disturbance) -> None:
             raise ValueError(
                 f"disturbance dimension {u.shape[0]} does not match system dimension {obs.dim}"
             )
+    branches = [u @ v for u, v in zip(dist.unitaries, columns)]
+    if any(unitarity_residual(b) > DEFAULT_TOL for b in branches):
+        raise ValueError("constructed interaction is not unitary")
+    return branches
 
 
 def pointer_basis_observable(label: str, target_spec: DeviceSpec) -> Observable:
@@ -190,7 +199,7 @@ def init_chain(state) -> ChainState:
     arr = np.asarray(state, dtype=np.complex128)
     if arr.ndim == 2:
         return _purified_chain(DensityState(SYSTEM_LABEL, arr).matrix)
-    vec = as_state_vector(arr)
+    vec = readonly(as_state_vector(arr))
     return ChainState(vec, (), vec)
 
 
@@ -237,8 +246,13 @@ def attach_device(
             f"observable dimension {obs.dim} does not match dimension {measured_dim} "
             f"of the measured factor {obs.space_label!r}"
         )
-    if disturbance is not None:
-        _check_disturbance(obs, disturbance)
+    columns = [obs.basis[:, obs.outcomes == k] for k in range(1, obs.outcome_count + 1)]
+    branches = columns if disturbance is None else _check_disturbance(obs, disturbance, columns)
+    if mode == "reader":
+        for v in columns:
+            proj = v @ v.conj().T
+            if float(np.max(np.abs(proj - np.diag(np.diag(proj))))) > DEFAULT_TOL:
+                raise ValueError("reader devices must measure the pointer basis")
 
     psi = chain.state.reshape(chain.state.shape[:anchor + 1] + (-1,))
     # A reader's measured factor stores only the target's pointer states 1..K.
@@ -246,17 +260,8 @@ def attach_device(
     count = obs.outcome_count
     new_state = np.empty(chain.state.shape + (count,), dtype=np.complex128)
     out = new_state.reshape(psi.shape + (count,))
-    for k in range(1, count + 1):
-        v = obs.basis[:, obs.outcomes == k]
-        if mode == "reader":
-            proj = v @ v.conj().T
-            if float(np.max(np.abs(proj - np.diag(np.diag(proj))))) > DEFAULT_TOL:
-                raise ValueError("reader devices must measure the pointer basis")
-        # With an orthonormal basis, the map is an isometry if each branch is.
-        branch = disturbance.unitaries[k - 1] @ v if mode == "weak" else v
-        if unitarity_residual(branch) > DEFAULT_TOL:
-            raise ValueError("constructed interaction is not unitary")
-        np.matmul(branch[stored], v[stored].conj().T @ psi, out=out[..., k - 1])
+    for k, (v, branch) in enumerate(zip(columns, branches)):
+        np.matmul(branch[stored], v[stored].conj().T @ psi, out=out[..., k])
     new_state.setflags(write=False)
     return ChainState(
         new_state,

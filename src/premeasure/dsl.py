@@ -635,12 +635,12 @@ class Evolution(Record):
 class Program(Record):
     """A scenario compiled into the objects the engine runs.
 
-    ``initial_state`` is a unit vector or a unit-trace density matrix and
-    ``events`` holds the devices and evolutions in file order.  A program
-    with ``diagnostics`` is incomplete and must not be run.
+    ``initial_state`` is a unit vector or the checked ``DensityState`` of a
+    mixed start; ``events`` holds the devices and evolutions in file order.  A
+    program with ``diagnostics`` is incomplete and must not be run.
     """
 
-    initial_state: np.ndarray | None
+    initial_state: np.ndarray | DensityState | None
     observables: dict[str, Observable]
     events: tuple[Attach | Evolution, ...]
     diagnostics: tuple[Diagnostic, ...]
@@ -768,7 +768,7 @@ def compile_scenario(scenario: Scenario) -> Program:
                 tr = float(np.trace(m).real)
                 if tr <= NORM_FLOOR:
                     raise ValueError("mixed state is not normalizable (trace is zero)")
-                initial = DensityState(SYSTEM_LABEL, m / tr).matrix
+                initial = DensityState(SYSTEM_LABEL, m / tr)
             elif isinstance(stmt, EigenObservableDecl):
                 outcome_counts[stmt.name] = len(stmt.eigenvalues)
                 rows = system_matrix(stmt.basis, "eigenbasis")

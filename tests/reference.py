@@ -82,6 +82,14 @@ def interaction(ops, dims: list[int], measured: int, new: int, weak=None) -> np.
     return u
 
 
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random unitary from the QR factorization of a complex Gaussian
+    matrix, for weak-device and evolution inputs; the package draws none."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 class Reference:
     """Final density matrix and projection-postulate plan of one scenario."""
 

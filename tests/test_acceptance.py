@@ -38,11 +38,10 @@ from premeasure.sampling import (
     random_orthonormal_basis,
     random_scenario,
     random_state_vector,
-    random_unitary,
 )
 from premeasure.verify import partial_trace_check, repeatability_matrix
 
-from reference import interaction
+from reference import interaction, random_unitary
 
 PROB_SLACK = 1e-12
 

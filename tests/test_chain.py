@@ -26,6 +26,7 @@ from premeasure.model import DensityState, make_device, make_observable
 from reference import interaction
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+H = 0.5 ** 0.5
 
 
 def _z_obs():
@@ -140,16 +141,44 @@ def test_attach_rejects_duplicate_label():
             Disturbance((np.eye(3),) * 2),
             "disturbance dimension 3 does not match system dimension 2",
         ),
+        (
+            make_device("R", make_observable(
+                "P", "M1", [0.0, 1.0, 2.0], [[1, 0, 0], [0, H, H], [0, H, -H]]
+            )),
+            None,
+            "reader devices must measure the pointer basis",
+        ),
+        (
+            # Basis and disturbances each pass within 1e-10; R_k V_k is off by
+            # about 1.6e-10.
+            make_device("M2", make_observable("Z", "S", [1.0, -1.0], np.eye(2) * (1 + 4e-11))),
+            Disturbance((np.eye(2) * (1 + 4e-11),) * 2),
+            "constructed interaction is not unitary",
+        ),
     ],
     ids=[
         "system-label", "reader-disturbed", "system-dim", "reader-dim",
-        "disturbance-count", "disturbance-dim",
+        "disturbance-count", "disturbance-dim", "reader-rotated", "weak-composite",
     ],
 )
 def test_attach_rejects_a_device_its_factor_cannot_take(dev, disturbance, message):
     chain = attach_device(init_chain(np.array([1, 0], dtype=complex)), make_device("M1", _z_obs()))
     with pytest.raises(ValueError, match=re.escape(message)):
         attach_device(chain, dev, disturbance=disturbance)
+
+
+def test_only_a_weak_attach_checks_unitarity(monkeypatch):
+    # Observable has already bounded every V_k; only R_k V_k is new.
+    calls = []
+    monkeypatch.setattr(
+        "premeasure.chain.unitarity_residual",
+        lambda m: calls.append(m) or unitarity_residual(m),
+    )
+    chain = attach_device(init_chain(np.array([0.6, 0.8], dtype=complex)), make_device("M1", _z_obs()))
+    chain = attach_device(chain, make_reader_device("R", chain.device("M1").spec))
+    assert calls == []
+    attach_device(chain, make_device("W", _z_obs()), disturbance=Disturbance((SX, np.eye(2))))
+    assert len(calls) == 2
 
 
 def test_attach_density_route_matches_pure():

@@ -18,9 +18,10 @@ from premeasure.sampling import (
     random_degenerate_observable,
     random_density_matrix,
     random_state_vector,
-    random_unitary,
 )
 from premeasure.tolerances import PRUNE_TOL
+
+from reference import random_unitary
 
 
 def _z_obs():

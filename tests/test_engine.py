@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from premeasure import dsl, engine
+from premeasure import bundled_scenario_path, dsl, engine, runner
 from premeasure.born import OutcomeEvent, conditional_probability, marginal_distribution
+from premeasure.model import DensityState
 
 
 def test_build_chain_executes_events_in_order():
@@ -43,8 +44,20 @@ def test_build_initial_state_normalizes():
     v = s.program.initial_state
     assert_allclose(v, [0.6, 0.8], atol=1e-15)
     s = dsl.parse_scenario("system dim 2\nstate mixed [[2, 0], [0, 1]]\n")
-    m = s.program.initial_state
+    m = s.program.initial_state.matrix
     assert_allclose(np.trace(m).real, 1.0, atol=1e-15)
+
+
+def test_a_mixed_start_is_checked_once(monkeypatch):
+    # init_chain and the oracle take the compiled DensityState as it is; the
+    # only other one built is the answer to ``query reduced``.
+    built = []
+    check = DensityState.__post_init__
+    monkeypatch.setattr(DensityState, "__post_init__", lambda self: built.append(check(self)))
+    s = dsl.parse_scenario(bundled_scenario_path("mixed_initial").read_text())
+    answers = runner.run_scenario(s)
+    assert [a.error for a in answers] == [None] * 4
+    assert len(built) == 2
 
 
 def test_build_observable_shape_mismatch():

@@ -38,10 +38,9 @@ from premeasure.sampling import (
     random_density_matrix,
     random_orthonormal_basis,
     random_state_vector,
-    random_unitary,
 )
 
-from reference import interaction
+from reference import interaction, random_unitary
 
 
 def _obs(rng, label, d):
@@ -164,6 +163,18 @@ def test_attach_builds_no_dense_interaction():
     assert grown.state.size == d * d
     assert peak <= 2**20
     assert "projectors" not in vars(obs)  # the cached view was never read
+
+
+def test_reader_attach_checks_its_basis_in_small_scratch():
+    # The pointer-basis check holds one projector at a time: stacking all 48
+    # of the d = 49 pointer factor would add 1.8 MB and its temporaries.
+    d = 48
+    obs = make_observable("A", "S", [float(k) for k in range(d)], np.eye(d))
+    chain = attach_device(init_chain(np.full(d, d**-0.5)), make_device("M", obs))
+    reader = make_reader_device("R", chain.device("M").spec)
+    grown, peak = _traced_peak(lambda: attach_device(chain, reader))
+    assert peak <= grown.state.nbytes + 2**20
+    assert "projectors" not in vars(reader.observable)
 
 
 def _qubit_chain(devices):

@@ -14,8 +14,9 @@ from premeasure.sampling import (
     random_orthonormal_basis,
     random_scenario,
     random_state_vector,
-    random_unitary,
 )
+
+from reference import random_unitary
 
 
 def test_random_state_vector_is_normalized():
