@@ -32,7 +32,6 @@ from .chain import (
 )
 from .collapse import (
     Evolve,
-    Measure,
     oracle_sequence_distribution,
     unknown_result_mixture,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "Distribution",
     "EquivalenceReport",
     "Evolve",
-    "Measure",
     "Observable",
     "OutcomeEvent",
     "ParseError",

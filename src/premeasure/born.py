@@ -1,6 +1,7 @@
 """Born-rule queries against a measurement chain.
 
-Outcome events name a device and a 1-based outcome index; the corresponding
+Outcome events (``OutcomeEvent``, the record the scenario parser builds for
+a query's events) name a device and a 1-based outcome index; the corresponding
 projector is the pointer projector |k><k| on that device's factor.  These
 projectors are diagonal and commute, so every query reads one array computed
 once per chain: ``ChainState.pointer_probabilities``, |psi|^2 summed over the
@@ -26,10 +27,13 @@ class ZeroProbabilityError(ValueError):
 
 
 class OutcomeEvent(Record, eq=True):
-    """Device ``device_label`` shows outcome ``outcome_index`` (1-based)."""
+    """Device ``device`` shows outcome ``outcome`` (1-based); ``pos``, a parsed
+    event's source position, is keyword-only and ignored by equality."""
 
-    device_label: str
-    outcome_index: int
+    _keywords = ("pos",)
+    device: str
+    outcome: int
+    pos: tuple[int, int] = (0, 0)
 
 
 def clamp_probability(p: float) -> float:
@@ -106,7 +110,7 @@ def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
 
 def _pairs(events) -> list[tuple[str, int]]:
     """(device label, outcome index) of each ``OutcomeEvent``."""
-    return [(ev.device_label, ev.outcome_index) for ev in events]
+    return [(ev.device, ev.outcome) for ev in events]
 
 
 def _events_probability(chain: ChainState, positions) -> float:

@@ -3,7 +3,8 @@
 A chain starts as the bare system and grows one tensor factor per attached
 device.  Devices always attach in their ready state and interact through a
 unitary built from the measured observable.  The factor that observable
-lives on, and a disturbance if one is given, decide the interaction:
+lives on, and a disturbance if one is given, decide the interaction; the
+device's ``Attach`` record, which the chain keeps, names it in ``mode``:
 
 * ideal, on the system: ``U = sum_k P_k (x) Shift^k`` with ``Shift`` the
   cyclic add-1 shift on the pointer basis, so an eigenstate of outcome ``k``
@@ -85,9 +86,23 @@ class Disturbance(Record):
         object.__setattr__(self, "unitaries", mats)
 
 
-class AttachedDevice(Record):
+class Attach(Record):
+    """Attach ``spec``, weakly with a ``disturbance``; a reader's spec names
+    its target itself (``DeviceSpec.target``) and takes no disturbance."""
+
     spec: DeviceSpec
-    mode: str  # "ideal" | "weak" | "reader"
+    disturbance: Disturbance | None = None
+
+    def __post_init__(self):
+        if self.spec.target is not None and self.disturbance is not None:
+            raise ValueError("reader attachment takes no disturbance")
+
+    @property
+    def mode(self) -> str:
+        """The interaction: "ideal" or "weak" on the system, "reader" on a pointer."""
+        if self.spec.target is not None:
+            return "reader"
+        return "ideal" if self.disturbance is None else "weak"
 
 
 class ChainState(Record):
@@ -102,7 +117,7 @@ class ChainState(Record):
     """
 
     state: np.ndarray
-    devices: tuple[AttachedDevice, ...]
+    devices: tuple[Attach, ...]
     initial_system_state: np.ndarray
 
     def __post_init__(self):
@@ -127,7 +142,7 @@ class ChainState(Record):
     def device_labels(self) -> tuple[str, ...]:
         return tuple(ad.spec.label for ad in self.devices)
 
-    def device(self, label: str) -> AttachedDevice:
+    def device(self, label: str) -> Attach:
         for ad in self.devices:
             if ad.spec.label == label:
                 return ad
@@ -215,30 +230,30 @@ def _purified_chain(rho: np.ndarray) -> ChainState:
 
 
 def attach_device(
-    chain: ChainState, dev: DeviceSpec, *, disturbance: Disturbance | None = None
+    chain: ChainState, dev: DeviceSpec | Attach, *, disturbance: Disturbance | None = None
 ) -> ChainState:
     """Extend the chain by one device in its ready state and apply its
     premeasurement interaction.
 
-    The device's observable decides the interaction.  A device on the system
-    attaches "ideal", or "weak" when given a ``disturbance``; a device whose
-    observable lives on the pointer of an earlier device (``dev.target``)
-    attaches as its "reader" and takes no disturbance.  The chain records the
-    mode in ``AttachedDevice.mode``.  The observable's dimension must match
-    the factor it measures.  A label already present in the chain, or the
-    system's, is rejected: a fired device keeps its record and cannot be
-    reused.
+    ``dev`` is a spec, with its ``disturbance`` if any, or an ``Attach`` of
+    both, which the chain keeps.  The observable decides the interaction
+    (``Attach.mode``): a device on the system attaches "ideal", or "weak"
+    with a disturbance; one whose observable lives on the pointer of an
+    earlier device (``DeviceSpec.target``) attaches as its "reader" and
+    takes none.  The observable's dimension must match the factor it
+    measures.  A label already present in the chain, or the system's, is
+    rejected: a fired device keeps its record and cannot be reused.
     """
+    attach = dev if isinstance(dev, Attach) else Attach(dev, disturbance)
+    if attach is dev and disturbance is not None:
+        raise TypeError("an Attach record carries its own disturbance")
+    dev, disturbance = attach.spec, attach.disturbance
     if dev.label == SYSTEM_LABEL or dev.label in chain.device_labels:
         raise ValueError(f"device label {dev.label!r} already used in this chain")
     obs = dev.observable
     if dev.target is None:
-        mode = "ideal" if disturbance is None else "weak"
         measured_dim, anchor = chain.system_dim, 0
-    elif disturbance is not None:
-        raise ValueError("reader attachment takes no disturbance")
     else:
-        mode = "reader"
         measured_dim = chain.device(dev.target).spec.pointer_dim
         anchor = chain.state.ndim - len(chain.devices) + chain.device_labels.index(dev.target)
     if obs.dim != measured_dim:
@@ -248,7 +263,7 @@ def attach_device(
         )
     columns = [obs.basis[:, obs.outcomes == k] for k in range(1, obs.outcome_count + 1)]
     branches = columns if disturbance is None else _check_disturbance(obs, disturbance, columns)
-    if mode == "reader":
+    if dev.target is not None:
         for v in columns:
             proj = v @ v.conj().T
             if float(np.max(np.abs(proj - np.diag(np.diag(proj))))) > DEFAULT_TOL:
@@ -256,7 +271,7 @@ def attach_device(
 
     psi = chain.state.reshape(chain.state.shape[:anchor + 1] + (-1,))
     # A reader's measured factor stores only the target's pointer states 1..K.
-    stored = slice(1, None) if mode == "reader" else slice(None)
+    stored = slice(None) if dev.target is None else slice(1, None)
     count = obs.outcome_count
     new_state = np.empty(chain.state.shape + (count,), dtype=np.complex128)
     out = new_state.reshape(psi.shape + (count,))
@@ -265,7 +280,7 @@ def attach_device(
     new_state.setflags(write=False)
     return ChainState(
         new_state,
-        chain.devices + (AttachedDevice(dev, mode),),
+        chain.devices + (attach,),
         chain.initial_system_state,
     )
 

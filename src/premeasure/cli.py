@@ -61,14 +61,16 @@ def _positive_float(raw: str) -> float:
     return value
 
 
-def _default_tol() -> float:
+def _tolerance(args) -> float | None:
+    """``--tol``, else ``PREMEASURE_TOL``, else the default; None after reporting a bad one."""
     raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return REPORT_TOL
+    if args.tol is not None or raw is None:
+        return REPORT_TOL if args.tol is None else args.tol
     try:
         return _positive_float(raw)
     except argparse.ArgumentTypeError:
-        raise SystemExit(f"invalid {ENV_TOL} value {raw!r}")
+        print(f"premeasure: invalid {ENV_TOL} value {raw!r}", file=sys.stderr)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,8 +157,8 @@ def _failure(answers) -> int:
 
 
 def cmd_run(args) -> int:
-    tol = _default_tol() if args.tol is None else args.tol
-    scenario = _load_scenario(args.scenario)
+    tol = _tolerance(args)
+    scenario = None if tol is None else _load_scenario(args.scenario)
     if scenario is None:
         return 1
     outcome = _run_answers(scenario, tol, args.scenario)
@@ -252,8 +254,8 @@ def _answers_text(answers) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    tol = _default_tol() if args.tol is None else args.tol
-    scenario = _load_scenario(args.scenario)
+    tol = _tolerance(args)
+    scenario = None if tol is None else _load_scenario(args.scenario)
     if scenario is None:
         return 1
     if not any(q.kind in VERIFIED_KINDS for q in scenario.queries):

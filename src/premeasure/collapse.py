@@ -3,10 +3,10 @@
 This module deliberately does what the chain simulator never does: it
 collapses.  Measuring an observable splits a state into outcome branches
 with Born weights; degenerate outcomes project onto the eigenspace and
-renormalize (for a density operator, ``P rho P / tr(rho P)``).  Chains of
-measure and evolve steps fan out into a branch tree whose leaf weights give
-the joint outcome distribution predicted by the postulate.  The rest of the
-package exists to show that the collapse-free chain reproduces these numbers.
+renormalize (for a density operator, ``P rho P / tr(rho P)``).  Steps, each
+an ``Observable`` to measure or an ``Evolve``, fan out into a branch tree
+whose leaf weights give the joint outcome distribution predicted by the
+postulate; the package shows that the collapse-free chain reproduces them.
 
 The tree is grown one step at a time on its whole frontier, held as one
 stack: the B branch states as a (B, d) array, or (B, d, d) for density
@@ -17,15 +17,18 @@ every outcome in one product against the stacked projectors and keeps the
 branches above the pruning floor, and every step renormalizes the states it
 makes.  ``collapse_branches`` is the measure step for a stack of one.  The
 oracle shares no kernel with the chain on purpose: it is the independent
-reference the chain is checked against.
+reference the chain is checked against.  It takes the compiled program's
+plain records as its steps and checks each unitary itself.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .born import Distribution, clamp_probability
-from .linalg import as_complex_matrix, as_state_vector, is_unitary
+from .linalg import as_complex_matrix, as_state_vector, hermitian_evolution, is_unitary
 from .model import SYSTEM_LABEL, DensityState, Observable, Record
 from .tolerances import PROB_SLACK, PRUNE_TOL
 
@@ -38,12 +41,20 @@ class Branch(Record):
     post_state: np.ndarray
 
 
-class Measure(Record):
-    observable: Observable
-
-
 class Evolve(Record):
-    unitary: np.ndarray
+    """Evolve the system by the unitary ``matrix``, or, given a ``time``, by
+    ``exp(-i matrix time)`` of the Hermitian ``matrix``."""
+
+    matrix: np.ndarray
+    time: float | None = None
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """Exponentiated once, on first use when the chain is built, so a phase
+        overflow is a build failure rather than a diagnostic."""
+        if self.time is None:
+            return self.matrix
+        return hermitian_evolution(self.matrix, self.time)
 
 
 def _coerce(state) -> np.ndarray:
@@ -132,7 +143,8 @@ def unknown_result_mixture(state, obs: Observable) -> DensityState:
 
 
 def oracle_sequence_distribution(initial_state, steps) -> Distribution:
-    """Joint outcome distribution for a sequence of Measure / Evolve steps.
+    """Joint outcome distribution for a sequence of ``Observable`` (measure)
+    and ``Evolve`` steps.
 
     Axis i of the table is the outcome of the i-th measure step.  An outcome
     of local probability at most 1e-12 is pruned, so the reported weights
@@ -140,7 +152,7 @@ def oracle_sequence_distribution(initial_state, steps) -> Distribution:
     measure steps.
     """
     steps = list(steps)
-    if not any(isinstance(s, Measure) for s in steps):
+    if not any(isinstance(s, Observable) for s in steps):
         raise ValueError("sequence contains no measure steps")
 
     states = _coerce(initial_state)[None]
@@ -148,9 +160,9 @@ def oracle_sequence_distribution(initial_state, steps) -> Distribution:
     weights = np.ones(1)
     outcome_ranges: list[int] = []
     for step in steps:
-        if isinstance(step, Measure):
-            outcome_ranges.append(step.observable.outcome_count)
-            index, weights, states = _measure(index, weights, states, step.observable)
+        if isinstance(step, Observable):
+            outcome_ranges.append(step.outcome_count)
+            index, weights, states = _measure(index, weights, states, step)
         elif isinstance(step, Evolve):
             u = as_complex_matrix(step.unitary, "evolution")
             dim = states.shape[1]

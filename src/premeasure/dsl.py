@@ -35,11 +35,13 @@ where ``mag`` is a decimal magnitude with an optional exponent: ``a``,
 file order; queries are answered from the final chain state.
 
 ``compile_scenario`` checks a parsed scenario in one pass and builds the
-objects the engine runs (a ``Program``: initial state, observables, device
-specs, evolutions).  Every number is converted and checked once, by the same
-constructors the engine uses, and input they reject becomes a positioned
-``Diagnostic``.  ``Scenario.program`` memoizes the result, and
-``validate_scenario`` returns its diagnostics.
+objects the engine runs (a ``Program``: initial state, observables, and a
+``chain.Attach`` or ``collapse.Evolve`` per event, which the chain and the
+oracle take as they are; query events are ``born.OutcomeEvent``s).  Every
+number is converted and checked once, by the same constructors the engine
+uses, and input they reject becomes a positioned ``Diagnostic``.
+``Scenario.program`` memoizes the result, and ``validate_scenario`` returns
+its diagnostics.
 
 The canonical formatter emits one statement per line with single spaces and
 17 significant digits, enough for float64 round trips, and
@@ -55,14 +57,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import Disturbance, make_reader_device
-from .linalg import (
-    as_complex_matrix,
-    as_hermitian,
-    as_state_vector,
-    as_unitary,
-    hermitian_evolution,
-)
+from .born import OutcomeEvent
+from .chain import Attach, Disturbance, make_reader_device
+from .collapse import Evolve
+from .linalg import as_complex_matrix, as_hermitian, as_state_vector, as_unitary
 from .model import (
     SYSTEM_LABEL,
     DensityState,
@@ -187,8 +185,8 @@ def _tokenize(text: str) -> list[Token]:
 # --- AST -------------------------------------------------------------------
 
 class _Node(Record, eq=True):
-    """Base of every statement and event node.  The source position is
-    keyword-only and ignored by equality; equal nodes have the same type."""
+    """Base of every statement node.  The source position is keyword-only and
+    ignored by equality; equal nodes have the same type."""
 
     _keywords = ("pos",)
     pos: Pos = (0, 0)
@@ -243,11 +241,6 @@ class EvolveUnitaryDecl(_Node):
     matrix: Mat
 
 
-class EventRef(_Node):
-    device: str
-    outcome: int
-
-
 class MarginalQuery(_Node):
     kind = "marginal"
     device: str
@@ -255,13 +248,13 @@ class MarginalQuery(_Node):
 
 class JointQuery(_Node):
     kind = "joint"
-    events: tuple[EventRef, ...]
+    events: tuple[OutcomeEvent, ...]
 
 
 class ConditionalQuery(_Node):
     kind = "conditional"
-    target: EventRef
-    given: tuple[EventRef, ...]
+    target: OutcomeEvent
+    given: tuple[OutcomeEvent, ...]
 
 
 class ReducedQuery(_Node):
@@ -408,13 +401,13 @@ class _Parser:
             mats.append(self.cmat())
         return tuple(mats)
 
-    def event(self) -> EventRef:
+    def event(self) -> OutcomeEvent:
         tok = self.peek()
         device = self.expect_name("device name")
         self.expect_kind("equals", "'='")
-        return EventRef(device, self.expect_int("outcome index"), pos=(tok.line, tok.col))
+        return OutcomeEvent(device, self.expect_int("outcome index"), pos=(tok.line, tok.col))
 
-    def events(self) -> tuple[EventRef, ...]:
+    def events(self) -> tuple[OutcomeEvent, ...]:
         events = [self.event()]
         while self.peek().kind == "word":
             events.append(self.event())
@@ -608,30 +601,6 @@ def format_scenario(scenario: Scenario) -> str:
 
 # --- compiler ----------------------------------------------------------------
 
-class Attach(Record):
-    """Attach ``device``, weakly when it has a ``disturbance``; a reader's
-    device names its target itself (``DeviceSpec.target``)."""
-
-    device: DeviceSpec
-    disturbance: Disturbance | None = None
-
-
-class Evolution(Record):
-    """Evolve the system by the unitary ``matrix``, or, given a ``time``, by
-    ``exp(-i matrix time)`` of the Hermitian ``matrix``."""
-
-    matrix: np.ndarray
-    time: float | None = None
-
-    @cached_property
-    def unitary(self) -> np.ndarray:
-        """Exponentiated once, on first use when the chain is built, so a phase
-        overflow is a build failure rather than a diagnostic."""
-        if self.time is None:
-            return self.matrix
-        return hermitian_evolution(self.matrix, self.time)
-
-
 class Program(Record):
     """A scenario compiled into the objects the engine runs.
 
@@ -642,7 +611,7 @@ class Program(Record):
 
     initial_state: np.ndarray | DensityState | None
     observables: dict[str, Observable]
-    events: tuple[Attach | Evolution, ...]
+    events: tuple[Attach | Evolve, ...]
     diagnostics: tuple[Diagnostic, ...]
 
 
@@ -747,7 +716,7 @@ def compile_scenario(scenario: Scenario) -> Program:
     joint_outcomes = 1  # product of the system devices' outcome counts
     equivalence_queries: list[Pos] = []
     specs: dict[str, DeviceSpec] = {}
-    events: list[Attach | Evolution] = []
+    events: list[Attach | Evolve] = []
 
     for stmt in scenario.statements:
         if isinstance(stmt, (MeasureDeviceDecl, ReaderDeviceDecl)) and stmt.name == SYSTEM_LABEL:
@@ -826,10 +795,10 @@ def compile_scenario(scenario: Scenario) -> Program:
                 if not np.isfinite(stmt.time):
                     raise ValueError("evolution time must be finite")
                 if hamiltonians.get(stmt.hamiltonian) is not None:
-                    events.append(Evolution(hamiltonians[stmt.hamiltonian], stmt.time))
+                    events.append(Evolve(hamiltonians[stmt.hamiltonian], stmt.time))
             elif isinstance(stmt, EvolveUnitaryDecl):
                 u = as_unitary(system_matrix(stmt.matrix, "evolution"), "evolution")
-                events.append(Evolution(u))
+                events.append(Evolve(u))
         except ValueError as exc:
             add(str(exc), stmt.pos)
         except FloatingPointError as exc:

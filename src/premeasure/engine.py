@@ -1,16 +1,17 @@
 """Run compiled scenarios: build the chain and the collapse-oracle plan.
 
 ``scenario.program`` (``dsl.compile_scenario``) has already normalized and
-checked every number and built the initial state, observables, device specs
-and evolutions once.  A scenario with diagnostics raises ValueError naming the
-first one, and so does a build that still fails, such as a phase overflow.
+checked every number and built the initial state, the observables and one
+``Attach`` or ``Evolve`` per event once; the chain and the oracle take those
+records as they are.  A scenario with diagnostics raises ValueError naming
+the first one, and so does a build that still fails, such as a phase overflow.
 """
 
 from __future__ import annotations
 
 from . import dsl
 from .chain import ChainState, apply_evolution, attach_device, init_chain
-from .collapse import Evolve, Measure
+from .collapse import Evolve
 from .model import Observable
 
 
@@ -35,33 +36,32 @@ def build_chain(scenario: dsl.Scenario) -> ChainState:
     compiled = _program(scenario)
     chain = init_chain(compiled.initial_state)
     for event in compiled.events:
-        if isinstance(event, dsl.Evolution):
+        if isinstance(event, Evolve):
             chain = apply_evolution(chain, event.unitary)
         else:
-            chain = attach_device(chain, event.device, disturbance=event.disturbance)
+            chain = attach_device(chain, event)
     return chain
 
 
 def oracle_plan(scenario: dsl.Scenario):
     """(initial state, collapse-oracle steps, system-device labels).
 
-    Ideal system devices become Measure steps and evolutions become Evolve
-    steps; reader devices have no collapse-side counterpart and are skipped.
-    Weak devices are outside the oracle's remit: the first one raises
-    ``WeakDeviceError``.
+    The steps are the program's own records: an ideal system device's
+    ``Observable`` is a measure step and an ``Evolve`` stays one; reader
+    devices have no collapse-side counterpart and are skipped.  Weak devices
+    are outside the oracle's remit: the first one raises ``WeakDeviceError``.
     """
     compiled = _program(scenario)
-    steps = []
-    labels = []
+    steps, labels = [], []
     for event in compiled.events:
-        if isinstance(event, dsl.Evolution):
-            steps.append(Evolve(event.unitary))
-        elif event.disturbance is not None:
+        if isinstance(event, Evolve):
+            steps.append(event)
+        elif event.mode == "weak":
             raise WeakDeviceError(
                 "equivalence with the collapse postulate is only claimed for ideal "
                 "premeasurements; this scenario attaches a weak device"
             )
-        elif event.device.target is None:
-            steps.append(Measure(event.device.observable))
-            labels.append(event.device.label)
+        elif event.mode == "ideal":
+            steps.append(event.spec.observable)
+            labels.append(event.spec.label)
     return compiled.initial_state, steps, labels

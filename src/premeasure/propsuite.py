@@ -22,10 +22,10 @@ import numpy as np
 
 from . import dsl, engine, sampling
 from .born import joint_distribution, total_probability
-from .chain import ChainState, Disturbance, attach_device, init_chain
-from .collapse import unknown_result_mixture
+from .chain import Attach, ChainState, Disturbance, attach_device, init_chain
+from .collapse import Evolve, unknown_result_mixture
 from .linalg import unitarity_residual
-from .model import DeviceSpec, Record, make_device
+from .model import DeviceSpec, Record
 from .tolerances import DYNAMIC_TOL, STRUCT_TOL
 from .verify import collapse_equivalence_report, partial_trace_check, repeatability_matrix
 
@@ -125,13 +125,13 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     # depends on its observable and disturbance alone, so the repeat devices
     # that share A's are checked once.
     attaches = {
-        (id(e.device.observable), id(e.disturbance)): e
+        (id(e.spec.observable), id(e.disturbance)): e
         for e in scenario.program.events
-        if isinstance(e, dsl.Attach)
+        if isinstance(e, Attach)
     }
     specs = {ad.spec.label: ad.spec for ad in chain.devices}
     residual = max(
-        (attach_residual(e.device, e.disturbance, specs.get(e.device.target))
+        (attach_residual(e.spec, e.disturbance, specs.get(e.spec.target))
          for e in attaches.values()),
         default=0.0,
     )
@@ -157,7 +157,7 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     # Partial trace of the one-device prefix chain.
     try:
         obs_a = observables["A"]
-        prefix = attach_device(init_chain(initial), make_device("M1", obs_a))
+        prefix = attach_device(init_chain(initial), chain.device("M1"))
         pt = partial_trace_check(prefix, tol=STRUCT_TOL)
         _record(summary, trial, scenario, "partial-trace", pt.max_deviation, STRUCT_TOL)
     except Exception as exc:  # noqa: BLE001
@@ -168,7 +168,7 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
         direct = total_probability(chain, "MB")
         w = unknown_result_mixture(initial, obs_a).matrix
         for e in scenario.program.events:
-            if isinstance(e, dsl.Evolution):
+            if isinstance(e, Evolve):
                 w = e.unitary @ w @ e.unitary.conj().T
         via_mixture = [np.trace(w @ p).real for p in observables["B"].projectors]
         dev = float(np.max(np.abs(direct.table - via_mixture)))

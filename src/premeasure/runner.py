@@ -43,7 +43,7 @@ def _matrix_payload(m) -> list[list[list[float]]]:
     return [[_c(z) for z in row] for row in m]
 
 
-def _event_payload(ev: dsl.EventRef) -> dict:
+def _event_payload(ev: OutcomeEvent) -> dict:
     return {"device": ev.device, "outcome": ev.outcome}
 
 
@@ -112,18 +112,15 @@ def _answer(scenario, chain, q, tol: float, scenario_id: str) -> dict:
             "distribution": {str(k[0]): p for k, p in dist.entries},
         }
     if isinstance(q, dsl.JointQuery):
-        events = [OutcomeEvent(e.device, e.outcome) for e in q.events]
         return {
             "events": [_event_payload(e) for e in q.events],
-            "probability": joint_probability(chain, events),
+            "probability": joint_probability(chain, q.events),
         }
     if isinstance(q, dsl.ConditionalQuery):
-        target = OutcomeEvent(q.target.device, q.target.outcome)
-        given = [OutcomeEvent(e.device, e.outcome) for e in q.given]
         return {
             "target": _event_payload(q.target),
             "given": [_event_payload(e) for e in q.given],
-            "conditional": conditional_probability(chain, target, given),
+            "conditional": conditional_probability(chain, q.target, q.given),
         }
     if isinstance(q, dsl.ReducedQuery):
         ds = reduced_system_state(chain)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsl
+from .born import OutcomeEvent
 from .model import SYSTEM_LABEL, Observable, make_observable
 
 
@@ -166,7 +167,7 @@ def random_scenario(rng: np.random.Generator, max_dim: int = 6, max_depth: int =
     statements.append(dsl.EquivalenceQuery())
     statements.append(dsl.MarginalQuery("MB"))
     statements.append(
-        dsl.JointQuery(tuple(dsl.EventRef(lbl, 1) for lbl in repeat_labels))
+        dsl.JointQuery(tuple(OutcomeEvent(lbl, 1) for lbl in repeat_labels))
     )
     statements.append(dsl.ReducedQuery())
     return dsl.Scenario(tuple(statements))

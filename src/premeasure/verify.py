@@ -6,8 +6,8 @@ Three kinds of report:
   chain, with its deviation from the identity.  The matrix itself is the
   finding; a weak first device shows exactly where repeatability breaks.
 * collapse equivalence: every joint, marginal and pairwise conditional of the
-  chain's ideal system devices, compared against the branch-tree oracle; the
-  caller passes in the chain it built, so each scenario is built once.  Both
+  chain's ideal system devices against the oracle run on the program's own
+  records; the caller passes in the chain it built, so each is built once.  Both
   joint tables are contracted once against the one-hot indicator of the
   joint outcomes; every marginal and pair table is a block of that product.
   A scenario with a weak device is refused by ``engine.oracle_plan``, which

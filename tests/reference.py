@@ -202,7 +202,7 @@ def _error(kind: str) -> dict:
     return {"error_kind": kind}
 
 
-def _conditional(ref: Reference, target: dsl.EventRef, given) -> dict:
+def _conditional(ref: Reference, target: dsl.OutcomeEvent, given) -> dict:
     given_events = {e.device: e.outcome for e in given}
     p_given = ref.probability(given_events)
     if p_given <= ZERO_PROBABILITY:

@@ -183,7 +183,7 @@ def _masked_reference(chain, events):
     first = block.ndim - len(chain.devices)
     index = [slice(None)] * block.ndim
     for ev in events:
-        index[first + chain.device_labels.index(ev.device_label)] = ev.outcome_index - 1
+        index[first + chain.device_labels.index(ev.device)] = ev.outcome - 1
     return float(np.sum(np.abs(block[tuple(index)]) ** 2))
 
 

@@ -11,7 +11,7 @@ from premeasure.born import (
     reduced_system_state,
 )
 from premeasure.chain import (
-    AttachedDevice,
+    Attach,
     ChainState,
     Disturbance,
     apply_evolution,
@@ -103,6 +103,15 @@ def test_attach_grows_space():
     assert chain.device("M1").spec.target is None
     weak = attach_device(chain, make_device("MW", _z_obs()), disturbance=Disturbance((SX, SX)))
     assert weak.device("MW").mode == "weak"
+
+
+def test_attach_keeps_a_given_attach_record():
+    chain = init_chain(np.array([0.6, 0.8], dtype=complex))
+    record = Attach(make_device("MW", _z_obs()), Disturbance((SX, SX)))
+    grown = attach_device(chain, record)
+    assert grown.devices == (record,) and grown.device("MW").mode == "weak"
+    with pytest.raises(TypeError, match="carries its own disturbance"):
+        attach_device(chain, record, disturbance=Disturbance((SX, SX)))
 
 
 def test_attach_rejects_duplicate_label():
@@ -269,7 +278,7 @@ def test_state_shape_is_the_factor_layout():
         ChainState(np.zeros((3, 3 * 4)), devices, chain.initial_system_state)
     with pytest.raises(ValueError, match="outcome counts"):
         ChainState(np.zeros((3, 3, 3, 3, 4)), devices, chain.initial_system_state)
-    lone = (AttachedDevice(devices[0].spec, "ideal"),)
+    lone = (Attach(devices[0].spec),)
     with pytest.raises(ValueError, match="outcome counts"):
         ChainState(np.zeros(9), lone, chain.initial_system_state)
 

@@ -184,18 +184,20 @@ def test_env_var_sets_default_tolerance(monkeypatch, capsys):
 
 def test_env_var_rejects_garbage(monkeypatch, capsys):
     monkeypatch.setenv("PREMEASURE_TOL", "banana")
-    with pytest.raises(SystemExit):
-        cli.main(["run", str(ZX)])
+    assert cli.main(["run", str(ZX)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "premeasure: invalid PREMEASURE_TOL value 'banana'\n"
 
 
 @pytest.mark.parametrize("raw", ["banana", "nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_env_var_refusal_names_the_value(monkeypatch, capsys, raw, command):
     monkeypatch.setenv("PREMEASURE_TOL", raw)
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, str(REPEAT)])
-    assert exc.value.code == f"invalid PREMEASURE_TOL value {raw!r}"
-    assert capsys.readouterr().out == ""
+    assert cli.main([command, str(REPEAT)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"premeasure: invalid PREMEASURE_TOL value {raw!r}\n"
 
 
 @pytest.mark.parametrize(

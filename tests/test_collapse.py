@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from premeasure.collapse import (
     Evolve,
-    Measure,
     collapse_branches,
     oracle_sequence_distribution,
     unknown_result_mixture,
@@ -72,7 +71,7 @@ def test_oracle_sequence_with_evolution():
     flip = np.array([[0, -1j], [-1j, 0]])
     dist = oracle_sequence_distribution(
         np.array([1.0, 0.0], dtype=complex),
-        [Measure(_z_obs()), Evolve(flip), Measure(_z_obs())],
+        [_z_obs(), Evolve(flip), _z_obs()],
     )
     assert_allclose(dist.probability((1, 2)), 1.0, atol=1e-12)
     assert dist.probability((1, 1)) <= 1e-14
@@ -89,7 +88,7 @@ def test_oracle_sequence_weights_sum_to_one():
     obs_b = make_observable("B", "S", [1.0, 2.0, 3.0, 4.0], [q2[:, k] for k in range(4)])
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi = psi / np.linalg.norm(psi)
-    dist = oracle_sequence_distribution(psi, [Measure(obs_a), Measure(obs_b)])
+    dist = oracle_sequence_distribution(psi, [obs_a, obs_b])
     assert_allclose(sum(p for _, p in dist.entries), 1.0, atol=1e-10)
     # one table axis per measure step, in step order
     assert dist.table.shape == (4, 4)
@@ -97,7 +96,7 @@ def test_oracle_sequence_weights_sum_to_one():
 
 def test_oracle_repeated_measurement_is_diagonal():
     psi = np.array([0.6, 0.8j], dtype=complex)
-    dist = oracle_sequence_distribution(psi, [Measure(_z_obs()), Measure(_z_obs())])
+    dist = oracle_sequence_distribution(psi, [_z_obs(), _z_obs()])
     assert_allclose(dist.probability((1, 1)), 0.36, atol=1e-12)
     assert_allclose(dist.probability((2, 2)), 0.64, atol=1e-12)
     assert dist.probability((1, 2)) <= 1e-14
@@ -114,7 +113,7 @@ def test_evolve_rejects_nonunitary():
     with pytest.raises(ValueError):
         oracle_sequence_distribution(
             np.array([1.0, 0.0], dtype=complex),
-            [Measure(_z_obs()), Evolve(np.array([[1, 1], [0, 1]], dtype=complex))],
+            [_z_obs(), Evolve(np.array([[1, 1], [0, 1]], dtype=complex))],
         )
 
 
@@ -122,7 +121,7 @@ def test_evolve_rejects_nonunitary_on_a_mixed_frontier():
     rho = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(ValueError, match="not unitary"):
         oracle_sequence_distribution(
-            rho, [Measure(_z_obs()), Evolve(np.array([[1, 1], [0, 1]], dtype=complex))]
+            rho, [_z_obs(), Evolve(np.array([[1, 1], [0, 1]], dtype=complex))]
         )
 
 
@@ -131,15 +130,15 @@ def test_evolve_rejects_nonunitary_on_a_mixed_frontier():
 )
 def test_evolve_of_the_wrong_size_names_both_sizes(start):
     with pytest.raises(ValueError, match=r"^evolution has shape \(3, 3\), state dimension is 2$"):
-        oracle_sequence_distribution(start, [Measure(_z_obs()), Evolve(np.eye(3))])
+        oracle_sequence_distribution(start, [_z_obs(), Evolve(np.eye(3))])
 
 
 def _qutrit_fan(devices):
     z3 = make_observable("Z", "S", [0.0, 1.0, 2.0], np.eye(3, dtype=complex))
     dft = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
-    steps = [Measure(z3)]
+    steps = [z3]
     for _ in range(devices - 1):
-        steps += [Evolve(dft), Measure(z3)]
+        steps += [Evolve(dft), z3]
     return steps
 
 
@@ -167,7 +166,7 @@ def test_branch_below_the_cumulative_weight_floor_is_kept():
     s, c = np.sqrt(e), np.sqrt(1 - e)
     rotation = np.array([[c, -s], [s, c]], dtype=complex)
     dist = oracle_sequence_distribution(
-        np.array([c, s], dtype=complex), [Measure(_z_obs()), Evolve(rotation), Measure(_z_obs())]
+        np.array([c, s], dtype=complex), [_z_obs(), Evolve(rotation), _z_obs()]
     )
     assert e > PRUNE_TOL and e * e <= PRUNE_TOL
     assert_allclose(dist.table[1, 0], e * e, rtol=1e-9)
@@ -183,9 +182,9 @@ def _library_message(bad) -> str:
 
 
 _ENTRY_POINTS = {
-    "sequence": lambda s: oracle_sequence_distribution(s, [Measure(_z_obs())]),
+    "sequence": lambda s: oracle_sequence_distribution(s, [_z_obs()]),
     "sequence-evolve-first": lambda s: oracle_sequence_distribution(
-        s, [Evolve(np.eye(2)), Measure(_z_obs())]
+        s, [Evolve(np.eye(2)), _z_obs()]
     ),
     "branches": lambda s: collapse_branches(s, _z_obs()),
     "mixture": lambda s: unknown_result_mixture(s, _z_obs()),
@@ -247,7 +246,7 @@ def test_oracle_peak_stays_under_the_incoming_and_projected_stacks():
         Observable("Z", "S", (1.0, -1.0), np.eye(d), halves),
         Observable("X", "S", (1.0, -1.0), _hadamard(d), halves),
     ]
-    steps = [Measure(obs[i % 2]) for i in range(devices)]
+    steps = [obs[i % 2] for i in range(devices)]
     for o in obs:
         o.projectors  # built on first read, outside the measured peak
     tracemalloc.start()
@@ -274,7 +273,7 @@ def _loop_oracle(state, steps):
             u = step.unitary
             walk(u @ st if st.ndim == 1 else u @ st @ u.conj().T, i + 1, prefix, weight)
             return
-        for k, proj in enumerate(step.observable.projectors):
+        for k, proj in enumerate(step.projectors):
             w = proj @ st if st.ndim == 1 else proj @ st @ proj
             p = np.vdot(w, w).real if st.ndim == 1 else np.trace(w).real
             if p > PRUNE_TOL:
@@ -292,7 +291,7 @@ def test_stacked_frontier_matches_the_per_branch_loop(seed):
     obs_a = random_degenerate_observable(rng, d, "A")
     obs_b = random_degenerate_observable(rng, d, "B")
     u = random_unitary(rng, d)
-    steps = [Measure(obs_a), Evolve(u), Measure(obs_b), Measure(obs_a), Evolve(u), Measure(obs_b)]
+    steps = [obs_a, Evolve(u), obs_b, obs_a, Evolve(u), obs_b]
     start = random_state_vector(rng, d) if seed % 2 else random_density_matrix(rng, d)
     dist = oracle_sequence_distribution(start, steps)
     expected = np.zeros(dist.table.shape)

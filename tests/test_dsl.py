@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import premeasure
-from premeasure import dsl
+from premeasure import born, dsl
 from premeasure.sampling import random_scenario
 
 GOOD = """
@@ -108,10 +108,11 @@ def test_nodes_compare_by_type_and_fields_not_position():
     assert dsl.ReaderDeviceDecl("A", "B") != dsl.RepeatabilityQuery("A", "B")
     assert dsl.ReducedQuery() != dsl.EquivalenceQuery()
     assert dsl.SystemDecl(2, pos=(1, 1)) == dsl.SystemDecl(2, pos=(7, 3))
-    assert dsl.EventRef("M", 1, pos=(1, 1)) == dsl.EventRef("M", 1)
+    assert born.OutcomeEvent("M", 1, pos=(1, 1)) == born.OutcomeEvent("M", 1)
     assert hash(dsl.SystemDecl(2, pos=(1, 1))) == hash(dsl.SystemDecl(2, pos=(7, 3)))
     assert hash(dsl.MarginalQuery("A")) != hash(dsl.EvolveUnitaryDecl("A"))
-    assert repr(dsl.EventRef("M", 1, pos=(2, 3))) == "EventRef(device='M', outcome=1, pos=(2, 3))"
+    event = born.OutcomeEvent("M", 1, pos=(2, 3))
+    assert repr(event) == "OutcomeEvent(device='M', outcome=1, pos=(2, 3))"
     with pytest.raises(TypeError):
         dsl.SystemDecl(2, (1, 1))
     with pytest.raises(TypeError):

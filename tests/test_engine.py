@@ -2,9 +2,52 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from premeasure import bundled_scenario_path, dsl, engine, runner
+from premeasure import born, bundled_scenario_path, dsl, engine, runner
 from premeasure.born import OutcomeEvent, conditional_probability, marginal_distribution
+from premeasure.chain import Attach
+from premeasure.collapse import Evolve
 from premeasure.model import DensityState
+
+
+def _bundled(name: str) -> dsl.Scenario:
+    return dsl.parse_scenario(bundled_scenario_path(name).read_text(encoding="utf-8"))
+
+
+def test_query_events_reach_born_as_parsed(monkeypatch):
+    scenario = _bundled("zx_conditional")
+    assert not dsl.validate_scenario(scenario)
+    built = []
+    monkeypatch.setattr(born.OutcomeEvent, "__post_init__", lambda self: built.append(self))
+    answers = runner.run_scenario(scenario)
+    assert [a.kind for a in answers] == ["conditional", "marginal", "equivalence"]
+    assert all(a.error is None for a in answers)
+    assert built == []
+
+
+def test_oracle_plan_steps_are_the_program_records():
+    scenario = _bundled("evolved_pair")
+    events = scenario.program.events
+    initial, steps, labels = engine.oracle_plan(scenario)
+    assert initial is scenario.program.initial_state
+    assert labels == ["M1", "M2"]
+    assert [type(s).__name__ for s in steps] == ["Observable", "Evolve", "Observable"]
+    assert steps[0] is events[0].spec.observable
+    assert steps[1] is events[1]
+    assert steps[2] is events[2].spec.observable
+
+
+def test_chain_keeps_the_program_attach_records():
+    scenario = dsl.parse_scenario(
+        "system dim 2\nstate pure [0.6, 0.8]\n"
+        "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+        "device M measures Z\n"
+        "device W measures Z weak [[1, 0], [0, 1]] [[0, 1], [1, 0]]\n"
+        "device R reads M\n"
+    )
+    chain = engine.build_chain(scenario)
+    assert [type(d) for d in chain.devices] == [Attach] * 3
+    assert [d.mode for d in chain.devices] == ["ideal", "weak", "reader"]
+    assert all(d is e for d, e in zip(chain.devices, scenario.program.events))
 
 
 def test_build_chain_executes_events_in_order():

@@ -18,12 +18,17 @@ SCENARIO = dsl.parse_scenario(
 )
 Z = SCENARIO.program.observables["Z"]
 CHAIN = chain.attach_device(chain.init_chain(np.array([0.6, 0.8])), model.DeviceSpec("M1", Z))
-EVENT = dsl.EventRef("M1", 1, pos=(9, 1))
+EVENT = born.OutcomeEvent("M1", 1, pos=(9, 1))
 ROWS = ((1.0, 0.0), (0.0, 1.0))
+# A degenerate measure step for the collapse oracle: outcome 1 spans two columns.
+MEASURE_STEP = model.Observable("P", model.SYSTEM_LABEL, (1.0, -1.0), np.eye(3), np.array([1, 1, 2]))
 
-# One example of every record class.
+# One example of every record class, plus the records each layer now shares
+# as it is: the chain's attach record, a parsed event with its position, the
+# program's evolution and an oracle measure step.
 EXAMPLES = [
     Z,
+    MEASURE_STEP,
     model.DensityState("S", np.eye(2) / 2),
     model.DeviceSpec("M1", Z),
     chain.Disturbance((np.eye(2), np.eye(2))),
@@ -31,7 +36,6 @@ EXAMPLES = [
     CHAIN,
     born.OutcomeEvent("M1", 1),
     collapse.Branch(1, 0.36, np.array([1.0, 0.0])),
-    collapse.Measure(Z),
     collapse.Evolve(np.eye(2)),
     verify.RepeatabilityReport("M1", "M2", (ROWS[0], None), 0.0, 1e-10, True),
     runner.QueryAnswer(0, "conditional", "query conditional M1=1 given M2=2", None, "zero", "z"),
@@ -39,7 +43,7 @@ EXAMPLES = [
     dsl.Diagnostic("no state declaration", 1, 1),
     SCENARIO,
     SCENARIO.program,
-    *SCENARIO.program.events,  # Attach, Evolution, Attach
+    *SCENARIO.program.events,  # chain.Attach, collapse.Evolve, chain.Attach
     dsl.SystemDecl(2, pos=(1, 1)),
     dsl.PureStateDecl((0.6, 0.8)),
     dsl.MixedStateDecl(ROWS),
@@ -53,7 +57,7 @@ EXAMPLES = [
     EVENT,
     dsl.MarginalQuery("M1"),
     dsl.JointQuery((EVENT,)),
-    dsl.ConditionalQuery(EVENT, (dsl.EventRef("M2", 2),)),
+    dsl.ConditionalQuery(EVENT, (born.OutcomeEvent("M2", 2),)),
     dsl.ReducedQuery(),
     dsl.RepeatabilityQuery("M1", "M2"),
     dsl.EquivalenceQuery(),
@@ -62,7 +66,13 @@ COMPARED = (
     born.OutcomeEvent, verify.RepeatabilityReport, runner.QueryAnswer, propsuite.PropFailure,
     dsl.Diagnostic, dsl.Scenario, dsl._Node,
 )
-IDS = [type(r).__name__ for r in EXAMPLES]
+ROLES = {
+    id(CHAIN.devices[0]): "AttachedDevice",
+    id(EVENT): "EventRef",
+    id(SCENARIO.program.events[1]): "Evolution",
+    id(MEASURE_STEP): "Measure",
+}
+IDS = [ROLES.get(id(r), type(r).__name__) for r in EXAMPLES]
 
 
 def _values(record):
@@ -122,14 +132,23 @@ def test_missing_or_extra_positional_argument_raises(record):
 
 def test_keyword_may_not_repeat_a_positional_argument():
     with pytest.raises(TypeError):
-        born.OutcomeEvent("M1", 1, device_label="M2")
+        born.OutcomeEvent("M1", 1, device="M2")
     with pytest.raises(TypeError):
-        dsl.EventRef("M1", 1, outcome=2)
+        born.OutcomeEvent("M1", 1, outcome=2)
+
+
+def test_event_position_is_keyword_only_and_not_compared():
+    assert born.OutcomeEvent._fields == ("device", "outcome")
+    with pytest.raises(TypeError):
+        born.OutcomeEvent("M1", 1, (9, 1))
+    moved = born.OutcomeEvent("M1", 1, pos=(2, 5))
+    assert moved == EVENT and hash(moved) == hash(EVENT)
+    assert moved != born.OutcomeEvent("M1", 2, pos=(9, 1))
 
 
 def test_class_attribute_is_the_default():
     assert dsl.MeasureDeviceDecl("M1", "Z").weak is None
-    assert dsl.EventRef("M1", 1).pos == (0, 0)
+    assert born.OutcomeEvent("M1", 1).pos == (0, 0)
     assert runner.QueryAnswer(0, "joint", "q", {}).error_kind is None
 
 
@@ -150,7 +169,8 @@ def test_prop_summaries_are_mutable_and_do_not_share_failures():
     lambda: model.DeviceSpec("", Z),
     lambda: chain.Disturbance((2 * np.eye(2),)),
     lambda: chain.ChainState(np.ones((2, 3)), CHAIN.devices, CHAIN.initial_system_state),
-], ids=["Observable", "DensityState", "DeviceSpec", "Disturbance", "ChainState"])
+    lambda: chain.Attach(chain.make_reader_device("R", CHAIN.devices[0].spec), chain.Disturbance(())),
+], ids=["Observable", "DensityState", "DeviceSpec", "Disturbance", "ChainState", "Attach"])
 def test_post_init_still_validates(build):
     with pytest.raises(ValueError):
         build()
