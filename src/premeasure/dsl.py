@@ -285,12 +285,14 @@ class Scenario(Record, eq=True):
 
     statements: tuple[Statement, ...]
 
-    @property
+    @cached_property
     def events(self) -> tuple[EventDecl, ...]:
+        """The event statements in order, memoized like ``program``."""
         return tuple(s for s in self.statements if isinstance(s, EventDecl))
 
-    @property
+    @cached_property
     def queries(self) -> tuple[QueryDecl, ...]:
+        """The query statements in order, memoized like ``program``."""
         return tuple(s for s in self.statements if isinstance(s, QueryDecl))
 
     @cached_property

@@ -34,8 +34,14 @@ def build_observables(scenario: dsl.Scenario) -> dict[str, Observable]:
 def build_chain(scenario: dsl.Scenario) -> ChainState:
     """Run every device / evolve event in file order on the initial state."""
     compiled = _program(scenario)
-    chain = init_chain(compiled.initial_state)
-    for event in compiled.events:
+    return extend_chain(init_chain(compiled.initial_state), compiled.events)
+
+
+def extend_chain(chain: ChainState, events) -> ChainState:
+    """Run a program's ``Attach`` / ``Evolve`` records in order on ``chain``,
+    which the caller has already built: ``build_chain`` starts it from the
+    initial state, ``prop`` from its one-device prefix."""
+    for event in events:
         if isinstance(event, Evolve):
             chain = apply_evolution(chain, event.unitary)
         else:

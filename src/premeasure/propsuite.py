@@ -12,6 +12,14 @@ path, the invariants the package is built around:
 * the second observable's marginal obeys the law of total probability and
   equals ``tr(W_t P_k)`` for the evolved post-measurement mixture ``W_t``.
 
+Each trial records six checks: ``unitarity``, ``repeatability``,
+``avalanche``, ``equivalence``, ``partial-trace`` and ``total-probability``.
+It builds its chain once.  The first step of that build, the one-device
+chain of ``M1`` (the first event of every ``random_scenario``), is the chain
+the partial-trace check traces out, and the full chain continues from it.
+The mixture route reuses the partial-trace check's unknown-result mixture and
+forms its own only when that check raised.
+
 Trial ``i`` of seed ``s`` uses ``default_rng([s, i])``, so summaries are
 byte-for-byte reproducible and single trials can be replayed.
 """
@@ -102,14 +110,17 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
             PropFailure(trial, check, float("nan"), message, dsl.format_scenario(scenario))
         )
 
+    # The one-device prefix is the build's first step: the partial-trace
+    # check reads it and the full chain continues from it.
     try:
-        chain = engine.build_chain(scenario)
+        observables = engine.build_observables(scenario)  # raises on diagnostics
+        program = scenario.program
+        prefix = engine.extend_chain(init_chain(program.initial_state), program.events[:1])
+        chain = engine.extend_chain(prefix, program.events[1:])
     except Exception as exc:  # noqa: BLE001 - any build failure is a finding
         fail("build", f"chain construction failed: {exc}")
         return
 
-    observables = engine.build_observables(scenario)
-    initial = scenario.program.initial_state
     repeat_labels = [
         e.name
         for e in scenario.events
@@ -126,7 +137,7 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     # that share A's are checked once.
     attaches = {
         (id(e.spec.observable), id(e.disturbance)): e
-        for e in scenario.program.events
+        for e in program.events
         if isinstance(e, Attach)
     }
     specs = {ad.spec.label: ad.spec for ad in chain.devices}
@@ -155,19 +166,24 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
         fail("equivalence", str(exc))
 
     # Partial trace of the one-device prefix chain.
+    mixture = None
     try:
-        obs_a = observables["A"]
-        prefix = attach_device(init_chain(initial), chain.device("M1"))
         pt = partial_trace_check(prefix, tol=STRUCT_TOL)
         _record(summary, trial, scenario, "partial-trace", pt.max_deviation, STRUCT_TOL)
+        mixture = pt.oracle_values
     except Exception as exc:  # noqa: BLE001
         fail("partial-trace", str(exc))
 
-    # Law of total probability and the mixture route to MB's marginal.
+    # Law of total probability and the mixture route to MB's marginal; the
+    # mixture is the partial-trace check's collapse side when that check ran.
     try:
         direct = total_probability(chain, "MB")
-        w = unknown_result_mixture(initial, obs_a).matrix
-        for e in scenario.program.events:
+        obs_a = observables["A"]
+        if mixture is None:
+            w = unknown_result_mixture(program.initial_state, obs_a).matrix
+        else:
+            w = mixture.reshape(obs_a.dim, obs_a.dim)
+        for e in program.events:
             if isinstance(e, Evolve):
                 w = e.unitary @ w @ e.unitary.conj().T
         via_mixture = [np.trace(w @ p).real for p in observables["B"].projectors]

@@ -1,12 +1,14 @@
-"""The bundled ``run`` and ``verify`` outputs match the benchmark's references.
+"""In-process benchmark outputs match the benchmark's recorded references.
 
-``bench/refs/cli_bundled.json`` records the JSON document and exit code of
-``premeasure run`` and ``premeasure verify`` on each bundled scenario.  This
-test runs the same 24 cases through ``cli.main`` in-process and compares
-them the way the benchmark does, with ``bench/workloads.py``'s ``normalize``
-and ``reference_mismatch``.  The two harness modules are loaded read-only
-from their paths, so the comparison lives in one place and ``bench/`` gains
-no bytecode cache.
+``bench/refs/`` records, per workload, the answer of every case a benchmark
+pass can draw: the JSON document and exit code of ``premeasure run`` and
+``premeasure verify`` on each bundled scenario (``cli_bundled``), the summary
+of every one-trial property suite (``prop_suite``), and the answers of every
+generated ``deep_pure`` and ``mixed_chain`` scenario.  These tests run every
+recorded case in-process and compare it the way the benchmark does, with
+``bench/workloads.py``'s ``normalize`` and ``reference_mismatch``.  The
+harness modules are loaded read-only from their paths, so the comparison
+lives in one place and ``bench/`` gains no bytecode cache.
 """
 
 import importlib.util
@@ -21,7 +23,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def _load(monkeypatch, name: str):
     spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)  # workloads imports refs by name
+    monkeypatch.setitem(sys.modules, name, module)  # workloads imports refs and cases by name
     spec.loader.exec_module(module)
     return module
 
@@ -32,19 +34,46 @@ def harness(monkeypatch):
     monkeypatch.delenv("PREMEASURE_TOL", raising=False)
     refs = _load(monkeypatch, "refs")
     workloads = _load(monkeypatch, "workloads")
-    monkeypatch.chdir(workloads.ROOT)  # the cases name their scenarios relative to it
+    _load(monkeypatch, "cases")
+    monkeypatch.chdir(workloads.ROOT)  # the cli cases name their scenarios relative to it
     return refs, workloads
 
 
-def test_bundled_cli_outputs_match_the_recorded_references(harness):
-    refs, wl = harness
-    expected = refs.load("cli_bundled")["cases"]
-    cases = [wl.Case(f"{c}:{n}", (c, n)) for c in wl.CLI_COMMANDS for n in wl.BUNDLED]
-    assert len(cases) == 24 and sorted(c.key for c in cases) == sorted(expected)
+def _all_cases(wl, workload: str) -> list:
+    """Every case of ``workload`` that ``bench/refs/`` records."""
+    if workload == "cli_bundled":
+        return [wl.Case(f"{c}:{n}", (c, n)) for c in wl.CLI_COMMANDS for n in wl.BUNDLED]
+    if workload == "prop_suite":
+        return [wl.Case(str(s), s) for s in wl.PROP_UNIVERSE]
+    gen = sys.modules["cases"]
+    return [
+        wl.Case(gen.case_key(slot, variant, toy), gen.case_text(workload, slot, variant, toy))
+        for toy, slots in ((False, gen.SLOTS[workload]), (True, gen.TOY_SLOTS[workload]))
+        for slot in range(len(slots))
+        for variant in range(gen.VARIANTS)
+    ]
+
+
+def _mismatches(refs, wl, workload: str, count: int) -> dict[str, str]:
+    expected = refs.load(workload)["cases"]
+    cases = _all_cases(wl, workload)
+    assert len(cases) == count and sorted(c.key for c in cases) == sorted(expected)
+    op = wl.op_for(workload, True, {})
     mismatches = {}
     for case in cases:
-        value, problem = wl.normalize("cli_bundled", wl.run_cli_inprocess(case))
-        problem = problem or wl.reference_mismatch("cli_bundled", value, expected[case.key])
+        value, problem = wl.normalize(workload, op(case))
+        problem = problem or wl.reference_mismatch(workload, value, expected[case.key])
         if problem:
             mismatches[case.key] = problem
-    assert mismatches == {}
+    return mismatches
+
+
+def test_bundled_cli_outputs_match_the_recorded_references(harness):
+    assert _mismatches(*harness, "cli_bundled", 24) == {}
+
+
+@pytest.mark.parametrize("workload, count", [
+    ("prop_suite", 384), ("deep_pure", 192), ("mixed_chain", 144),
+])
+def test_in_process_outputs_match_the_recorded_references(harness, workload, count):
+    assert _mismatches(*harness, workload, count) == {}

@@ -591,10 +591,11 @@ def test_prop_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
 def test_prop_unbuildable_scenario_is_a_build_failure(tmp_path, monkeypatch, capsys):
     from premeasure import engine
 
-    def refuse(scenario):
+    # prop builds through the loop that build_chain runs, not build_chain itself.
+    def refuse(chain, events):
         raise ValueError("evolution phases are not finite")
 
-    monkeypatch.setattr(engine, "build_chain", refuse)
+    monkeypatch.setattr(engine, "extend_chain", refuse)
     code = cli.main(["prop", "--seed", "5", "--trials", "2", "--out-dir", str(tmp_path)])
     doc = json.loads(capsys.readouterr().out)
     assert code == 3

@@ -179,6 +179,10 @@ def test_post_init_still_validates(build):
 def test_cached_properties_memoize():
     evolution = SCENARIO.program.events[1]
     assert SCENARIO.program is SCENARIO.program
+    assert SCENARIO.events is SCENARIO.events
+    assert SCENARIO.queries is SCENARIO.queries
+    twin = dsl.parse_scenario(dsl.format_scenario(SCENARIO))
+    assert twin == SCENARIO and hash(twin) == hash(SCENARIO)  # memos are not compared
     assert evolution.unitary is evolution.unitary
     assert Z.projectors is Z.projectors
     assert CHAIN.pointer_probabilities is CHAIN.pointer_probabilities

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 from numpy.testing import assert_allclose
 
-from premeasure import dsl, engine, propsuite
+from premeasure import chain, collapse, dsl, engine, propsuite
 from premeasure.chain import ChainState, Disturbance, attach_device, make_reader_device
 from premeasure.linalg import unitarity_residual
 from premeasure.model import make_device
@@ -114,3 +116,43 @@ def test_a_non_isometric_attach_fails_unitarity(monkeypatch):
     monkeypatch.setattr(propsuite, "attach_device", scaled)
     summary = run_property_suite(1, 5, 6, 3)
     assert {f.trial for f in summary.failures if f.check == "unitarity"} == set(range(5))
+
+
+def _count_calls(monkeypatch, *funcs) -> dict[str, int]:
+    """Count calls of each function through every premeasure module that binds it."""
+    calls = {}
+    for func in funcs:
+        name = func.__name__
+        calls[name] = 0
+
+        def counted(*args, _func=func, _name=name, **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "premeasure" and vars(module).get(name) is func:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_trial_builds_one_chain_and_one_mixture(monkeypatch):
+    # The partial-trace chain is the first step of the trial's build, and the
+    # mixture route reuses the partial-trace check's mixture.
+    calls = _count_calls(monkeypatch, chain.init_chain, collapse.unknown_result_mixture)
+    summary = run_property_suite(1, 20, 6, 3)
+    assert summary.passed and summary.checks_run == 6 * 20
+    assert calls == {"init_chain": 20, "unknown_result_mixture": 20}
+
+
+def test_the_mixture_route_runs_when_the_partial_trace_check_raises(monkeypatch):
+    def broken(prefix, *, tol):
+        raise RuntimeError("no partial trace")
+
+    monkeypatch.setattr(propsuite, "partial_trace_check", broken)
+    calls = _count_calls(monkeypatch, collapse.unknown_result_mixture)
+    summary = run_property_suite(1, 5, 6, 3)
+    assert summary.checks_run == 6 * 5
+    assert [(f.trial, f.check, f.message) for f in summary.failures] == [
+        (trial, "partial-trace", "no partial trace") for trial in range(5)
+    ]
+    assert calls == {"unknown_result_mixture": 5}
