@@ -55,7 +55,6 @@ from .model import (
 from .verify import (
     EquivalenceReport,
     RepeatabilityReport,
-    WeakDeviceError,
     collapse_equivalence_report,
     partial_trace_check,
     repeatability_matrix,
@@ -75,7 +74,6 @@ __all__ = [
     "ParseError",
     "RepeatabilityReport",
     "Scenario",
-    "WeakDeviceError",
     "ZeroProbabilityError",
     "__version__",
     "apply_evolution",

@@ -71,7 +71,8 @@ class Distribution:
         return tuple(zip(keys, self.table.ravel().tolist()))
 
     def probability(self, key) -> float:
-        index = tuple(int(k) - 1 for k in key)
+        """p(key); 0.0 for a key that names no outcome, such as a non-integral index."""
+        index = tuple(k - 1 if hasattr(k, "__index__") else -1 for k in key)
         shape = self.table.shape
         if len(index) == len(shape) and all(0 <= i < n for i, n in zip(index, shape)):
             return float(self.table[index])
@@ -94,6 +95,8 @@ def _event_positions(chain: ChainState, events) -> list[tuple[int, int]]:
     out = []
     for label, k in events:
         n = chain.outcome_count(label)
+        if not hasattr(k, "__index__"):
+            raise ValueError(f"outcome index {k} of device {label!r} is not an integer")
         if k == 0:
             raise ValueError(
                 f"pointer index 0 of device {label!r} is the ready state, "

@@ -7,19 +7,16 @@ Three subcommands:
   equivalence ones and exit 0 only if every equivalence report passes;
 * ``prop``             run the randomized invariant suite.
 
-Exit codes: 0 success; 1 usage, parse or validation failure (including an
-equivalence query aimed at a weak device); 2 runtime failure such as
-conditioning on a zero-probability event, a chain that cannot be built,
-a run that exhausts memory or a standard output closed by its reader;
-3 property-suite violation (a generated scenario whose chain cannot be built
-counts as a ``build`` failure, so it too exits 3).  ``prop`` exits 1 for a
-negative seed or a ``--max-dim`` past the size limits, and 2 when it cannot
-write a reproducer file into ``--out-dir``.
-``run`` and ``verify`` share one precedence among failed answers: an
-equivalence query on a weak device exits 1, even when an earlier answer
-failed; otherwise the first failed answer exits 2 (``verify`` looks only at
-its repeatability and equivalence answers).  ``run`` prints its document
-before either exit; ``verify`` prints none.
+Exit codes: 0 success; 1 usage, parse or validation failure; 2 runtime
+failure such as conditioning on a zero-probability event, a chain that
+cannot be built, a run that exhausts memory or a standard output closed by
+its reader; 3 property-suite violation (a generated scenario whose chain
+cannot be built counts as a ``build`` failure, so it too exits 3).  ``prop``
+exits 1 for a negative seed or a ``--max-dim`` past the size limits, and 2
+when it cannot write a reproducer file into ``--out-dir``.
+In ``run`` and ``verify`` the first failed answer exits 2 (``verify`` looks
+only at its repeatability and equivalence answers); ``run`` prints its
+document first, ``verify`` prints none.
 ``PREMEASURE_TOL`` overrides the default report tolerance of 1e-10.
 """
 
@@ -142,13 +139,7 @@ def _print_doc(kind: str, **fields) -> None:
 
 
 def _failure(answers) -> int:
-    """Exit code of a list of answers, printing one stderr line for a failure:
-    1 for an equivalence query on a weak device, whichever answer failed
-    first; else 2 for the first failed answer; else 0."""
-    weak = [a for a in answers if a.error_kind == "weak-equivalence"]
-    if weak:
-        print(f"premeasure: {weak[0].error}", file=sys.stderr)
-        return 1
+    """Exit code of ``answers``: 2 after naming the first failed one on stderr, else 0."""
     for a in answers:
         if a.error is not None:
             print(f"premeasure: {a.query}: {a.error}", file=sys.stderr)

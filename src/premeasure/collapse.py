@@ -4,21 +4,21 @@ This module deliberately does what the chain simulator never does: it
 collapses.  Measuring an observable splits a state into outcome branches
 with Born weights; degenerate outcomes project onto the eigenspace and
 renormalize (for a density operator, ``P rho P / tr(rho P)``).  Steps, each
-an ``Observable`` to measure or an ``Evolve``, fan out into a branch tree
-whose leaf weights give the joint outcome distribution predicted by the
-postulate; the package shows that the collapse-free chain reproduces them.
+an ``Observable``, a weak device's ``Attach`` (measure, then R_k) or an
+``Evolve``, fan out into a branch tree whose leaf weights give the joint
+outcome distribution the postulate predicts; the chain must reproduce them.
 
 The tree is grown one step at a time on its whole frontier, held as one
 stack: the B branch states as a (B, d) array, or (B, d, d) for density
 operators, their Born weights as (B,) and their outcomes so far as one
 row-major index each into the product of the outcome counts, (B,) ints.  Only
 the caller's state is checked, once; a measure step projects the stack onto
-every outcome in one product against the stacked projectors and keeps the
-branches above the pruning floor, and every step renormalizes the states it
-makes.  ``collapse_branches`` is the measure step for a stack of one.  The
-oracle shares no kernel with the chain on purpose: it is the independent
-reference the chain is checked against.  It takes the compiled program's
-plain records as its steps and checks each unitary itself.
+every outcome in one product against the stacked projectors (or R_k P_k) and
+keeps the branches above the pruning floor, and every step renormalizes the
+states it makes.  ``collapse_branches`` is the measure step for a stack of
+one.  The oracle shares no kernel with the chain on purpose: it is the
+independent reference the chain is checked against.  It takes the compiled
+program's plain records as its steps and checks each unitary itself.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .born import Distribution, clamp_probability
+from .chain import Attach
 from .linalg import as_complex_matrix, as_state_vector, hermitian_evolution, is_unitary
 from .model import SYSTEM_LABEL, DensityState, Observable, Record
 from .tolerances import PROB_SLACK, PRUNE_TOL
@@ -61,16 +62,13 @@ def _coerce(state) -> np.ndarray:
     """``state`` checked and renormalized once, as it enters the oracle: by
     ``as_state_vector`` for a vector, by ``DensityState`` for a matrix."""
     if isinstance(state, DensityState):
-        arr = state.matrix
-    else:
-        arr = np.asarray(state, dtype=np.complex128)
-        if arr.ndim == 1:
-            arr = as_state_vector(arr)
-        elif arr.ndim == 2:
-            arr = DensityState(SYSTEM_LABEL, arr).matrix
-        else:
-            raise ValueError("state must be a vector or a density matrix")
-    return arr
+        return state.matrix
+    arr = np.asarray(state, dtype=np.complex128)
+    if arr.ndim == 1:
+        return as_state_vector(arr)
+    if arr.ndim == 2:
+        return DensityState(SYSTEM_LABEL, arr).matrix
+    raise ValueError("state must be a vector or a density matrix")
 
 
 def _weights(stack: np.ndarray, pure: bool) -> np.ndarray:
@@ -84,29 +82,43 @@ def _weights(stack: np.ndarray, pure: bool) -> np.ndarray:
     return p
 
 
-def _measure(index: np.ndarray, weights: np.ndarray, states: np.ndarray, obs: Observable):
+def _unitary(u, name: str, dim: int) -> np.ndarray:
+    """``u`` as a complex matrix, checked (dim, dim) and unitary."""
+    u = as_complex_matrix(u, name)
+    if u.shape != (dim, dim):
+        raise ValueError(f"{name} has shape {u.shape}, state dimension is {dim}")
+    if not is_unitary(u):
+        raise ValueError(f"{name} operator is not unitary")
+    return u
+
+
+def _measure(index: np.ndarray, weights: np.ndarray, states: np.ndarray, obs: Observable,
+             after: np.ndarray | None = None):
     """One measure step on the whole frontier: every kept (outcome, branch)
     pair as (index * K + outcome, weight * p, renormalized post state).
 
     ``index`` (B,) holds each branch's 0-based outcomes so far as one
     row-major index into the product of the outcome counts, ``weights`` (B,)
     its Born weight and ``states`` its (B, d) vector or (B, d, d) density
-    matrix, each of unit norm or trace.  Outcome k of branch b is dropped
-    when its own probability p is at most 1e-12, whatever the branch's
-    weight: a rare branch keeps its likely children, and one step drops at
-    most K * 1e-12 of the total weight.  Besides the frontier passed in, a
-    step holds the K * B projected states, renormalized in place (and for
-    density matrices the product's temporary stack); only a step that
-    prunes copies the kept ones out of them.
+    matrix, each of unit norm or trace.  A weak step's stacked R_k,
+    ``after`` (K, d, d), makes the product R_k P_k in place of P_k.  Outcome
+    k of branch b is dropped when its own probability p is at most 1e-12,
+    whatever the branch's weight: a rare branch keeps its likely children,
+    and one step drops at most K * 1e-12 of the total weight.  Besides the
+    frontier passed in, a step holds the K * B projected states,
+    renormalized in place (and for density matrices the product's temporary
+    stack); only a step that prunes copies the kept ones out of them.
     """
     if states.shape[1] != obs.dim:
         raise ValueError(f"state dimension {states.shape[1]} does not match {obs.dim}")
     proj = obs.projectors
+    left = proj if after is None else after @ proj
     pure = states.ndim == 2
     if pure:
-        post = states @ proj.transpose(0, 2, 1)  # post[k, b] = P_k psi_b
+        post = states @ left.transpose(0, 2, 1)  # post[k, b] = R_k P_k psi_b
     else:
-        post = proj[:, None] @ states @ proj[:, None]
+        right = proj if after is None else left.conj().transpose(0, 2, 1)
+        post = left[:, None] @ states @ right[:, None]
     p = _weights(post, pure)
     over = p > 1.0 + PROB_SLACK
     if over.any():
@@ -143,8 +155,8 @@ def unknown_result_mixture(state, obs: Observable) -> DensityState:
 
 
 def oracle_sequence_distribution(initial_state, steps) -> Distribution:
-    """Joint outcome distribution for a sequence of ``Observable`` (measure)
-    and ``Evolve`` steps.
+    """Joint outcome distribution for a sequence of ``Observable`` (measure),
+    weak-device ``Attach`` (measure, then R_k) and ``Evolve`` steps.
 
     Axis i of the table is the outcome of the i-th measure step.  An outcome
     of local probability at most 1e-12 is pruned, so the reported weights
@@ -152,7 +164,7 @@ def oracle_sequence_distribution(initial_state, steps) -> Distribution:
     measure steps.
     """
     steps = list(steps)
-    if not any(isinstance(s, Observable) for s in steps):
+    if not any(isinstance(s, (Observable, Attach)) for s in steps):
         raise ValueError("sequence contains no measure steps")
 
     states = _coerce(initial_state)[None]
@@ -160,16 +172,18 @@ def oracle_sequence_distribution(initial_state, steps) -> Distribution:
     weights = np.ones(1)
     outcome_ranges: list[int] = []
     for step in steps:
+        dim = states.shape[1]
+        after = None
+        if isinstance(step, Attach) and step.mode == "weak":
+            rs, step = step.disturbance.unitaries, step.spec.observable
+            if len(rs) != step.outcome_count:
+                raise ValueError(f"need {step.outcome_count} disturbance unitaries, got {len(rs)}")
+            after = np.stack([_unitary(r, f"disturbance {k}", dim) for k, r in enumerate(rs, 1)])
         if isinstance(step, Observable):
             outcome_ranges.append(step.outcome_count)
-            index, weights, states = _measure(index, weights, states, step)
+            index, weights, states = _measure(index, weights, states, step, after)
         elif isinstance(step, Evolve):
-            u = as_complex_matrix(step.unitary, "evolution")
-            dim = states.shape[1]
-            if u.shape != (dim, dim):
-                raise ValueError(f"evolution has shape {u.shape}, state dimension is {dim}")
-            if not is_unitary(u):
-                raise ValueError("evolution operator is not unitary")
+            u = _unitary(step.unitary, "evolution", dim)
             pure = states.ndim == 2
             states = states @ u.T if pure else u @ states @ u.conj().T
             norm = _weights(states, pure)

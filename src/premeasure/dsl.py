@@ -716,6 +716,7 @@ def compile_scenario(scenario: Scenario) -> Program:
     devices: dict[str, int] = {}  # device name -> outcome count
     measured: dict[str, int] = {}  # observable name -> outcome count, if a device measures it
     joint_outcomes = 1  # product of the system devices' outcome counts
+    weak_count = 0  # outcome count of the weak device with the most outcomes
     equivalence_queries: list[Pos] = []
     specs: dict[str, DeviceSpec] = {}
     events: list[Attach | Evolve] = []
@@ -769,6 +770,7 @@ def compile_scenario(scenario: Scenario) -> Program:
                 fits = grow(stmt.name, count, stmt.pos)
                 disturbance = None
                 if stmt.weak is not None:
+                    weak_count = max(weak_count, count)
                     if len(stmt.weak) != count:
                         raise ValueError(
                             f"weak device needs {count} disturbance matrices, "
@@ -831,7 +833,8 @@ def compile_scenario(scenario: Scenario) -> Program:
     problem = None if measures else "scenario attaches no system devices; nothing to compare"
     if equivalence_queries and measures and amplitudes is not None:
         mixed = isinstance(state, MixedStateDecl)
-        problem = equivalence_problem(dim, mixed, joint_outcomes, measured.values())
+        stacks = [*measured.values(), 3 * weak_count]
+        problem = equivalence_problem(dim, mixed, joint_outcomes, stacks)
     if equivalence_queries and problem:
         for pos in equivalence_queries:
             add(problem, pos)
@@ -844,16 +847,19 @@ def equivalence_problem(dim: int, mixed: bool, joint_outcomes: int, outcome_coun
 
     The collapse oracle's peak is priced at three stacks of one complex128
     state per joint outcome (a ``dim`` vector, or a density matrix for a
-    mixed start), plus the (K, dim, dim) projector stack of each measured
-    observable; ``outcome_counts`` lists K for each distinct observable.
-    Three stacks is the worst step: a measure step on B branches holds its
-    B incoming states, the K * B projected ones and at most K * B more (a
-    density matrix's matmul temporary, or the kept copy of a step that
-    prunes), and with K = 1 the incoming states are as many as the
-    projected ones; an evolve step on density matrices holds the frontier,
-    a temporary and the result.  The few 8-byte index
-    and weight values per joint outcome are left out: ``MAX_JOINT_OUTCOMES``
-    bounds them to about 16 MB.
+    mixed start), plus its (K, dim, dim) matrix stacks.  Three stacks is the
+    worst step: a measure step on B branches holds its B incoming states,
+    the K * B projected ones and at most K * B more (a density matrix's
+    matmul temporary, or the kept copy of a step that prunes), and with
+    K = 1 the incoming states are as many as the projected ones; an evolve
+    step on density matrices holds the frontier, a temporary and the result.
+    ``outcome_counts`` lists the leading length of each matrix stack: K for
+    the projectors of each distinct observable, and 3 * K for the weak
+    device with the most outcomes, as steps run one at a time.  A weak step
+    holds its stacked R_k, R_k P_k and, for density matrices, that product's
+    adjoint; checking one R_k takes three (dim, dim) temporaries.  The few
+    8-byte index and weight values per joint outcome are left out:
+    ``MAX_JOINT_OUTCOMES`` bounds them to about 16 MB.
     """
     if joint_outcomes > MAX_JOINT_OUTCOMES:
         return (

@@ -15,10 +15,6 @@ from .collapse import Evolve
 from .model import Observable
 
 
-class WeakDeviceError(ValueError):
-    """Raised when an equivalence claim is requested for a weak device."""
-
-
 def _program(scenario: dsl.Scenario) -> dsl.Program:
     """The scenario's compiled program; ValueError if it has diagnostics."""
     compiled = scenario.program
@@ -53,21 +49,15 @@ def oracle_plan(scenario: dsl.Scenario):
     """(initial state, collapse-oracle steps, system-device labels).
 
     The steps are the program's own records: an ideal system device's
-    ``Observable`` is a measure step and an ``Evolve`` stays one; reader
-    devices have no collapse-side counterpart and are skipped.  Weak devices
-    are outside the oracle's remit: the first one raises ``WeakDeviceError``.
+    ``Observable``, a weak device's ``Attach`` (measure, then R_k) and each
+    ``Evolve``; readers have no collapse-side counterpart and are skipped.
     """
     compiled = _program(scenario)
     steps, labels = [], []
     for event in compiled.events:
         if isinstance(event, Evolve):
             steps.append(event)
-        elif event.mode == "weak":
-            raise WeakDeviceError(
-                "equivalence with the collapse postulate is only claimed for ideal "
-                "premeasurements; this scenario attaches a weak device"
-            )
-        elif event.mode == "ideal":
-            steps.append(event.spec.observable)
+        elif event.mode != "reader":
+            steps.append(event if event.mode == "weak" else event.spec.observable)
             labels.append(event.spec.label)
     return compiled.initial_state, steps, labels

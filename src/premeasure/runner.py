@@ -32,7 +32,7 @@ class QueryAnswer(Record, eq=True):
     query: str
     payload: dict | None
     error: str | None = None
-    error_kind: str | None = None  # "zero-probability" | "weak-equivalence" | "runtime"
+    error_kind: str | None = None  # "zero-probability" | "runtime"
 
 
 def _c(z: complex) -> list[float]:
@@ -97,8 +97,6 @@ def run_scenario(
             answers.append(QueryAnswer(index, kind, text, payload))
         except ZeroProbabilityError as exc:
             answers.append(QueryAnswer(index, kind, text, None, str(exc), "zero-probability"))
-        except engine.WeakDeviceError as exc:
-            answers.append(QueryAnswer(index, kind, text, None, str(exc), "weak-equivalence"))
         except ValueError as exc:
             answers.append(QueryAnswer(index, kind, text, None, str(exc), "runtime"))
     return answers

@@ -6,12 +6,11 @@ Three kinds of report:
   chain, with its deviation from the identity.  The matrix itself is the
   finding; a weak first device shows exactly where repeatability breaks.
 * collapse equivalence: every joint, marginal and pairwise conditional of the
-  chain's ideal system devices against the oracle run on the program's own
-  records; the caller passes in the chain it built, so each is built once.  Both
-  joint tables are contracted once against the one-hot indicator of the
-  joint outcomes; every marginal and pair table is a block of that product.
-  A scenario with a weak device is refused by ``engine.oracle_plan``, which
-  raises ``WeakDeviceError`` (re-exported here).
+  chain's system devices, ideal and weak, against the oracle run on the
+  program's own records; the caller passes in the chain it built, so each is
+  built once.  Both joint tables are contracted once against the one-hot
+  indicator of the joint outcomes; every marginal and pair table is a block
+  of that product.
 * partial trace: the system marginal of a one-device chain compared against
   the unknown-result mixture of the projected branches.
 
@@ -34,7 +33,6 @@ from .born import clamp_probability, joint_distribution, reduced_system_state
 from .chain import ChainState
 from .collapse import oracle_sequence_distribution, unknown_result_mixture
 from .dsl import Scenario
-from .engine import WeakDeviceError  # noqa: F401 - re-exported
 from .model import Record
 from .tolerances import PROB_SLACK, REPORT_TOL
 
@@ -182,10 +180,9 @@ def collapse_equivalence_report(
     scenario: Scenario, chain: ChainState, *, tol: float = REPORT_TOL
 ) -> EquivalenceReport:
     """Compare the chain against the collapse oracle on every joint, marginal
-    and pairwise conditional of the scenario's ideal system devices.
+    and pairwise conditional of the scenario's system devices, ideal and weak.
 
     ``chain`` is the scenario's built chain (``engine.build_chain(scenario)``).
-    A weak device raises ``WeakDeviceError`` from ``engine.oracle_plan``.
     The chain's and the oracle's joint tables are contracted together once
     (``_pair_tables``); every marginal and pair conditional is read from that
     one result.  A conditional given an outcome of probability <= 1e-12 on

@@ -19,7 +19,8 @@ physics in plain numpy, the slow and obvious way.
 * Born numbers are ``tr(rho Pi)`` for the pointer projectors ``Pi``.
 * The projection postulate is a plain sequential loop over the system's
   measure and evolve steps that keeps every unnormalized branch
-  ``P_k rho P_k``; the trace of a branch is its joint probability.
+  ``P_k rho P_k``, or ``R_k P_k rho P_k R_k^dagger`` for a weak device; the
+  trace of a branch is its joint probability.
 
 ``answers`` returns the same JSON shape as ``runner.answers_to_jsonable``
 minus the query text, with ``error_kind`` in place of an error message.
@@ -101,8 +102,8 @@ class Reference:
         self.dims = [d]
         self.factor: dict[str, int] = {}  # device -> factor index
         self.outcomes: dict[str, int] = {}  # device -> outcome count
-        self.kind: dict[str, str] = {}  # device -> ideal | weak | reader
-        # Oracle steps: ("measure", device, projectors) or ("evolve", unitary).
+        # Oracle steps: ("measure", device, projectors, the unitaries R_k that
+        # follow them, identities for an ideal device) or ("evolve", unitary).
         self.steps: list[tuple] = []
         rho = None
         for s in stmts:
@@ -133,13 +134,13 @@ class Reference:
             elif isinstance(s, (dsl.MeasureDeviceDecl, dsl.ReaderDeviceDecl)):
                 if isinstance(s, dsl.MeasureDeviceDecl):
                     measured, ops, weak = 0, projectors[s.observable], s.weak
-                    self.kind[s.name] = "ideal" if weak is None else "weak"
+                    after = [np.eye(d)] * len(ops) if weak is None else [_mat(r) for r in weak]
+                    self.steps.append(("measure", s.name, ops, after))
                 else:
                     measured = self.factor[s.target]
                     p_t = self.dims[measured]
                     ops = [_state_projector(k, p_t) for k in list(range(1, p_t)) + [0]]
                     weak = None
-                    self.kind[s.name] = "reader"
                 n = len(ops)
                 p = n + 1
                 new = self.factor[s.name] = len(self.dims)
@@ -148,8 +149,6 @@ class Reference:
                 rho = np.kron(rho, _state_projector(0, p))
                 u = interaction(ops, self.dims, measured, new, weak)
                 rho = u @ rho @ u.conj().T
-                if self.kind[s.name] == "ideal":
-                    self.steps.append(("measure", s.name, ops))
         self.rho = rho
 
     # --- Born numbers of the final state -----------------------------------
@@ -177,8 +176,9 @@ class Reference:
     # --- projection postulate ----------------------------------------------
 
     def postulate_table(self) -> tuple[list[str], np.ndarray]:
-        """Joint outcome probabilities of the ideal system devices, from
-        sequential projection of the initial system state."""
+        """Joint outcome probabilities of the system devices, from sequential
+        projection of the initial system state, each weak device's R_k
+        applied after its projector."""
         labels = [step[1] for step in self.steps if step[0] == "measure"]
         branches = {(): self.initial}
         for step in self.steps:
@@ -187,9 +187,9 @@ class Reference:
                 branches = {key: u @ r @ u.conj().T for key, r in branches.items()}
             else:
                 branches = {
-                    key + (k,): p @ r @ p
+                    key + (k,): a @ p @ r @ p @ a.conj().T
                     for key, r in branches.items()
-                    for k, p in enumerate(step[2], start=1)
+                    for k, (p, a) in enumerate(zip(step[2], step[3]), start=1)
                 }
         shape = [self.outcomes[dev] for dev in labels]
         table = np.zeros(shape)
@@ -232,8 +232,6 @@ def _repeatability(ref: Reference, q: dsl.RepeatabilityQuery) -> dict:
 
 
 def _equivalence(ref: Reference) -> dict:
-    if "weak" in ref.kind.values():
-        return _error("weak-equivalence")
     labels, oracle = ref.postulate_table()
     if not labels:
         return _error("runtime")

@@ -325,3 +325,34 @@ def test_query_errors_keep_their_messages():
     zero = _chain(state=(1.0, 0.0))
     with pytest.raises(ZeroProbabilityError, match="conditional undefined"):
         conditional_probability(zero, OutcomeEvent("M2", 1), [OutcomeEvent("M1", 2)])
+
+
+def test_a_key_of_non_integral_indices_names_no_outcome():
+    # The README's quick-start chain: p(M1=1) = 0.36, p(M1=2) = 0.64.
+    d = marginal_distribution(_chain(), "M1")
+    for index in (1, np.int64(1), True):
+        assert_allclose(d.probability((index,)), 0.36, atol=1e-12)
+    for index in (1.9, 1.0, 2.0, np.float64(2.0), "1", None):
+        assert d.probability((index,)) == 0.0
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, np.float64(1.0), "1"])
+def test_a_non_integral_event_index_is_a_value_error(index):
+    chain = _chain()
+    message = rf"outcome index {index} of device 'M1' is not an integer"
+    with pytest.raises(ValueError, match=message):
+        joint_probability(chain, [OutcomeEvent("M1", index)])
+    with pytest.raises(ValueError, match=message):
+        conditional_probability(chain, OutcomeEvent("M2", 1), [OutcomeEvent("M1", index)])
+    with pytest.raises(ValueError, match=message):
+        conditional_probability(chain, OutcomeEvent("M1", index), [OutcomeEvent("M2", 1)])
+
+
+def test_integral_event_indices_keep_working():
+    chain = _chain()
+    for index in (1, np.int64(1), True):
+        assert_allclose(joint_probability(chain, [OutcomeEvent("M1", index)]), 0.36, atol=1e-12)
+        assert_allclose(
+            conditional_probability(chain, OutcomeEvent("M2", index), [OutcomeEvent("M1", 1)]),
+            1.0, atol=1e-12,
+        )

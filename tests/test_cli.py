@@ -225,34 +225,42 @@ WEAK_AFTER_ZERO = (
     "query repeatability M1 MW\n"
     "query equivalence\n"
 )
-WEAK_LINE = (
-    "premeasure: equivalence with the collapse postulate is only claimed for ideal "
-    "premeasurements; this scenario attaches a weak device"
+ZERO_LINE = (
+    "premeasure: query conditional MW=1 given M1=2: "
+    "conditioning event has probability 0.0; conditional undefined"
 )
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
-def test_run_weak_equivalence_outranks_an_earlier_failure(tmp_path, capsys, fmt):
-    # The zero-probability conditional fails first, yet the weak device sets
-    # the exit code; the document is printed all the same.
+def test_run_first_failure_exits_2_before_a_weak_equivalence(tmp_path, capsys, fmt):
+    # The zero-probability conditional is the first failed answer and sets
+    # the exit code; the weak device's equivalence query after it is answered
+    # and passes, and the document is printed all the same.
     path = tmp_path / "weak_after_zero.scn"
     path.write_text(WEAK_AFTER_ZERO)
-    assert cli.main(["run", str(path), "--format", fmt]) == 1
+    assert cli.main(["run", str(path), "--format", fmt]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [WEAK_LINE]
+    assert captured.err.splitlines() == [ZERO_LINE]
     assert "query conditional MW=1 given M1=2" in captured.out
     if fmt == "json":
-        kinds = [r.get("error_kind") for r in json.loads(captured.out)["results"]]
-        assert kinds == ["zero-probability", None, "weak-equivalence"]
+        results = json.loads(captured.out)["results"]
+        assert [r.get("error_kind") for r in results] == ["zero-probability", None, None]
+        assert results[2]["result"]["passed"] is True
 
 
-def test_verify_weak_equivalence_prints_no_document(tmp_path, capsys):
+def test_verify_weak_equivalence_prints_its_report(tmp_path, capsys):
+    # verify looks only at the repeatability and equivalence answers, which
+    # both succeed: the failed conditional does not count.
     path = tmp_path / "weak_after_zero.scn"
     path.write_text(WEAK_AFTER_ZERO)
-    assert cli.main(["verify", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [WEAK_LINE]
+    code, doc = _run_json(capsys, ["verify", str(path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert doc["passed"] is True
+    assert [r["type"] for r in doc["reports"]] == ["repeatability", "equivalence"]
+    assert [r["query"] for r in doc["reports"][1]["records"]][:2] == [
+        "joint M1=1 MW=1", "joint M1=1 MW=2"
+    ]
 
 
 @pytest.mark.parametrize("argv", [
@@ -289,18 +297,27 @@ def test_verify_weak_repeatability_is_a_finding_not_a_failure(capsys):
     assert rep["rows"][1] == [1.0, 0.0]
 
 
-def test_verify_weak_equivalence_exits_1(tmp_path, capsys):
-    scn = tmp_path / "weak_eq.scn"
-    scn.write_text(
-        "system dim 2\nstate pure [0.6, 0.8]\n"
-        "observable Z eigen [1, -1] basis [[1,0],[0,1]]\n"
-        "device MW measures Z weak [[1,0],[0,1]] [[0,1],[1,0]]\n"
-        "query equivalence\n"
+def test_verify_weak_equivalence_passes(tmp_path, capsys):
+    # The oracle measures a weak device and then applies R_k, for a pure
+    # start (weak_flip) and a mixed one; the chain matches it to float64.
+    mixed = (
+        "system dim 2\nstate mixed [[0.7, 0.1], [0.1, 0.3]]\n"
+        "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+        "device MW measures Z weak [[1, 0], [0, 1]] [[0, 1], [1, 0]]\n"
+        "evolve unitary [[0.6, -0.8], [0.8, 0.6]]\n"
+        "device M2 measures Z\ndevice R reads M2\n"
     )
-    code = cli.main(["verify", str(scn)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "weak" in captured.err
+    for name, text in [("weak_flip", WEAK.read_text()), ("weak_mixed", mixed)]:
+        scn = tmp_path / f"{name}.scn"
+        scn.write_text(text + "query equivalence\n")
+        code, doc = _run_json(capsys, ["verify", str(scn)])
+        assert code == 0, name
+        assert doc["passed"] is True
+        report = doc["reports"][-1]
+        assert report["records"][0]["query"] == "joint MW=1 M2=1"
+        assert max(r["deviation"] for r in report["records"]) <= 1e-14, name
+        if jsonschema is not None:
+            jsonschema.validate(doc, _schema())
 
 
 def test_verify_keeps_the_likely_children_of_a_rare_row(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from premeasure.chain import Attach, Disturbance, make_reader_device
 from premeasure.collapse import (
     Evolve,
     collapse_branches,
@@ -12,7 +13,13 @@ from premeasure.collapse import (
     unknown_result_mixture,
 )
 from premeasure.linalg import as_state_vector
-from premeasure.model import DensityState, Observable, make_degenerate_observable, make_observable
+from premeasure.model import (
+    DensityState,
+    Observable,
+    make_degenerate_observable,
+    make_device,
+    make_observable,
+)
 from premeasure.sampling import (
     random_degenerate_observable,
     random_density_matrix,
@@ -131,6 +138,42 @@ def test_evolve_rejects_nonunitary_on_a_mixed_frontier():
 def test_evolve_of_the_wrong_size_names_both_sizes(start):
     with pytest.raises(ValueError, match=r"^evolution has shape \(3, 3\), state dimension is 2$"):
         oracle_sequence_distribution(start, [_z_obs(), Evolve(np.eye(3))])
+
+
+def _weak_step(*unitaries):
+    return Attach(make_device("MW", _z_obs()), Disturbance(unitaries))
+
+
+def test_a_weak_step_measures_then_applies_that_outcome_r():
+    # R_1 = 1 keeps |0>; R_2 = X turns |1> into |0>: the second Z always shows 1.
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    for start in (np.array([0.6, 0.8]), np.diag([0.36, 0.64])):
+        dist = oracle_sequence_distribution(start, [_weak_step(np.eye(2), sx), _z_obs()])
+        assert_allclose(dist.table, [[0.36, 0.0], [0.64, 0.0]], atol=1e-15)
+
+
+@pytest.mark.parametrize("unitaries,message", [
+    ((np.eye(2),), "need 2 disturbance unitaries, got 1"),
+    ((np.eye(2), np.eye(3)), r"disturbance 2 has shape \(3, 3\), state dimension is 2"),
+])
+def test_a_weak_step_checks_its_disturbance(unitaries, message):
+    with pytest.raises(ValueError, match=message):
+        oracle_sequence_distribution(np.array([1.0, 0.0]), [_weak_step(*unitaries)])
+
+
+def test_a_weak_step_checks_each_r_unitary():
+    step = _weak_step(np.eye(2), np.eye(2))
+    object.__setattr__(step.disturbance, "unitaries", (np.eye(2), 1.1 * np.eye(2)))
+    with pytest.raises(ValueError, match="disturbance 2 operator is not unitary"):
+        oracle_sequence_distribution(np.array([1.0, 0.0]), [step])
+
+
+def test_a_reader_is_not_an_oracle_step():
+    spec = make_device("M1", _z_obs())
+    with pytest.raises(ValueError, match="unknown oracle step"):
+        oracle_sequence_distribution(
+            np.array([1.0, 0.0]), [_z_obs(), Attach(make_reader_device("R", spec))]
+        )
 
 
 def _qutrit_fan(devices):

@@ -370,6 +370,28 @@ def test_oracle_estimate_prices_three_stacks_per_joint_outcome():
     )
 
 
+def test_oracle_estimate_charges_the_widest_weak_device_once(monkeypatch):
+    # A mixed qubit start and two 2-outcome devices on one observable:
+    # 16 * (3 * 4 * 4 + 2 * 4) = 896 bytes.  A weak step adds three (2, 2, 2)
+    # stacks, 384 bytes, however many weak devices there are.
+    monkeypatch.setattr(dsl, "MAX_ORACLE_BYTES", 1000)
+    weak = "weak [[1, 0], [0, 1]] [[0, 1], [1, 0]]"
+
+    def diagnostics(first, second):
+        return dsl.validate_scenario(dsl.parse_scenario(
+            "system dim 2\nstate mixed [[0.5, 0], [0, 0.5]]\n"
+            "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+            f"device M1 measures Z {first}\ndevice M2 measures Z {second}\n"
+            "query equivalence\n"
+        ))
+
+    assert diagnostics("", "") == []
+    message = ("query equivalence needs about 1280 bytes of collapse-oracle states, "
+               "past the limit of 1000")
+    assert [d.message for d in diagnostics(weak, "")] == [message]
+    assert [d.message for d in diagnostics(weak, weak)] == [message]
+
+
 def test_validator_reports_an_early_equivalence_query_in_file_order():
     # The query comes before the devices it compares; its diagnostic keeps
     # its place ahead of a later one.

@@ -112,14 +112,21 @@ def test_build_observable_shape_mismatch():
         engine.build_observables(s)
 
 
-def test_oracle_plan_rejects_weak_devices():
+def test_oracle_plan_measures_weak_devices():
+    # A weak device's step is its own Attach record, which carries the
+    # Disturbance; a reader of it is skipped.
     s = dsl.parse_scenario(
         "system dim 2\nstate pure [1, 0]\n"
         "observable Z eigen [1, -1] basis [[1,0],[0,1]]\n"
         "device MW measures Z weak [[1,0],[0,1]] [[0,1],[1,0]]\n"
+        "device R reads MW\n"
+        "device M2 measures Z\n"
     )
-    with pytest.raises(ValueError, match="weak"):
-        engine.oracle_plan(s)
+    events = s.program.events
+    _, steps, labels = engine.oracle_plan(s)
+    assert labels == ["MW", "M2"]
+    assert steps == [events[0], events[2].spec.observable]
+    assert steps[0] is events[0] and steps[0].mode == "weak"
 
 
 def test_oracle_plan_skips_readers():

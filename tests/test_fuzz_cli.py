@@ -6,10 +6,9 @@ and must end in a documented exit without a traceback: exit 0 with an empty
 stderr, exit 2 with exactly one ``premeasure: `` line, or exit 1 with at
 least one stderr line, each one a ``FILE:`` diagnostic or a ``premeasure: ``
 line.  Exit 1 may print more than one line (validation reports every
-problem) and may follow a printed document (``run`` on a weak device's
-equivalence query).  The mutations drop, duplicate and swap tokens, or put
-in extreme numbers, stray brackets and out-of-range outcome indices.  No
-timings are asserted.
+problem); a ``run`` that exits 1 has printed no document.  The mutations
+drop, duplicate and swap tokens, or put in extreme numbers, stray brackets
+and out-of-range outcome indices.  No timings are asserted.
 """
 
 import random
@@ -66,7 +65,8 @@ def _check_mutations(original: str, mutations: int, rng, path, capsys) -> None:
         path.write_text(text, encoding="utf-8")
         command, *options = rng.choice(COMMANDS)
         code = cli.main([command, str(path), *options])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         lines = err.splitlines()
         context = f"mutation {n} of {path.name} ({command} {options}):\n{text}\nstderr:\n{err}"
         assert "Traceback" not in err, context
@@ -77,6 +77,7 @@ def _check_mutations(original: str, mutations: int, rng, path, capsys) -> None:
         else:
             assert code == 1, context
             assert lines, context
+            assert command != "run" or captured.out == "", context
             assert all(line.startswith((f"{path}:", "premeasure: ")) for line in lines), context
 
 

@@ -10,6 +10,7 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import premeasure
 from premeasure import dsl, runner, sampling
@@ -67,6 +68,63 @@ def test_bundled_scenarios_match_the_reference():
     for name in premeasure.bundled_scenario_names():
         text = premeasure.bundled_scenario_path(name).read_text(encoding="utf-8")
         _check(dsl.parse_scenario(text), name)
+
+
+QUBIT = (
+    "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+    "observable X eigen [1, -1] basis [[0.7071067811865476, 0.7071067811865476], "
+    "[0.7071067811865476, -0.7071067811865476]]\n"
+)
+WEAK_SCENARIOS = {
+    "pure start": (
+        "system dim 2\nstate pure [0.6, 0.8i]\n" + QUBIT
+        + "device MW measures Z weak [[0.6, -0.8], [0.8, 0.6]] [[0, 1i], [1i, 0]]\n"
+        "device M2 measures X\ndevice M3 measures Z\n"
+        "query marginal M2\nquery conditional M3=1 given MW=2\nquery reduced\n"
+        "query equivalence\n"
+    ),
+    "mixed start": (
+        "system dim 2\nstate mixed [[0.7, 0.1-0.2i], [0.1+0.2i, 0.3]]\n" + QUBIT
+        + "device MW measures X weak [[0.6, -0.8], [0.8, 0.6]] [[1, 0], [0, 1i]]\n"
+        "device M2 measures Z\ndevice M3 measures X\n"
+        "query marginal M3\nquery joint MW=2 M2=1 M3=2\nquery reduced\n"
+        "query equivalence\n"
+    ),
+    "projector form": (
+        "system dim 3\nstate pure [0.8, 0.2, 0.1+0.3i]\n"
+        "observable D projectors [1, 2] [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]] "
+        "[[0.5, -0.5, 0], [-0.5, 0.5, 0], [0, 0, 1]]\n"
+        "observable Z eigen [1, 2, 3] basis [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+        "device MW measures D weak [[0, 0, 1], [1, 0, 0], [0, 1, 0]] "
+        "[[1, 0, 0], [0, 0.6, -0.8], [0, 0.8, 0.6]]\n"
+        "device M2 measures Z\ndevice M3 measures D\n"
+        "query marginal M2\nquery repeatability MW M3\nquery equivalence\n"
+    ),
+    "after an evolve": (
+        "system dim 2\nstate pure [1, 0]\n" + QUBIT
+        + "hamiltonian H [[0.3, 0.5-0.2i], [0.5+0.2i, -0.1]]\n"
+        "device M1 measures X\nevolve H t 0.7\n"
+        "device MW measures Z weak [[0.6, 0.8i], [0.8i, 0.6]] [[0, 1], [1, 0]]\n"
+        "evolve unitary [[0.6, -0.8], [0.8, 0.6]]\ndevice M2 measures X\n"
+        "query conditional M2=1 given MW=2\nquery equivalence\n"
+    ),
+    "read by a reader": (
+        "system dim 2\nstate pure [0.6, 0.8]\n" + QUBIT
+        + "device MW measures Z weak [[1, 0], [0, 1]] [[0, 1], [1, 0]]\n"
+        "device R reads MW\ndevice M2 measures X\n"
+        "query marginal R\nquery joint MW=2 R=2\nquery conditional M2=1 given R=2\n"
+        "query equivalence\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WEAK_SCENARIOS)
+def test_weak_scenarios_match_the_reference(name):
+    scenario = dsl.parse_scenario(WEAK_SCENARIOS[name])
+    assert not dsl.validate_scenario(scenario)
+    _check(scenario, name)
+    equivalence = reference.answers(scenario)[-1]["result"]
+    assert equivalence["passed"] and len(equivalence["records"]) > 4
 
 
 def test_random_scenarios_match_the_reference():

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from premeasure import dsl, engine
+import premeasure
+from premeasure import cli, collapse, dsl, engine
 from premeasure.born import OutcomeEvent, conditional_probability, joint_distribution
 from premeasure.chain import Disturbance, attach_device, init_chain, make_reader_device
 from premeasure.model import make_device, make_observable
 from premeasure.sampling import random_scenario
 from premeasure.verify import (
-    WeakDeviceError,
     collapse_equivalence_report,
     partial_trace_check,
     repeatability_matrix,
@@ -93,14 +93,54 @@ def test_equivalence_report_random_scenarios():
         assert rep.passed, (trial, rep.max_deviation)
 
 
-def test_equivalence_rejects_weak_devices():
+def test_equivalence_covers_weak_devices():
+    # R_1 = 1 and R_2 = X send both branches to |0>: M2 shows 1 whatever MW
+    # showed, on the chain and under collapse alike.
     s = dsl.parse_scenario(
         "system dim 2\nstate pure [0.6, 0.8]\n"
         "observable Z eigen [1, -1] basis [[1,0],[0,1]]\n"
         "device MW measures Z weak [[1,0],[0,1]] [[0,1],[1,0]]\n"
+        "device M2 measures Z\n"
     )
-    with pytest.raises(WeakDeviceError):
-        collapse_equivalence_report(s, engine.build_chain(s))
+    rep = collapse_equivalence_report(s, engine.build_chain(s))
+    assert rep.passed and rep.max_deviation <= 1e-15
+    assert rep.queries[:4] == ("joint MW=1 M2=1", "joint MW=1 M2=2", "joint MW=2 M2=1",
+                               "joint MW=2 M2=2")
+    assert_allclose(rep.oracle_values[:4], [0.36, 0.0, 0.64, 0.0], atol=1e-15)
+
+
+class _LeftProduct(np.ndarray):
+    """A stack whose ``self @ other`` is ``other @ self``."""
+
+    def __matmul__(self, other):
+        return np.matmul(other, self.view(np.ndarray))
+
+
+# Seeded faults of the oracle's weak step, applied to its stacked R_k.
+WEAK_FAULTS = {
+    "P_k R_k": lambda after: after.view(_LeftProduct),
+    "R of outcome k+1": lambda after: np.roll(after, -1, axis=0),
+}
+
+
+@pytest.mark.parametrize("fault", WEAK_FAULTS)
+@pytest.mark.parametrize("start", ["pure [0.6, 0.8]", "mixed [[0.7, 0.1], [0.1, 0.3]]"])
+def test_seeded_weak_oracle_faults_fail_the_equivalence(tmp_path, capsys, monkeypatch,
+                                                        fault, start):
+    text = premeasure.bundled_scenario_path("weak_flip").read_text(encoding="utf-8")
+    scn = tmp_path / "weak_flip.scn"
+    scn.write_text(text.replace("state pure [0.6, 0.8]", f"state {start}")
+                   + "query equivalence\n")
+    assert cli.main(["verify", str(scn)]) == 0
+    measure = collapse._measure
+
+    def faulty(index, weights, states, obs, after=None):
+        return measure(index, weights, states, obs,
+                       None if after is None else WEAK_FAULTS[fault](after))
+
+    capsys.readouterr()
+    monkeypatch.setattr(collapse, "_measure", faulty)
+    assert cli.main(["verify", str(scn)]) != 0
 
 
 def test_partial_trace_check_single_device():
