@@ -24,7 +24,6 @@ from .born import (
 )
 from .chain import (
     ChainState,
-    Disturbance,
     apply_evolution,
     attach_device,
     init_chain,
@@ -47,6 +46,7 @@ from .linalg import hermitian_evolution
 from .model import (
     DensityState,
     DeviceSpec,
+    Disturbance,
     Observable,
     make_degenerate_observable,
     make_device,

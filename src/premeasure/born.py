@@ -159,7 +159,7 @@ def total_probability(chain: ChainState, target_device: str) -> Distribution:
     over the first device's outcomes (law of total probability)."""
     if not chain.devices:
         raise ValueError("chain has no devices")
-    first = chain.devices[0].spec.label
+    first = chain.devices[0].label
     if target_device == first:
         raise ValueError("target device must differ from the first device")
     direct = marginal_distribution(chain, target_device)

@@ -3,8 +3,9 @@
 A chain starts as the bare system and grows one tensor factor per attached
 device.  Devices always attach in their ready state and interact through a
 unitary built from the measured observable.  The factor that observable
-lives on, and a disturbance if one is given, decide the interaction; the
-device's ``Attach`` record, which the chain keeps, names it in ``mode``:
+lives on, and the device's disturbance if it has one, decide the
+interaction; the device's ``DeviceSpec``, which the chain keeps, names it in
+``mode``:
 
 * ideal, on the system: ``U = sum_k P_k (x) Shift^k`` with ``Shift`` the
   cyclic add-1 shift on the pointer basis, so an eigenstate of outcome ``k``
@@ -36,7 +37,7 @@ each branch straight into the new state, in its final axis order: O(D*d)
 time for composite dimension D and measured dimension d, and O(d^2) scratch
 per outcome besides the new state.  Its loop over outcomes only computes:
 ``Observable`` bounds the Gram matrix of every ``V_k`` (a set of its basis
-columns), ``_check_disturbance`` checks each weak ``R_k V_k``, and a reader's
+columns), each weak ``R_k V_k`` is checked an isometry, and a reader's
 projectors are checked diagonal before the loop.  ``apply_evolution`` is one
 product on the system axis.  ``test_pure_core.py`` checks the attach against
 the dense U on the full K + 1 pointer space that ``tests/reference.py`` builds.
@@ -62,47 +63,12 @@ import numpy as np
 from .linalg import (
     as_complex_matrix,
     as_state_vector,
-    as_unitary,
     is_unitary,
     readonly,
     unitarity_residual,
 )
 from .model import SYSTEM_LABEL, DensityState, DeviceSpec, Observable, Record, make_observable
 from .tolerances import DEFAULT_TOL
-
-
-class Disturbance(Record):
-    """Per-outcome unitaries applied to the system inside recorded branches.
-
-    Each is checked unitary here; their count and dimension are checked
-    against the observable where the disturbance is used.
-    """
-
-    unitaries: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = tuple(readonly(as_unitary(u, f"disturbance {i}"))
-                     for i, u in enumerate(self.unitaries, start=1))
-        object.__setattr__(self, "unitaries", mats)
-
-
-class Attach(Record):
-    """Attach ``spec``, weakly with a ``disturbance``; a reader's spec names
-    its target itself (``DeviceSpec.target``) and takes no disturbance."""
-
-    spec: DeviceSpec
-    disturbance: Disturbance | None = None
-
-    def __post_init__(self):
-        if self.spec.target is not None and self.disturbance is not None:
-            raise ValueError("reader attachment takes no disturbance")
-
-    @property
-    def mode(self) -> str:
-        """The interaction: "ideal" or "weak" on the system, "reader" on a pointer."""
-        if self.spec.target is not None:
-            return "reader"
-        return "ideal" if self.disturbance is None else "weak"
 
 
 class ChainState(Record):
@@ -117,7 +83,7 @@ class ChainState(Record):
     """
 
     state: np.ndarray
-    devices: tuple[Attach, ...]
+    devices: tuple[DeviceSpec, ...]
     initial_system_state: np.ndarray
 
     def __post_init__(self):
@@ -126,7 +92,7 @@ class ChainState(Record):
             if arr.flags.writeable or not arr.flags.owndata:
                 arr = readonly(arr)
             object.__setattr__(self, name, arr)
-        counts = tuple(ad.spec.observable.outcome_count for ad in self.devices)
+        counts = tuple(dev.observable.outcome_count for dev in self.devices)
         lead = self.state.ndim - len(counts)
         if lead not in (1, 2) or self.state.shape[lead:] != counts:
             raise ValueError(
@@ -140,16 +106,16 @@ class ChainState(Record):
 
     @property
     def device_labels(self) -> tuple[str, ...]:
-        return tuple(ad.spec.label for ad in self.devices)
+        return tuple(dev.label for dev in self.devices)
 
-    def device(self, label: str) -> Attach:
-        for ad in self.devices:
-            if ad.spec.label == label:
-                return ad
+    def device(self, label: str) -> DeviceSpec:
+        for dev in self.devices:
+            if dev.label == label:
+                return dev
         raise ValueError(f"no device labelled {label!r} in this chain")
 
     def outcome_count(self, label: str) -> int:
-        return self.device(label).spec.observable.outcome_count
+        return self.device(label).observable.outcome_count
 
     @cached_property
     def pointer_probabilities(self) -> np.ndarray:
@@ -164,24 +130,6 @@ class ChainState(Record):
         probs = probs.reshape(self.state.shape[lead:])
         probs.setflags(write=False)
         return probs
-
-
-def _check_disturbance(obs: Observable, dist: Disturbance, columns) -> list[np.ndarray]:
-    """``R_k V_k`` for each outcome's basis ``columns`` ``V_k``, checked an isometry:
-    ``R_k`` and ``V_k`` may each pass their own check while the product does not."""
-    if len(dist.unitaries) != obs.outcome_count:
-        raise ValueError(
-            f"need {obs.outcome_count} disturbance unitaries, got {len(dist.unitaries)}"
-        )
-    for u in dist.unitaries:
-        if u.shape[0] != obs.dim:
-            raise ValueError(
-                f"disturbance dimension {u.shape[0]} does not match system dimension {obs.dim}"
-            )
-    branches = [u @ v for u, v in zip(dist.unitaries, columns)]
-    if any(unitarity_residual(b) > DEFAULT_TOL for b in branches):
-        raise ValueError("constructed interaction is not unitary")
-    return branches
 
 
 def pointer_basis_observable(label: str, target_spec: DeviceSpec) -> Observable:
@@ -229,32 +177,25 @@ def _purified_chain(rho: np.ndarray) -> ChainState:
     return ChainState(v[:, keep] * np.sqrt(weights), (), rho)
 
 
-def attach_device(
-    chain: ChainState, dev: DeviceSpec | Attach, *, disturbance: Disturbance | None = None
-) -> ChainState:
+def attach_device(chain: ChainState, dev: DeviceSpec) -> ChainState:
     """Extend the chain by one device in its ready state and apply its
-    premeasurement interaction.
+    premeasurement interaction; the chain keeps ``dev`` as it is.
 
-    ``dev`` is a spec, with its ``disturbance`` if any, or an ``Attach`` of
-    both, which the chain keeps.  The observable decides the interaction
-    (``Attach.mode``): a device on the system attaches "ideal", or "weak"
-    with a disturbance; one whose observable lives on the pointer of an
-    earlier device (``DeviceSpec.target``) attaches as its "reader" and
-    takes none.  The observable's dimension must match the factor it
-    measures.  A label already present in the chain, or the system's, is
-    rejected: a fired device keeps its record and cannot be reused.
+    The device decides the interaction (``DeviceSpec.mode``): a device on
+    the system attaches "ideal", or "weak" with its disturbance; one whose
+    observable lives on the pointer of an earlier device
+    (``DeviceSpec.target``) attaches as its "reader".  The observable's
+    dimension must match the factor it measures.  A label already present in
+    the chain, or the system's, is rejected: a fired device keeps its record
+    and cannot be reused.
     """
-    attach = dev if isinstance(dev, Attach) else Attach(dev, disturbance)
-    if attach is dev and disturbance is not None:
-        raise TypeError("an Attach record carries its own disturbance")
-    dev, disturbance = attach.spec, attach.disturbance
     if dev.label == SYSTEM_LABEL or dev.label in chain.device_labels:
         raise ValueError(f"device label {dev.label!r} already used in this chain")
     obs = dev.observable
     if dev.target is None:
         measured_dim, anchor = chain.system_dim, 0
     else:
-        measured_dim = chain.device(dev.target).spec.pointer_dim
+        measured_dim = chain.device(dev.target).pointer_dim
         anchor = chain.state.ndim - len(chain.devices) + chain.device_labels.index(dev.target)
     if obs.dim != measured_dim:
         raise ValueError(
@@ -262,7 +203,12 @@ def attach_device(
             f"of the measured factor {obs.space_label!r}"
         )
     columns = [obs.basis[:, obs.outcomes == k] for k in range(1, obs.outcome_count + 1)]
-    branches = columns if disturbance is None else _check_disturbance(obs, disturbance, columns)
+    branches = columns
+    if dev.disturbance is not None:
+        # R_k and V_k may each pass their own check while the product does not.
+        branches = [u @ v for u, v in zip(dev.disturbance.unitaries, columns)]
+        if any(unitarity_residual(b) > DEFAULT_TOL for b in branches):
+            raise ValueError("constructed interaction is not unitary")
     if dev.target is not None:
         for v in columns:
             proj = v @ v.conj().T
@@ -278,11 +224,7 @@ def attach_device(
     for k, (v, branch) in enumerate(zip(columns, branches)):
         np.matmul(branch[stored], v[stored].conj().T @ psi, out=out[..., k])
     new_state.setflags(write=False)
-    return ChainState(
-        new_state,
-        chain.devices + (attach,),
-        chain.initial_system_state,
-    )
+    return ChainState(new_state, chain.devices + (dev,), chain.initial_system_state)
 
 
 def apply_evolution(chain: ChainState, u_system) -> ChainState:

@@ -4,9 +4,10 @@ This module deliberately does what the chain simulator never does: it
 collapses.  Measuring an observable splits a state into outcome branches
 with Born weights; degenerate outcomes project onto the eigenspace and
 renormalize (for a density operator, ``P rho P / tr(rho P)``).  Steps, each
-an ``Observable``, a weak device's ``Attach`` (measure, then R_k) or an
-``Evolve``, fan out into a branch tree whose leaf weights give the joint
-outcome distribution the postulate predicts; the chain must reproduce them.
+an ``Observable``, a system device's ``DeviceSpec`` (measure its observable,
+then, for a weak device, R_k) or an ``Evolve``, fan out into a branch tree
+whose leaf weights give the joint outcome distribution the postulate
+predicts; the chain must reproduce them.
 
 The tree is grown one step at a time on its whole frontier, held as one
 stack: the B branch states as a (B, d) array, or (B, d, d) for density
@@ -16,9 +17,10 @@ the caller's state is checked, once; a measure step projects the stack onto
 every outcome in one product against the stacked projectors (or R_k P_k) and
 keeps the branches above the pruning floor, and every step renormalizes the
 states it makes.  ``collapse_branches`` is the measure step for a stack of
-one.  The oracle shares no kernel with the chain on purpose: it is the
-independent reference the chain is checked against.  It takes the compiled
-program's plain records as its steps and checks each unitary itself.
+one.  The oracle shares no kernel with the chain on purpose, and imports
+nothing from it: it is the independent reference the chain is checked
+against.  It takes the compiled program's plain records as its steps and
+checks each unitary itself.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .born import Distribution, clamp_probability
-from .chain import Attach
 from .linalg import as_complex_matrix, as_state_vector, hermitian_evolution, is_unitary
-from .model import SYSTEM_LABEL, DensityState, Observable, Record
+from .model import SYSTEM_LABEL, DensityState, DeviceSpec, Observable, Record
 from .tolerances import PROB_SLACK, PRUNE_TOL
 
 
@@ -156,7 +157,8 @@ def unknown_result_mixture(state, obs: Observable) -> DensityState:
 
 def oracle_sequence_distribution(initial_state, steps) -> Distribution:
     """Joint outcome distribution for a sequence of ``Observable`` (measure),
-    weak-device ``Attach`` (measure, then R_k) and ``Evolve`` steps.
+    system ``DeviceSpec`` (measure, then a weak device's R_k) and ``Evolve``
+    steps; a reader's ``DeviceSpec`` is refused.
 
     Axis i of the table is the outcome of the i-th measure step.  An outcome
     of local probability at most 1e-12 is pruned, so the reported weights
@@ -164,7 +166,7 @@ def oracle_sequence_distribution(initial_state, steps) -> Distribution:
     measure steps.
     """
     steps = list(steps)
-    if not any(isinstance(s, (Observable, Attach)) for s in steps):
+    if not any(isinstance(s, (Observable, DeviceSpec)) for s in steps):
         raise ValueError("sequence contains no measure steps")
 
     states = _coerce(initial_state)[None]
@@ -174,11 +176,15 @@ def oracle_sequence_distribution(initial_state, steps) -> Distribution:
     for step in steps:
         dim = states.shape[1]
         after = None
-        if isinstance(step, Attach) and step.mode == "weak":
-            rs, step = step.disturbance.unitaries, step.spec.observable
-            if len(rs) != step.outcome_count:
-                raise ValueError(f"need {step.outcome_count} disturbance unitaries, got {len(rs)}")
-            after = np.stack([_unitary(r, f"disturbance {k}", dim) for k, r in enumerate(rs, 1)])
+        if isinstance(step, DeviceSpec) and step.target is None:
+            dist, step = step.disturbance, step.observable
+            if dist is not None:
+                rs = dist.unitaries
+                if len(rs) != step.outcome_count:
+                    raise ValueError(
+                        f"need {step.outcome_count} disturbance unitaries, got {len(rs)}")
+                after = np.stack([_unitary(r, f"disturbance {k}", dim)
+                                  for k, r in enumerate(rs, 1)])
         if isinstance(step, Observable):
             outcome_ranges.append(step.outcome_count)
             index, weights, states = _measure(index, weights, states, step, after)

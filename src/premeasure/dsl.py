@@ -36,8 +36,8 @@ file order; queries are answered from the final chain state.
 
 ``compile_scenario`` checks a parsed scenario in one pass and builds the
 objects the engine runs (a ``Program``: initial state, observables, and a
-``chain.Attach`` or ``collapse.Evolve`` per event, which the chain and the
-oracle take as they are; query events are ``born.OutcomeEvent``s).  Every
+``model.DeviceSpec`` or ``collapse.Evolve`` per event, which the chain and
+the oracle take as they are; query events are ``born.OutcomeEvent``s).  Every
 number is converted and checked once, by the same constructors the engine
 uses, and input they reject becomes a positioned ``Diagnostic``.
 ``Scenario.program`` memoizes the result, and ``validate_scenario`` returns
@@ -58,17 +58,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .born import OutcomeEvent
-from .chain import Attach, Disturbance, make_reader_device
+from .chain import make_reader_device
 from .collapse import Evolve
 from .linalg import as_complex_matrix, as_hermitian, as_state_vector, as_unitary
 from .model import (
     SYSTEM_LABEL,
     DensityState,
     DeviceSpec,
+    Disturbance,
     Observable,
     Record,
     make_degenerate_observable,
-    make_device,
     make_observable,
 )
 from .tolerances import NORM_FLOOR
@@ -613,7 +613,7 @@ class Program(Record):
 
     initial_state: np.ndarray | DensityState | None
     observables: dict[str, Observable]
-    events: tuple[Attach | Evolve, ...]
+    events: tuple[DeviceSpec | Evolve, ...]
     diagnostics: tuple[Diagnostic, ...]
 
 
@@ -719,7 +719,7 @@ def compile_scenario(scenario: Scenario) -> Program:
     weak_count = 0  # outcome count of the weak device with the most outcomes
     equivalence_queries: list[Pos] = []
     specs: dict[str, DeviceSpec] = {}
-    events: list[Attach | Evolve] = []
+    events: list[DeviceSpec | Evolve] = []
 
     for stmt in scenario.statements:
         if isinstance(stmt, (MeasureDeviceDecl, ReaderDeviceDecl)) and stmt.name == SYSTEM_LABEL:
@@ -781,8 +781,9 @@ def compile_scenario(scenario: Scenario) -> Program:
                         for i, m in enumerate(stmt.weak, start=1)
                     ))
                 if fits and stmt.observable in observables:
-                    spec = specs[stmt.name] = make_device(stmt.name, observables[stmt.observable])
-                    events.append(Attach(spec, disturbance))
+                    spec = DeviceSpec(stmt.name, observables[stmt.observable], disturbance)
+                    events.append(spec)
+                    specs[stmt.name] = spec
             elif isinstance(stmt, ReaderDeviceDecl):
                 if stmt.target not in devices:
                     devices[stmt.name] = 0
@@ -792,7 +793,7 @@ def compile_scenario(scenario: Scenario) -> Program:
                 fits = grow(stmt.name, devices[stmt.name], stmt.pos)
                 if fits and stmt.target in specs:
                     spec = specs[stmt.name] = make_reader_device(stmt.name, specs[stmt.target])
-                    events.append(Attach(spec))
+                    events.append(spec)
             elif isinstance(stmt, EvolveNamedDecl):
                 if stmt.hamiltonian not in hamiltonians:
                     add(f"undefined hamiltonian {stmt.hamiltonian!r}", stmt.pos)

@@ -2,8 +2,8 @@
 
 ``scenario.program`` (``dsl.compile_scenario``) has already normalized and
 checked every number and built the initial state, the observables and one
-``Attach`` or ``Evolve`` per event once; the chain and the oracle take those
-records as they are.  A scenario with diagnostics raises ValueError naming
+``DeviceSpec`` or ``Evolve`` per event once; the chain and the oracle take
+those records as they are.  A scenario with diagnostics raises ValueError naming
 the first one, and so does a build that still fails, such as a phase overflow.
 """
 
@@ -34,7 +34,7 @@ def build_chain(scenario: dsl.Scenario) -> ChainState:
 
 
 def extend_chain(chain: ChainState, events) -> ChainState:
-    """Run a program's ``Attach`` / ``Evolve`` records in order on ``chain``,
+    """Run a program's ``DeviceSpec`` / ``Evolve`` records in order on ``chain``,
     which the caller has already built: ``build_chain`` starts it from the
     initial state, ``prop`` from its one-device prefix."""
     for event in events:
@@ -48,16 +48,16 @@ def extend_chain(chain: ChainState, events) -> ChainState:
 def oracle_plan(scenario: dsl.Scenario):
     """(initial state, collapse-oracle steps, system-device labels).
 
-    The steps are the program's own records: an ideal system device's
-    ``Observable``, a weak device's ``Attach`` (measure, then R_k) and each
-    ``Evolve``; readers have no collapse-side counterpart and are skipped.
+    The steps are the program's own records: each system device's
+    ``DeviceSpec``, ideal or weak (measure, then R_k), and each ``Evolve``;
+    readers have no collapse-side counterpart and are skipped.
     """
     compiled = _program(scenario)
     steps, labels = [], []
     for event in compiled.events:
         if isinstance(event, Evolve):
             steps.append(event)
-        elif event.mode != "reader":
-            steps.append(event if event.mode == "weak" else event.spec.observable)
-            labels.append(event.spec.label)
+        elif event.target is None:
+            steps.append(event)
+            labels.append(event.label)
     return compiled.initial_state, steps, labels

@@ -1,4 +1,4 @@
-"""Observables, density operators and measurement-device descriptions.
+"""Observables, density operators and measurement-device records.
 
 An :class:`Observable` is held in spectral form: distinct real eigenvalues,
 one d x d unitary ``basis`` with an eigenvector per column, and the 1-based
@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     as_complex_matrix,
     as_hermitian,
+    as_unitary,
     hermiticity_residual,
     readonly,
     unitarity_residual,
@@ -227,24 +228,56 @@ class DensityState(Record):
         return self.matrix.shape[0]
 
 
+class Disturbance(Record):
+    """Per-outcome unitaries a weak device applies to the system inside its
+    recorded branches, each checked unitary here; ``DeviceSpec`` checks
+    their count and dimension against its observable."""
+
+    unitaries: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        mats = tuple(readonly(as_unitary(u, f"disturbance {i}"))
+                     for i, u in enumerate(self.unitaries, start=1))
+        object.__setattr__(self, "unitaries", mats)
+
+
 class DeviceSpec(Record):
-    """A pointer device for one observable.
+    """A pointer device for one observable; the compiler builds this one
+    record per device, the chain keeps it and the collapse oracle measures it.
 
     The observable's ``space_label`` names the factor the device measures:
-    the system, or for a reader the pointer of device ``target``.  The
-    pointer space has one ready state (index 0) plus one pointer state per
-    outcome, so ``pointer_dim`` is ``outcome_count + 1``.  Pointer state ``k``
-    records outcome ``k``.  The interaction leaves no amplitude on the ready
-    state, so a chain stores only the ``outcome_count`` recorded states of the
-    device's factor (see ``premeasure.chain``).
+    the system, or for a reader the pointer of device ``target``.  A system
+    device with a ``disturbance`` is weak, applying R_k inside branch ``k``;
+    construction checks one R_k per outcome, of the observable's dimension,
+    and that a reader has none.  The pointer space has one ready state
+    (index 0) plus one pointer state per outcome, so ``pointer_dim`` is
+    ``outcome_count + 1``.  Pointer state ``k`` records outcome ``k``.  The
+    interaction leaves no amplitude on the ready state, so a chain stores
+    only the ``outcome_count`` recorded states of the device's factor (see
+    ``premeasure.chain``).
     """
 
     label: str
     observable: Observable
+    disturbance: Disturbance | None = None
 
     def __post_init__(self):
         if not self.label:
             raise ValueError("device label must be non-empty")
+        dist, obs = self.disturbance, self.observable
+        if dist is None:
+            return
+        if self.target is not None:
+            raise ValueError("reader attachment takes no disturbance")
+        if len(dist.unitaries) != obs.outcome_count:
+            raise ValueError(
+                f"need {obs.outcome_count} disturbance unitaries, got {len(dist.unitaries)}"
+            )
+        for u in dist.unitaries:
+            if u.shape[0] != obs.dim:
+                raise ValueError(
+                    f"disturbance dimension {u.shape[0]} does not match system dimension {obs.dim}"
+                )
 
     @property
     def pointer_dim(self) -> int:
@@ -255,6 +288,13 @@ class DeviceSpec(Record):
         """Label of the device whose pointer this one reads; None on the system."""
         space = self.observable.space_label
         return None if space == SYSTEM_LABEL else space
+
+    @property
+    def mode(self) -> str:
+        """The interaction: "ideal" or "weak" on the system, "reader" on a pointer."""
+        if self.target is not None:
+            return "reader"
+        return "ideal" if self.disturbance is None else "weak"
 
 
 def make_device(label: str, observable: Observable) -> DeviceSpec:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dsl, engine, sampling
 from .born import joint_distribution, total_probability
-from .chain import Attach, ChainState, Disturbance, attach_device, init_chain
+from .chain import ChainState, attach_device, init_chain
 from .collapse import Evolve, unknown_result_mixture
 from .linalg import unitarity_residual
 from .model import DeviceSpec, Record
@@ -69,11 +69,10 @@ def run_property_suite(seed: int, trials: int, max_dim: int, max_depth: int) -> 
     return summary
 
 
-def attach_residual(
-    spec: DeviceSpec, disturbance: Disturbance | None = None, target: DeviceSpec | None = None
-) -> float:
+def attach_residual(spec: DeviceSpec, target: DeviceSpec | None = None) -> float:
     """Distance from an isometry of ``spec``'s attach map as ``attach_device``
-    runs it; a reader's ``target`` is attached first.
+    runs it, with the spec's own disturbance if it is weak; a reader's
+    ``target`` is attached first.
 
     The start is the identity on (system, ancilla), so each ancilla column is
     a system basis state and the grown state, ancilla axis last, is the map's
@@ -83,7 +82,7 @@ def attach_residual(
     chain = ChainState(np.eye(d, dtype=complex), (), np.eye(d) / d)
     if target is not None:
         chain = attach_device(chain, target)
-    chain = attach_device(chain, spec, disturbance=disturbance)
+    chain = attach_device(chain, spec)
     return unitarity_residual(np.moveaxis(chain.state, 1, -1).reshape(-1, d))
 
 
@@ -136,14 +135,13 @@ def _run_trial(trial: int, scenario: dsl.Scenario, summary: PropSummary) -> None
     # depends on its observable and disturbance alone, so the repeat devices
     # that share A's are checked once.
     attaches = {
-        (id(e.spec.observable), id(e.disturbance)): e
+        (id(e.observable), id(e.disturbance)): e
         for e in program.events
-        if isinstance(e, Attach)
+        if isinstance(e, DeviceSpec)
     }
-    specs = {ad.spec.label: ad.spec for ad in chain.devices}
+    specs = {dev.label: dev for dev in chain.devices}
     residual = max(
-        (attach_residual(e.spec, e.disturbance, specs.get(e.spec.target))
-         for e in attaches.values()),
+        (attach_residual(e, specs.get(e.target)) for e in attaches.values()),
         default=0.0,
     )
     _record(summary, trial, scenario, "unitarity", residual, STRUCT_TOL)

@@ -237,7 +237,7 @@ def partial_trace_check(chain: ChainState, *, tol: float = REPORT_TOL) -> Equiva
     if attached.mode != "ideal":
         raise ValueError("partial-trace check needs an ideal device")
     lhs = reduced_system_state(chain).matrix
-    rhs = unknown_result_mixture(chain.initial_system_state, attached.spec.observable).matrix
+    rhs = unknown_result_mixture(chain.initial_system_state, attached.observable).matrix
 
     def names():
         entries = itertools.product(range(lhs.shape[0]), repeat=2)

@@ -20,7 +20,6 @@ from premeasure.born import (
     total_probability,
 )
 from premeasure.chain import (
-    Disturbance,
     apply_evolution,
     attach_device,
     init_chain,
@@ -28,7 +27,7 @@ from premeasure.chain import (
 )
 from premeasure.collapse import unknown_result_mixture
 from premeasure.linalg import hermitian_evolution
-from premeasure.model import make_device, make_observable
+from premeasure.model import DeviceSpec, Disturbance, make_device, make_observable
 from premeasure.propsuite import attach_residual
 from premeasure.sampling import (
     distinct_eigenvalues,
@@ -245,7 +244,7 @@ def test_criterion_08_reader_invariance(capsys):
 
         read = init_chain(psi)
         read = attach_device(read, make_device("M1", obs_a))
-        rdev = make_reader_device("R", read.device("M1").spec)
+        rdev = make_reader_device("R", read.device("M1"))
         read = attach_device(read, rdev)
         read = attach_device(read, make_device("MB", obs_b))
 
@@ -302,17 +301,18 @@ def test_criterion_10_unitarity_sweep(capsys):
         dist = Disturbance(
             tuple(random_unitary(rng, dim) for _ in range(obs.outcome_count))
         )
+        weak_dev = DeviceSpec("M", obs, dist)
         deviations = [
             attach_residual(dev),
-            attach_residual(dev, dist),
+            attach_residual(weak_dev),
             attach_residual(make_reader_device("R", dev), target=dev),
         ]
         p = dev.pointer_dim
-        for disturbance in (None, dist):
-            weak = None if disturbance is None else disturbance.unitaries
+        for device in (dev, weak_dev):
+            weak = None if device.disturbance is None else device.disturbance.unitaries
             dense = interaction(obs.projectors, [dim, p], 0, 1, weak).reshape(dim, p, dim, p)
             grown = [
-                attach_device(init_chain(e), dev, disturbance=disturbance).state
+                attach_device(init_chain(e), device).state
                 for e in np.eye(dim)
             ]
             deviations.append(float(np.max(np.abs(np.stack(grown, axis=-1) - dense[:, 1:, :, 0]))))

@@ -17,13 +17,12 @@ from premeasure.born import (
     total_probability,
 )
 from premeasure.chain import (
-    Disturbance,
     apply_evolution,
     attach_device,
     init_chain,
     make_reader_device,
 )
-from premeasure.model import make_device, make_observable
+from premeasure.model import DeviceSpec, Disturbance, make_device, make_observable
 
 
 def _z_obs():
@@ -133,7 +132,7 @@ def test_density_route_matches_pure_route():
 
 def test_reader_marginal_mirrors_target():
     chain = _chain(devices=("M1",))
-    rdev = make_reader_device("R", chain.device("M1").spec)
+    rdev = make_reader_device("R", chain.device("M1"))
     chain = attach_device(chain, rdev)
     dist = marginal_distribution(chain, "R")
     assert_allclose(dist.probability((1,)), 0.36, atol=1e-12)
@@ -217,11 +216,11 @@ def _kernel_chains():
     chains["purified-mixed"] = attach_device(c, make_device("MB", b3))
 
     c = attach_device(init_chain(state(2)), make_device("M1", a))
-    c = attach_device(c, make_reader_device("R", c.device("M1").spec))
+    c = attach_device(c, make_reader_device("R", c.device("M1")))
     chains["reader"] = attach_device(c, make_device("MB", b))
 
     dist = Disturbance((unitary(2), unitary(2)))
-    c = attach_device(init_chain(state(2)), make_device("MW", a), disturbance=dist)
+    c = attach_device(init_chain(state(2)), DeviceSpec("MW", a, dist))
     c = attach_device(c, make_device("M2", a))
     chains["weak"] = attach_device(c, make_device("MB", b))
 

@@ -11,9 +11,7 @@ from premeasure.born import (
     reduced_system_state,
 )
 from premeasure.chain import (
-    Attach,
     ChainState,
-    Disturbance,
     apply_evolution,
     attach_device,
     init_chain,
@@ -21,7 +19,7 @@ from premeasure.chain import (
     pointer_basis_observable,
 )
 from premeasure.linalg import unitarity_residual
-from premeasure.model import DensityState, make_device, make_observable
+from premeasure.model import DensityState, DeviceSpec, Disturbance, make_device, make_observable
 
 from reference import interaction
 
@@ -33,11 +31,11 @@ def _z_obs():
     return make_observable("Z", "S", [1.0, -1.0], np.eye(2, dtype=complex))
 
 
-def _dense(dev, dist=None):
+def _dense(dev):
     """The reference's dense U, then V for a weak device, on (measured
     factor) x (pointer factor)."""
     obs = dev.observable
-    weak = None if dist is None else dist.unitaries
+    weak = None if dev.disturbance is None else dev.disturbance.unitaries
     return interaction(obs.projectors, [obs.dim, dev.pointer_dim], 0, 1, weak)
 
 
@@ -72,9 +70,8 @@ def test_ideal_unitary_matches_projector_sum():
 
 def test_weak_unitary_flips_branch():
     obs = _z_obs()
-    dev = make_device("M", obs)
-    dist = Disturbance((np.eye(2, dtype=complex), SX))
-    u = _dense(dev, dist)
+    dev = DeviceSpec("M", obs, Disturbance((np.eye(2, dtype=complex), SX)))
+    u = _dense(dev)
     assert unitarity_residual(u) <= 1e-12
     # |1> (x) ready -> flip: |0> (x) pointer 2
     vin = np.zeros(6, dtype=complex)
@@ -82,7 +79,7 @@ def test_weak_unitary_flips_branch():
     expect = np.zeros(6, dtype=complex)
     expect[0 * 3 + 2] = 1.0
     assert_allclose(u @ vin, expect, atol=1e-14)
-    grown = attach_device(init_chain(np.array([0, 1])), dev, disturbance=dist)
+    grown = attach_device(init_chain(np.array([0, 1])), dev)
     assert_allclose(grown.state, [[0, 1], [0, 0]], atol=1e-15)
 
 
@@ -100,17 +97,17 @@ def test_attach_grows_space():
     assert chain.state.shape == (2, 2)
     assert chain.outcome_count("M1") == 2
     assert chain.device("M1").mode == "ideal"
-    assert chain.device("M1").spec.target is None
-    weak = attach_device(chain, make_device("MW", _z_obs()), disturbance=Disturbance((SX, SX)))
+    assert chain.device("M1").target is None
+    weak = attach_device(chain, DeviceSpec("MW", _z_obs(), Disturbance((SX, SX))))
     assert weak.device("MW").mode == "weak"
 
 
-def test_attach_keeps_a_given_attach_record():
+def test_attach_keeps_the_given_device_record():
     chain = init_chain(np.array([0.6, 0.8], dtype=complex))
-    record = Attach(make_device("MW", _z_obs()), Disturbance((SX, SX)))
+    record = DeviceSpec("MW", _z_obs(), Disturbance((SX, SX)))
     grown = attach_device(chain, record)
     assert grown.devices == (record,) and grown.device("MW").mode == "weak"
-    with pytest.raises(TypeError, match="carries its own disturbance"):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'disturbance'"):
         attach_device(chain, record, disturbance=Disturbance((SX, SX)))
 
 
@@ -171,9 +168,10 @@ def test_attach_rejects_duplicate_label():
     ],
 )
 def test_attach_rejects_a_device_its_factor_cannot_take(dev, disturbance, message):
+    # A disturbance that does not fit its device fails as the record is built.
     chain = attach_device(init_chain(np.array([1, 0], dtype=complex)), make_device("M1", _z_obs()))
     with pytest.raises(ValueError, match=re.escape(message)):
-        attach_device(chain, dev, disturbance=disturbance)
+        attach_device(chain, DeviceSpec(dev.label, dev.observable, disturbance))
 
 
 def test_only_a_weak_attach_checks_unitarity(monkeypatch):
@@ -184,9 +182,9 @@ def test_only_a_weak_attach_checks_unitarity(monkeypatch):
         lambda m: calls.append(m) or unitarity_residual(m),
     )
     chain = attach_device(init_chain(np.array([0.6, 0.8], dtype=complex)), make_device("M1", _z_obs()))
-    chain = attach_device(chain, make_reader_device("R", chain.device("M1").spec))
+    chain = attach_device(chain, make_reader_device("R", chain.device("M1")))
     assert calls == []
-    attach_device(chain, make_device("W", _z_obs()), disturbance=Disturbance((SX, np.eye(2))))
+    attach_device(chain, DeviceSpec("W", _z_obs(), Disturbance((SX, np.eye(2)))))
     assert len(calls) == 2
 
 
@@ -222,7 +220,7 @@ def test_reader_targets_pointer_factor():
 def test_attach_reader_requires_existing_target():
     chain = init_chain(np.array([1, 0], dtype=complex))
     chain = attach_device(chain, make_device("M1", _z_obs()))
-    rdev = make_reader_device("R", chain.device("M1").spec)
+    rdev = make_reader_device("R", chain.device("M1"))
     assert rdev.target == "M1"
     grown = attach_device(chain, rdev)
     assert grown.device_labels == ("M1", "R")
@@ -266,7 +264,7 @@ def test_state_shape_is_the_factor_layout():
     for chain, lead in ((pure, (3,)), (mixed, (3, 3))):
         chain = attach_device(chain, make_device("M1", qutrit))
         assert chain.state.shape == lead + (3,)
-        chain = attach_device(chain, make_reader_device("R", chain.device("M1").spec))
+        chain = attach_device(chain, make_reader_device("R", chain.device("M1")))
         assert chain.state.shape == lead + (3, 4)
         chain = apply_evolution(chain, np.eye(3)[[1, 2, 0]])
         assert chain.state.shape == lead + (3, 4)
@@ -278,7 +276,7 @@ def test_state_shape_is_the_factor_layout():
         ChainState(np.zeros((3, 3 * 4)), devices, chain.initial_system_state)
     with pytest.raises(ValueError, match="outcome counts"):
         ChainState(np.zeros((3, 3, 3, 3, 4)), devices, chain.initial_system_state)
-    lone = (Attach(devices[0].spec),)
+    lone = (devices[0],)
     with pytest.raises(ValueError, match="outcome counts"):
         ChainState(np.zeros(9), lone, chain.initial_system_state)
 

@@ -1,11 +1,15 @@
+import ast
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from premeasure.chain import Attach, Disturbance, make_reader_device
+import premeasure
+from premeasure import collapse, dsl, engine
+from premeasure.chain import make_reader_device
 from premeasure.collapse import (
     Evolve,
     collapse_branches,
@@ -15,6 +19,8 @@ from premeasure.collapse import (
 from premeasure.linalg import as_state_vector
 from premeasure.model import (
     DensityState,
+    DeviceSpec,
+    Disturbance,
     Observable,
     make_degenerate_observable,
     make_device,
@@ -23,6 +29,7 @@ from premeasure.model import (
 from premeasure.sampling import (
     random_degenerate_observable,
     random_density_matrix,
+    random_observable,
     random_state_vector,
 )
 from premeasure.tolerances import PRUNE_TOL
@@ -141,7 +148,7 @@ def test_evolve_of_the_wrong_size_names_both_sizes(start):
 
 
 def _weak_step(*unitaries):
-    return Attach(make_device("MW", _z_obs()), Disturbance(unitaries))
+    return DeviceSpec("MW", _z_obs(), Disturbance(unitaries))
 
 
 def test_a_weak_step_measures_then_applies_that_outcome_r():
@@ -157,8 +164,11 @@ def test_a_weak_step_measures_then_applies_that_outcome_r():
     ((np.eye(2), np.eye(3)), r"disturbance 2 has shape \(3, 3\), state dimension is 2"),
 ])
 def test_a_weak_step_checks_its_disturbance(unitaries, message):
+    # The oracle checks the R_k itself, whatever the device record checked.
+    step = _weak_step(np.eye(2), np.eye(2))
+    object.__setattr__(step.disturbance, "unitaries", unitaries)
     with pytest.raises(ValueError, match=message):
-        oracle_sequence_distribution(np.array([1.0, 0.0]), [_weak_step(*unitaries)])
+        oracle_sequence_distribution(np.array([1.0, 0.0]), [step])
 
 
 def test_a_weak_step_checks_each_r_unitary():
@@ -172,7 +182,7 @@ def test_a_reader_is_not_an_oracle_step():
     spec = make_device("M1", _z_obs())
     with pytest.raises(ValueError, match="unknown oracle step"):
         oracle_sequence_distribution(
-            np.array([1.0, 0.0]), [_z_obs(), Attach(make_reader_device("R", spec))]
+            np.array([1.0, 0.0]), [_z_obs(), make_reader_device("R", spec)]
         )
 
 
@@ -341,3 +351,57 @@ def test_stacked_frontier_matches_the_per_branch_loop(seed):
     for prefix, weight in _loop_oracle(np.asarray(start, dtype=complex), steps).items():
         expected[prefix] = weight
     assert np.max(np.abs(dist.table - expected)) <= 1e-14
+
+
+def test_the_oracle_imports_nothing_from_the_chain():
+    # The oracle is the independent reference the chain is checked against.
+    tree = ast.parse(Path(collapse.__file__).read_text(encoding="utf-8"))
+    named = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the package, where collapse.py sits
+                module = f"premeasure.{module}".rstrip(".")
+            named += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert named and not [n for n in named if n.startswith("premeasure.chain")]
+
+
+@pytest.mark.parametrize("start", [
+    np.array([0.6, 0.8j, 0.0]), np.diag([0.5, 0.3, 0.2]).astype(complex),
+], ids=["pure", "mixed"])
+def test_an_ideal_device_step_is_its_observable(start):
+    rng = np.random.default_rng(8)
+    a, b = random_degenerate_observable(rng, 3, "A"), random_observable(rng, 3, "B")
+    u = Evolve(random_unitary(rng, 3))
+    bare = oracle_sequence_distribution(start, [a, u, b, a])
+    devices = [make_device("M1", a), u, make_device("M2", b), make_device("M3", a)]
+    assert np.array_equal(oracle_sequence_distribution(start, devices).table, bare.table)
+
+
+# The oracle's tables of weak_flip plus ``query equivalence``, pinned: a weak
+# device's record must give them bit for bit.
+WEAK_FLIP_TABLES = {
+    "pure [0.6, 0.8]": [[0.36, 0.0], [0.6400000000000001, 0.0]],
+    "mixed [[0.7, 0.1], [0.1, 0.3]]": [[0.7, 0.0], [0.3, 0.0]],
+}
+
+
+@pytest.mark.parametrize("start", list(WEAK_FLIP_TABLES), ids=["pure", "mixed"])
+def test_a_weak_device_step_keeps_the_weak_flip_tables(start):
+    text = premeasure.bundled_scenario_path("weak_flip").read_text(encoding="utf-8")
+    scenario = dsl.parse_scenario(
+        text.replace("state pure [0.6, 0.8]", f"state {start}") + "query equivalence\n")
+    z = scenario.program.observables["Z"]
+    weak = DeviceSpec("MW", z, Disturbance((np.eye(2), np.array([[0, 1], [1, 0]]))))
+    by_hand = oracle_sequence_distribution(
+        scenario.program.initial_state, [weak, make_device("M2", z)])
+    planned = oracle_sequence_distribution(*engine.oracle_plan(scenario)[:2])
+    assert by_hand.table.tolist() == planned.table.tolist() == WEAK_FLIP_TABLES[start]
+
+
+def test_a_reader_device_step_is_refused_after_its_target():
+    spec = make_device("M1", _z_obs())
+    with pytest.raises(ValueError, match=r"unknown oracle step DeviceSpec\(label='R'"):
+        oracle_sequence_distribution(np.array([1.0, 0.0]), [spec, make_reader_device("R", spec)])

@@ -4,9 +4,8 @@ from numpy.testing import assert_allclose
 
 from premeasure import born, bundled_scenario_path, dsl, engine, runner
 from premeasure.born import OutcomeEvent, conditional_probability, marginal_distribution
-from premeasure.chain import Attach
 from premeasure.collapse import Evolve
-from premeasure.model import DensityState
+from premeasure.model import DensityState, DeviceSpec
 
 
 def _bundled(name: str) -> dsl.Scenario:
@@ -30,10 +29,28 @@ def test_oracle_plan_steps_are_the_program_records():
     initial, steps, labels = engine.oracle_plan(scenario)
     assert initial is scenario.program.initial_state
     assert labels == ["M1", "M2"]
-    assert [type(s).__name__ for s in steps] == ["Observable", "Evolve", "Observable"]
-    assert steps[0] is events[0].spec.observable
+    assert [type(s).__name__ for s in steps] == ["DeviceSpec", "Evolve", "DeviceSpec"]
+    assert steps[0] is events[0]
     assert steps[1] is events[1]
-    assert steps[2] is events[2].spec.observable
+    assert steps[2] is events[2]
+
+
+def test_oracle_steps_and_chain_devices_are_the_program_records():
+    scenario = dsl.parse_scenario(
+        "system dim 2\nstate mixed [[0.7, 0.1], [0.1, 0.3]]\n"
+        "observable Z eigen [1, -1] basis [[1, 0], [0, 1]]\n"
+        "device M measures Z\n"
+        "evolve unitary [[0, 1], [1, 0]]\n"
+        "device W measures Z weak [[1, 0], [0, 1]] [[0, 1], [1, 0]]\n"
+        "device R reads M\n"
+    )
+    events = scenario.program.events
+    _, steps, labels = engine.oracle_plan(scenario)
+    assert labels == ["M", "W"]
+    assert len(steps) == 3 and all(s is e for s, e in zip(steps, events))
+    devices = engine.build_chain(scenario).devices
+    program_devices = [e for e in events if not isinstance(e, Evolve)]
+    assert len(devices) == 3 and all(d is e for d, e in zip(devices, program_devices))
 
 
 def test_chain_keeps_the_program_attach_records():
@@ -45,7 +62,7 @@ def test_chain_keeps_the_program_attach_records():
         "device R reads M\n"
     )
     chain = engine.build_chain(scenario)
-    assert [type(d) for d in chain.devices] == [Attach] * 3
+    assert [type(d) for d in chain.devices] == [DeviceSpec] * 3
     assert [d.mode for d in chain.devices] == ["ideal", "weak", "reader"]
     assert all(d is e for d, e in zip(chain.devices, scenario.program.events))
 
@@ -113,7 +130,7 @@ def test_build_observable_shape_mismatch():
 
 
 def test_oracle_plan_measures_weak_devices():
-    # A weak device's step is its own Attach record, which carries the
+    # A weak device's step is its own DeviceSpec, which carries the
     # Disturbance; a reader of it is skipped.
     s = dsl.parse_scenario(
         "system dim 2\nstate pure [1, 0]\n"
@@ -125,7 +142,7 @@ def test_oracle_plan_measures_weak_devices():
     events = s.program.events
     _, steps, labels = engine.oracle_plan(s)
     assert labels == ["MW", "M2"]
-    assert steps == [events[0], events[2].spec.observable]
+    assert steps == [events[0], events[2]]
     assert steps[0] is events[0] and steps[0].mode == "weak"
 
 

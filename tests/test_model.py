@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from premeasure import dsl
+from premeasure.chain import make_reader_device
 from premeasure.model import (
     DensityState,
+    DeviceSpec,
+    Disturbance,
     Observable,
     make_degenerate_observable,
     make_device,
@@ -122,6 +126,19 @@ def test_make_device_pointer_layout():
     dev = make_device("M1", _z())
     assert dev.label == "M1"
     assert dev.pointer_dim == 3
+
+
+@pytest.mark.parametrize("reads,unitaries,message", [
+    (True, (np.eye(3),) * 3, "reader attachment takes no disturbance"),
+    (False, (np.eye(2),), "need 2 disturbance unitaries, got 1"),
+    (False, (np.eye(3),) * 2, "disturbance dimension 3 does not match system dimension 2"),
+], ids=["reader", "count", "dimension"])
+def test_a_device_record_refuses_a_disturbance_that_does_not_fit(reads, unitaries, message):
+    # A malformed weak device fails where it is made, not at its first use.
+    observable = make_reader_device("R", make_device("M1", _z())).observable if reads else _z()
+    disturbance = Disturbance(unitaries)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DeviceSpec("W", observable, disturbance)
 
 
 def test_observable_requires_projector_property():

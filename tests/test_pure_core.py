@@ -25,14 +25,13 @@ from premeasure.born import (
     reduced_system_state,
 )
 from premeasure.chain import (
-    Disturbance,
     apply_evolution,
     attach_device,
     init_chain,
     make_reader_device,
 )
 from premeasure.linalg import apply_operator, hermitian_evolution
-from premeasure.model import DensityState, make_device, make_observable
+from premeasure.model import DensityState, DeviceSpec, Disturbance, make_device, make_observable
 from premeasure.sampling import (
     random_degenerate_observable,
     random_density_matrix,
@@ -61,13 +60,13 @@ def _steps(rng, d, make_obs=_obs):
     a = make_device("MA", make_obs(rng, "A", d))
     n = a.observable.outcome_count
     dist = Disturbance(tuple(random_unitary(rng, d) for _ in range(n)))
-    w = make_device("MW", make_obs(rng, "W", d))
+    w = DeviceSpec("MW", make_obs(rng, "W", d), dist)
     r = make_reader_device("R", a)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return [
         ("ideal", a, None),
         ("evolve", hermitian_evolution((g + g.conj().T) / 2, 0.7), None),
-        ("weak", w, dist),
+        ("weak", w, None),
         ("reader", r, "MA"),
     ]
 
@@ -76,14 +75,14 @@ def _attach(chain, step):
     kind, obj, extra = step
     if kind == "evolve":
         return apply_evolution(chain, obj)
-    return attach_device(chain, obj, disturbance=extra if kind == "weak" else None)
+    return attach_device(chain, obj)
 
 
 def _interaction(step):
     """The reference's dense U (then V) on (measured factor) x (new pointer)."""
     kind, dev, extra = step
     obs = dev.observable
-    weak = extra.unitaries if kind == "weak" else None
+    weak = dev.disturbance.unitaries if kind == "weak" else None
     return interaction(obs.projectors, [obs.dim, dev.pointer_dim], 0, 1, weak)
 
 
@@ -94,7 +93,7 @@ def _dense_attach(chain, step):
     kind, dev, extra = step
     dims = (
         (chain.system_dim,)
-        + tuple(ad.spec.pointer_dim for ad in chain.devices)
+        + tuple(attached.pointer_dim for attached in chain.devices)
         + (dev.pointer_dim,)
     )
     dense = np.zeros(dims, dtype=complex)
@@ -171,7 +170,7 @@ def test_reader_attach_checks_its_basis_in_small_scratch():
     d = 48
     obs = make_observable("A", "S", [float(k) for k in range(d)], np.eye(d))
     chain = attach_device(init_chain(np.full(d, d**-0.5)), make_device("M", obs))
-    reader = make_reader_device("R", chain.device("M").spec)
+    reader = make_reader_device("R", chain.device("M"))
     grown, peak = _traced_peak(lambda: attach_device(chain, reader))
     assert peak <= grown.state.nbytes + 2**20
     assert "projectors" not in vars(reader.observable)

@@ -24,14 +24,14 @@ ROWS = ((1.0, 0.0), (0.0, 1.0))
 MEASURE_STEP = model.Observable("P", model.SYSTEM_LABEL, (1.0, -1.0), np.eye(3), np.array([1, 1, 2]))
 
 # One example of every record class, plus the records each layer now shares
-# as it is: the chain's attach record, a parsed event with its position, the
+# as it is: the chain's device record, a parsed event with its position, the
 # program's evolution and an oracle measure step.
 EXAMPLES = [
     Z,
     MEASURE_STEP,
     model.DensityState("S", np.eye(2) / 2),
     model.DeviceSpec("M1", Z),
-    chain.Disturbance((np.eye(2), np.eye(2))),
+    model.Disturbance((np.eye(2), np.eye(2))),
     CHAIN.devices[0],
     CHAIN,
     born.OutcomeEvent("M1", 1),
@@ -43,7 +43,7 @@ EXAMPLES = [
     dsl.Diagnostic("no state declaration", 1, 1),
     SCENARIO,
     SCENARIO.program,
-    *SCENARIO.program.events,  # chain.Attach, collapse.Evolve, chain.Attach
+    *SCENARIO.program.events,  # model.DeviceSpec, collapse.Evolve, model.DeviceSpec
     dsl.SystemDecl(2, pos=(1, 1)),
     dsl.PureStateDecl((0.6, 0.8)),
     dsl.MixedStateDecl(ROWS),
@@ -68,6 +68,8 @@ COMPARED = (
 )
 ROLES = {
     id(CHAIN.devices[0]): "AttachedDevice",
+    id(SCENARIO.program.events[0]): "Attach",
+    id(SCENARIO.program.events[2]): "Attach",
     id(EVENT): "EventRef",
     id(SCENARIO.program.events[1]): "Evolution",
     id(MEASURE_STEP): "Measure",
@@ -167,9 +169,10 @@ def test_prop_summaries_are_mutable_and_do_not_share_failures():
     lambda: model.Observable("Z", "S", (1.0, 1.0), np.eye(2), np.array([1, 2])),
     lambda: model.DensityState("S", 2 * np.eye(2)),
     lambda: model.DeviceSpec("", Z),
-    lambda: chain.Disturbance((2 * np.eye(2),)),
+    lambda: model.Disturbance((2 * np.eye(2),)),
     lambda: chain.ChainState(np.ones((2, 3)), CHAIN.devices, CHAIN.initial_system_state),
-    lambda: chain.Attach(chain.make_reader_device("R", CHAIN.devices[0].spec), chain.Disturbance(())),
+    lambda: model.DeviceSpec(
+        "R", chain.make_reader_device("R", CHAIN.devices[0]).observable, model.Disturbance(())),
 ], ids=["Observable", "DensityState", "DeviceSpec", "Disturbance", "ChainState", "Attach"])
 def test_post_init_still_validates(build):
     with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from premeasure import chain, collapse, dsl, engine, propsuite
-from premeasure.chain import ChainState, Disturbance, attach_device, make_reader_device
+from premeasure.chain import ChainState, attach_device, make_reader_device
 from premeasure.linalg import unitarity_residual
-from premeasure.model import make_device
+from premeasure.model import DeviceSpec, Disturbance, make_device
 from premeasure.propsuite import attach_residual, run_property_suite
 from premeasure.sampling import (
     distinct_eigenvalues,
@@ -101,14 +101,14 @@ def test_attach_residual_covers_every_mode():
     reader = make_reader_device("R", ideal)
     assert attach_residual(ideal) <= 1e-13
     assert attach_residual(degenerate) <= 1e-13
-    assert attach_residual(ideal, weak) <= 1e-13
+    assert attach_residual(DeviceSpec("M", ideal.observable, weak)) <= 1e-13
     assert attach_residual(reader, target=ideal) <= 1e-13
 
 
 def test_a_non_isometric_attach_fails_unitarity(monkeypatch):
     # Outcome 1's branch scaled by 1 + 1e-9 after every per-branch check.
-    def scaled(chain, dev, **kwargs):
-        grown = attach_device(chain, dev, **kwargs)
+    def scaled(chain, dev):
+        grown = attach_device(chain, dev)
         state = np.array(grown.state)
         state[..., 0] *= 1 + 1e-9
         return ChainState(state, grown.devices, grown.initial_system_state)

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 import premeasure
 from premeasure import cli, collapse, dsl, engine
 from premeasure.born import OutcomeEvent, conditional_probability, joint_distribution
-from premeasure.chain import Disturbance, attach_device, init_chain, make_reader_device
-from premeasure.model import make_device, make_observable
+from premeasure.chain import attach_device, init_chain, make_reader_device
+from premeasure.model import DeviceSpec, Disturbance, make_device, make_observable
 from premeasure.sampling import random_scenario
 from premeasure.verify import (
     collapse_equivalence_report,
@@ -56,7 +56,7 @@ def test_repeatability_marks_zero_probability_rows():
 def test_repeatability_breaks_for_weak_flip():
     chain = init_chain(np.array([0.6, 0.8], dtype=complex))
     dist = Disturbance((np.eye(2, dtype=complex), SX))
-    chain = attach_device(chain, make_device("MW", _z_obs()), disturbance=dist)
+    chain = attach_device(chain, DeviceSpec("MW", _z_obs(), dist))
     chain = attach_device(chain, make_device("M2", _z_obs()))
     rep = repeatability_matrix(chain, "MW", "M2")
     assert not rep.passed
@@ -175,7 +175,7 @@ def test_reader_leaves_system_conditionals_unchanged():
 
         read = init_chain(psi)
         read = attach_device(read, make_device("M1", obs_a))
-        rdev = make_reader_device("R", read.device("M1").spec)
+        rdev = make_reader_device("R", read.device("M1"))
         read = attach_device(read, rdev)
         read = attach_device(read, make_device("MB", obs_b))
 
@@ -210,7 +210,7 @@ def test_repeatability_rows_match_masked_reference(weak):
     chain = init_chain(w @ w.conj().T / np.trace(w @ w.conj().T))
     if weak:
         dist = Disturbance(tuple(np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(3)))
-        chain = attach_device(chain, make_device("M1", obs), disturbance=dist)
+        chain = attach_device(chain, DeviceSpec("M1", obs, dist))
     else:
         chain = attach_device(chain, make_device("M1", obs))
     chain = attach_device(chain, make_device("M2", obs))
